@@ -397,7 +397,7 @@ class EpochCrawler:
         t_fetch = time.perf_counter()
         cand_refs = None
         cands_local = None
-        if self._use_ray and W >= self.cfg.ray_wave_threshold:
+        if self._use_ray and self._workers and W >= self.cfg.ray_wave_threshold:
             import ray
 
             workers = self._workers

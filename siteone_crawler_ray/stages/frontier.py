@@ -324,18 +324,24 @@ def assemble_wave(visited_count: int, epoch: int, want_hosts: bool, *parts):
     return meta, wave
 
 
-def make_shard_actors(num_shards: int, filter_capacity: int = 1 << 20):
-    """num_shards Ray actors, each owning one FrontierShardState.
+def shard_cpu_share(cluster_cpus: float, num_shards: int) -> float:
+    """CPU reserved by ONE frontier shard actor — the single model both
+    the shard pool (make_shard_actors) and the crawl-worker pool
+    (stages/worker.py::_worker_slots) size from.
 
-    Shard CPU share adapts to the cluster: at 0.25 each, 8 shards
-    reserve 2 full CPUs — on a 2-CPU cluster that is EVERY slot and the
-    1-CPU crawl workers can never schedule (permanent hang).  Cap the
-    pool's total reservation at a quarter of the cluster so workers
-    always fit; shard work is short-burst and interleaves fine."""
+    0.25 each, but the pool's total is capped at a quarter of the
+    cluster: uncapped, 8 shards reserve 2 full CPUs, which on a 2-CPU
+    cluster is EVERY slot and the 1-CPU crawl workers can never
+    schedule.  Shard work is short-burst and interleaves fine."""
+    return min(0.25, (cluster_cpus / 4) / num_shards)
+
+
+def make_shard_actors(num_shards: int, filter_capacity: int = 1 << 20):
+    """num_shards Ray actors, each owning one FrontierShardState,
+    reserving ``shard_cpu_share`` of a CPU each."""
     import ray
 
-    cpus = ray.cluster_resources().get("CPU", 4)
-    per_shard = min(0.25, (cpus / 4) / num_shards)
+    per_shard = shard_cpu_share(ray.cluster_resources().get("CPU", 4), num_shards)
     # SPREAD across nodes: fractional-CPU shards otherwise all pack onto
     # the head node (measured in scripts/multinode_sim.py), which on a
     # real cluster funnels every offer/contains exchange through one

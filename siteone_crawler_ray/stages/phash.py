@@ -239,11 +239,13 @@ def hamming_neardup_pairs(ds, *, id_col: str = "media_id",
     if not parts:
         return empty
     t = pa.concat_tables(parts)
-    a = t["id_a"].to_numpy(zero_copy_only=False).astype("U")
-    b = t["id_b"].to_numpy(zero_copy_only=False).astype("U")
-    key = np.char.add(np.char.add(a, "\x00"), b)
-    _, idx = np.unique(key, return_index=True)
-    out = t.take(pa.array(np.sort(idx)))
+    # first occurrence per (id_a, id_b) pair, grouped on the columns
+    # themselves: a joined-string key aliases ("ab", "c") with ("a", "bc")
+    first = (t.select(["id_a", "id_b"])
+             .append_column("i", pa.array(np.arange(t.num_rows)))
+             .group_by(["id_a", "id_b"], use_threads=False)
+             .aggregate([("i", "min")]))
+    out = t.take(pa.array(np.sort(first["i_min"].to_numpy())))
     return out.take(pc.sort_indices(out, sort_keys=[("id_a", "ascending"),
                                                     ("id_b", "ascending")]))
 

@@ -24,6 +24,7 @@ re-broadcast only when it changes (rare).
 
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
@@ -68,6 +69,16 @@ class CrawlWorker:
         )
         self.gauntlet = CandidateGauntlet(**gauntlet_kwargs)
         self._last_full: pa.Table | None = None
+        if arrow_threads is not None:
+            # the hot path allocates (per-href strings, memo-cache tuples)
+            # but creates no reference cycles, so cyclic GC finds nothing
+            # to free: freeze the long-lived constructor state out of GC
+            # and collect far less often.  Actor processes only (like the
+            # Arrow clamp above): the driver-local instance never retunes
+            # its caller's GC.
+            gc.collect()
+            gc.freeze()
+            gc.set_threshold(200_000, 50, 50)
 
     def node_id(self) -> str:
         """Ray node this instance lives on (placement evidence for the
@@ -79,15 +90,6 @@ class CrawlWorker:
             return ray.get_runtime_context().get_node_id()
         except Exception:  # noqa: BLE001 — not inside a Ray worker
             return "driver"
-        # the hot path allocates heavily (per-href strings, memo-cache
-        # tuples) but creates no reference cycles; default cyclic-GC
-        # thresholds cost ~30% of extract time.  Freeze the long-lived
-        # constructor state out of GC and collect far less often.
-        import gc
-
-        gc.collect()
-        gc.freeze()
-        gc.set_threshold(200_000, 50, 50)
 
     def set_blocklist(self, blocklist: frozenset) -> None:
         self.gauntlet.basename_blocklist = blocklist
@@ -266,38 +268,43 @@ def make_crawl_workers(num_workers: int, num_shards: int = 8, **kwargs):
 
 def _worker_slots(num_shards: int) -> int:
     """How many 1-CPU worker actors can schedule alongside the SPREAD
-    0.25-CPU frontier shards, reasoning PER NODE: integer workers pack
-    into each node's residual after its shard share, so a 4×8-CPU
-    cluster with 2 shards/node fits floor(8 − 0.5) = 7 workers per node
-    (28 total), NOT the 30 a cluster-total count suggests.  The
-    cluster-total clamp deadlocked exactly that way — 29 workers
-    requested, 28 schedulable, warm-up ray.get pending forever
-    (reproduced by scripts/multinode_sim.py).  One slot is subtracted
-    at the end as driver headroom.  On a single node this reduces to
-    the historical ``cpus − num_shards/4 − 1``."""
+    frontier shards, reasoning PER NODE with the shard pool's own
+    per-shard reservation (stages/frontier.py::shard_cpu_share):
+    integer workers pack into each node's residual after its shard
+    share, so a 4×8-CPU cluster with 2 shards/node fits
+    floor(8 − 0.5) = 7 workers per node (28 total), NOT the 30 a
+    cluster-total count suggests.  The cluster-total clamp deadlocked
+    exactly that way — 29 workers requested, 28 schedulable, warm-up
+    ray.get pending forever (reproduced by scripts/multinode_sim.py).
+    One slot is kept back as driver headroom unless it is the only
+    one.  0 means no whole CPU is left after the shards: the crawl
+    then runs every wave on its driver-local worker."""
     import math
 
     import ray
 
+    from .frontier import shard_cpu_share
+
     node_cpus = [int(n["Resources"].get("CPU", 0))
                  for n in ray.nodes() if n["Alive"]]
     node_cpus = [c for c in node_cpus if c > 0] or [4]
+    share = shard_cpu_share(sum(node_cpus), num_shards)
     # SPREAD round-robin worst case: ceil(num_shards / num_nodes) per node
     per_node_shards = math.ceil(num_shards / len(node_cpus))
-    slots = sum(max(0, math.floor(c - 0.25 * per_node_shards))
+    slots = sum(max(0, math.floor(c - share * per_node_shards))
                 for c in node_cpus)
-    return max(1, slots - 1)
+    return max(1, slots - 1) if slots else 0
 
 
 def clamp_worker_count(num_workers: int, num_shards: int = 8) -> int:
     """Largest worker count that can actually schedule alongside the
     driver and the fractional-CPU frontier shards (see _worker_slots;
     without the clamp, 7 workers + 8 shards pend forever on an 8-CPU
-    box)."""
-    return max(1, min(num_workers, _worker_slots(num_shards)))
+    box).  0 when not even one worker fits."""
+    return min(max(1, num_workers), _worker_slots(num_shards))
 
 
 def adaptive_worker_count(num_shards: int, cap: int = 64) -> int:
     """Size the pool to the cluster: leave headroom for the driver and
     the (fractional-CPU) frontier shard actors, node by node."""
-    return max(1, min(cap, _worker_slots(num_shards)))
+    return min(cap, _worker_slots(num_shards))

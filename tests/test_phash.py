@@ -209,3 +209,25 @@ def test_phash_dhash_known_values_stable():
             if h8[y, x] > h8[y, (x + 1) % 8]:
                 expect_d |= 1 << (y * 8 + x)
     assert int(dhash64(g32)) == expect_d
+    # hard-coded literals: a change to PH_COS itself moves the
+    # recomputation above in lockstep, these do not
+    assert phash64(g32) == np.uint64(0x0000000000000001)
+    assert dhash64(g32) == np.uint64(0x8080808080808080)
+    # the linear ramp sets one pHash bit; a wrapping gradient sets 32
+    rich = _gradient(32, 32, a=11, b=7, c=10).astype(np.int64)
+    assert phash64(rich) == np.uint64(0xAC502DEA8DB8D2A7)
+    assert dhash64(rich) == np.uint64(0x614386848C9898B0)
+
+
+def test_hamming_neardup_pairs_dedup_keys_on_the_pair(ray_session):
+    """Pair dedup keys on the (id_a, id_b) pair itself: pairs whose ids
+    concatenate to the same string, with or without a NUL between
+    them, stay distinct pairs."""
+    ids = ["x\x00y", "z", "x", "y\x00z", "ab", "c", "a", "bc"]
+    # one hash per pair, >= 32 bits apart across pairs
+    hs = [0, 0, 2**64 - 1, 2**64 - 1, 2**32 - 1, 2**32 - 1, 2**64 - 2**32, 2**64 - 2**32]
+    t = pa.table({"media_id": pa.array(ids), "phash": pa.array(hs, pa.uint64())})
+    got = hamming_neardup_pairs(rd.from_arrow([t.slice(i, 2) for i in range(0, 8, 2)]))
+    assert list(zip(got["id_a"].to_pylist(), got["id_b"].to_pylist())) == [
+        ("a", "bc"), ("ab", "c"), ("x", "y\x00z"), ("x\x00y", "z")]
+    assert got["hamming"].to_pylist() == [0, 0, 0, 0]
