@@ -6,11 +6,15 @@ output under the canonical (workers=1-equivalent) ordering contract of
 SURVEY.md §3.2:
 
     wave e = drain(shards) sorted by priority
-    fused  = persistent CrawlWorker actors (stages/worker.py), one call
-             per wave chunk: fetch → write visited parquet part (the
-             checkpointed lineage) → explode_spans → candidate gauntlet;
-             pools are created once per run, not per wave
-    admit  = dedup first-wins by priority → shard contains → caps → offer
+    fused  = CrawlWorker.process_shared (stages/worker.py), one call per
+             wave chunk: fetch → write visited parquet part (the
+             checkpointed lineage) → explode_spans → candidate gauntlet
+             → candidates split by frontier shard.  Narrow waves run on
+             the driver-local worker, wide ones fan out to persistent
+             actors created once per run; both return the same parts
+    ingest = every shard takes its own slice of those parts: skips
+             first-wins, then admit (dedup first-wins by priority →
+             shard contains → caps → offer)
 
 Priority packs (source wave position, span extraction index); visited
 ``seq`` is the wave-sorted global rank — equal to the reference's FIFO
@@ -48,7 +52,7 @@ from ..functions import urls as U
 from ..functions.hashing import uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
-from ..stages.frontier import FrontierShardState, shard_of
+from ..stages.frontier import FrontierShardState, assemble_wave, shard_of
 from ..stages.worker import CrawlWorker, adaptive_worker_count, make_crawl_workers
 from ..types import UrlSource
 
@@ -98,7 +102,6 @@ class CrawlConfig:
     num_shards: int = 8
     fetch_concurrency: int | None = None  # None → adaptive to cluster CPUs
     fetch_batch_size: int = 2048
-    gauntlet_concurrency: int = 4  # kept for config compat; gauntlet runs fused in workers
     filter_capacity: int = 1 << 20
     use_ray: bool = True  # False → in-process loop (unit tests / oracle-speed runs)
     # waves smaller than this are processed by the driver-local worker
@@ -107,11 +110,6 @@ class CrawlConfig:
     # (preloaded buckets, hot memo caches) so the bar is low.  At 100 TB
     # waves are millions of rows and always fan out.
     ray_wave_threshold: int = 48
-    # ramp-up/tail waves dispatch to ceil(sqrt(W/16)) workers instead of
-    # the full pool: fanning 29 actors for a 128-row wave costs more in
-    # dispatch + straggler tail than the work itself (per-epoch Amdahl
-    # term).  Big waves still use every worker.
-    adaptive_fetch_fanout: bool = True
 
     def fingerprint(self) -> str:
         from ..functions.hashing import xxh64
@@ -181,15 +179,6 @@ _DISPATCH_FIELDS = [
     ("source_uq_id", pa.string()),
     ("source_attr", pa.int8()),
 ]
-
-
-def _assemble_wave(visited_count: int, epoch: int, want_hosts: bool, *parts):
-    """Wave assembly — shared with the Ray path, which runs it on
-    shard-0's (warm) actor process via
-    :meth:`..stages.frontier.FrontierShardState.assemble_wave`."""
-    from ..stages.frontier import assemble_wave
-
-    return assemble_wave(visited_count, epoch, want_hosts, *parts)
 
 
 class EpochCrawler:
@@ -276,35 +265,24 @@ class EpochCrawler:
             arrow_threads=None,  # don't clamp the driver's Arrow pool
         )
 
-    def _shard_call(self, method: str, per_shard_args: list[tuple] | None = None) -> list:
+    def _shard_call(self, method: str, *args, per_shard: list[tuple] | None = None) -> list:
+        """Call ``method`` on every shard and wait for the results: with
+        the same ``args`` everywhere, or with ``per_shard[i]`` on shard i."""
+        arg_lists = per_shard if per_shard is not None else [args] * len(self._shards)
         if self._use_ray:
             import ray
 
-            if per_shard_args is None:
-                return ray.get([getattr(s, method).remote() for s in self._shards])
             return ray.get(
-                [getattr(s, method).remote(*a) for s, a in zip(self._shards, per_shard_args)]
+                [getattr(s, method).remote(*a) for s, a in zip(self._shards, arg_lists)]
             )
-        if per_shard_args is None:
-            return [getattr(s, method)() for s in self._shards]
-        return [getattr(s, method)(*a) for s, a in zip(self._shards, per_shard_args)]
-
-    def _shard_call_refs(self, method: str, refs: list) -> list:
-        """Fan the SAME candidate-part refs to every shard; each shard
-        filters its own key partition from the object store (no driver
-        copy of the candidate tables)."""
-        import ray
-
-        return ray.get(
-            [getattr(s, method).remote(self.cfg.num_shards, *refs) for s in self._shards]
-        )
+        return [getattr(s, method)(*a) for s, a in zip(self._shards, arg_lists)]
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         """Batched membership across shards (one call per shard)."""
         sh = shard_of(keys, self.cfg.num_shards)
         out = np.zeros(len(keys), dtype=bool)
         idxs = [np.nonzero(sh == i)[0] for i in range(self.cfg.num_shards)]
-        res = self._shard_call("contains", [(keys[ix],) for ix in idxs])
+        res = self._shard_call("contains", per_shard=[(keys[ix],) for ix in idxs])
         for ix, r in zip(idxs, res):
             out[ix] = r
         return out
@@ -312,11 +290,8 @@ class EpochCrawler:
     def _offer(self, entries: pa.Table) -> None:
         keys = entries["url_key"].to_numpy(zero_copy_only=False)
         sh = shard_of(keys, self.cfg.num_shards)
-        args = []
-        for i in range(self.cfg.num_shards):
-            mask = sh == i
-            args.append((entries.filter(pa.array(mask)),))
-        self._shard_call("offer", args)
+        self._shard_call("offer", per_shard=[
+            (entries.filter(pa.array(sh == i)),) for i in range(self.cfg.num_shards)])
 
     # -- seeding ------------------------------------------------------------
     def seed(self) -> None:
@@ -348,16 +323,16 @@ class EpochCrawler:
     def run_epoch(self) -> int:
         """Process one wave; returns number of pages visited (0 → done).
 
-        With Ray the wave NEVER lands on the driver: shard drains flow
-        as object refs into the :func:`_assemble_wave` task, workers
-        self-select rows from its output object, and the candidate
-        tables flow as refs straight to the frontier shards (each
-        filters its key partition from plasma, zero-copy).  The driver
-        handles only scalars: W, candidate counts, basename counts,
-        timings."""
+        With Ray the wave never lands on the driver unless it is narrow
+        enough for the driver-local worker: shard drains flow as object
+        refs into :meth:`FrontierShardState.assemble_wave` on shard 0,
+        workers self-select rows from its output object, and their
+        per-shard candidate parts flow as refs straight to the frontier
+        shards (each reads its own slice from plasma, zero-copy).  The
+        driver handles only scalars: W, candidate counts, basename
+        counts, timings."""
         t0 = time.perf_counter()
-        wave = None
-        wave_ref = None
+        want_hosts = self.cfg.routing == "host"
         if self._use_ray:
             import ray
 
@@ -366,21 +341,17 @@ class EpochCrawler:
             # task may land on a cold worker process whose first Arrow
             # concat/sort measured ~0.6 s at 16 CPUs (epoch-0 critical
             # path); shard 0 runs this between waves when it is idle.
-            meta_ref, wave_ref = self._shards[0].assemble_wave.options(num_returns=2).remote(
-                self.visited_count, self.epoch, self.cfg.routing == "host", *part_refs
+            meta_ref, wave = self._shards[0].assemble_wave.options(num_returns=2).remote(
+                self.visited_count, self.epoch, want_hosts, *part_refs
             )
             meta = ray.get(meta_ref)
-            W = meta["W"]
-            t_drain = time.perf_counter() - t0
-            if W == 0:
-                return 0
         else:
-            parts = [p for p in self._shard_call("drain") if p is not None and p.num_rows]
-            t_drain = time.perf_counter() - t0
-            if not parts:
-                return 0
-            meta, wave = _assemble_wave(self.visited_count, self.epoch, False, *parts)
-            W = meta["W"]
+            meta, wave = assemble_wave(
+                self.visited_count, self.epoch, want_hosts, *self._shard_call("drain"))
+        W = meta["W"]
+        t_drain = time.perf_counter() - t0
+        if W == 0:
+            return 0
 
         vdir = os.path.join(self.workdir, "visited", f"epoch={self.epoch}")
         bl = frozenset(
@@ -395,23 +366,19 @@ class EpochCrawler:
                 ray.get([w.set_blocklist.remote(bl) for w in self._workers])
 
         t_fetch = time.perf_counter()
-        cand_refs = None
-        cands_local = None
-        if self._use_ray and self._workers and W >= self.cfg.ray_wave_threshold:
-            import ray
-
-            workers = self._workers
-            if self.cfg.adaptive_fetch_fanout:
-                # ramp-up/tail waves: K ≈ sqrt(W/16) balances per-actor
-                # dispatch+straggler cost (~10-15 ms) against W/K work
-                k = max(1, min(len(workers), int(np.ceil(np.sqrt(W / 16)))))
-                workers = workers[:k]
+        t_dispatch_wall = time.time()
+        if self._workers and W >= self.cfg.ray_wave_threshold:
+            # ramp-up/tail waves: K ≈ sqrt(W/16) balances per-actor
+            # dispatch+straggler cost (~10-15 ms) against W/K work; big
+            # waves use every worker
+            workers = self._workers[: max(1, min(len(self._workers),
+                                                 int(np.ceil(np.sqrt(W / 16)))))]
             K = len(workers)
             # bucket-affine routing: worker (url_key % NB) % K — each
             # worker's corpus-bucket cache stays a fixed 1/K subset
             # instead of every worker faulting in every bucket.
             salt_map = None
-            if self.cfg.routing == "host":
+            if want_hosts:
                 # hot-host salting: a host holding more than 2 fair
                 # shares of the wave spreads across S workers (rate/S
                 # per bucket — SURVEY §7.5)
@@ -422,57 +389,32 @@ class EpochCrawler:
                     for h, c in zip(uniq, cnt)
                     if c > 2 * fair
                 }
-            t_dispatch_wall = time.time()
             triplets = [
                 w.process_shared.options(num_returns=3).remote(
-                    wave_ref, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
+                    wave, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
                     self.cfg.num_shards,
                 )
                 for i, w in enumerate(workers)
             ]
-            cand_refs = [t[0] for t in triplets]
+            parts = [t[0] for t in triplets]
             non200_lists = ray.get([t[1] for t in triplets])
             timings = ray.get([t[2] for t in triplets])
-            t_collect_wall = time.time()
             self._epoch_workers_used = list(workers)
         else:
-            if wave is None:
-                import ray
-
-                wave = ray.get(wave_ref)
-            cands_local, non200, tm = self._local_worker.process(wave, vdir, 0)
+            if self._use_ray:
+                wave = ray.get(wave)
+            part, non200, tm = self._local_worker.process_shared(
+                wave, 0, 1, self.num_buckets, vdir, self.cfg.routing, None,
+                self.cfg.num_shards)
+            # one object for every shard, like a remote worker's output
+            parts = [ray.put(part) if self._use_ray else part]
             non200_lists, timings = [non200], [tm]
             self._epoch_workers_used = None
+        t_collect_wall = time.time()
         t_fetch = time.perf_counter() - t_fetch
 
         t_cand = time.perf_counter()
-        # frontier-ops metric counts every gauntlet-emitted candidate
-        # (pre chunk-dedup) so the number is partition-invariant
-        n_cands = sum(t.get("cands_raw", 0) for t in timings)
-        if cand_refs is not None:
-            n_ok = sum(t.get("n_ok", 0) for t in timings)
-            V, cfg = self.visited_count, self.cfg
-            if n_ok and (
-                V + W + n_ok <= cfg.max_visited_urls
-                and (W - 1) + n_ok <= cfg.max_queue_length
-            ):
-                # fast path: caps can't bind → submit ONE fused
-                # skip+admit call per shard and DON'T wait: actor task
-                # ordering makes the next drain/checkpoint serialize
-                # behind it shard-side; the refs are collected next
-                # epoch (error propagation only).  This removes the
-                # last per-epoch driver↔shard synchronization.
-                self._ingest_refs.extend(
-                    getattr(s, "ingest_direct_parts").remote(self.cfg.num_shards, *cand_refs)
-                    for s in self._shards
-                )
-            else:
-                self._shard_call_refs("record_skips_parts", cand_refs)
-                self._admit_parts(cand_refs, W, n_ok)
-        else:
-            cands = cands_local if cands_local is not None else _empty_cand_table()
-            self._record_skips(cands)
-            self._admit(cands, W)
+        self._ingest(parts, W, sum(t["n_ok"] for t in timings))
         t_cand = time.perf_counter() - t_cand
 
         for non200 in non200_lists:  # epoch-consistent basename guard counts
@@ -486,7 +428,9 @@ class EpochCrawler:
             {
                 "epoch": self.epoch - 1,
                 "wave": W,
-                "candidates": int(n_cands),
+                # frontier-ops metric counts every gauntlet-emitted
+                # candidate (pre chunk-dedup): partition-invariant
+                "candidates": int(sum(t["cands_raw"] for t in timings)),
                 "fetch_sec": round(t_fetch, 4),
                 "worker_max": {
                     k: round(max((t[k] for t in timings), default=0.0), 4)
@@ -504,18 +448,12 @@ class EpochCrawler:
                 # the driver's dispatch/collect points and worker task
                 # entry/exit — isolates Ray scheduling + result transfer
                 # from worker busy time)
-                **(
-                    {
-                        "lat_first_enter": round(
-                            min(t["t_enter"] for t in timings) - t_dispatch_wall, 4),
-                        "lat_last_enter": round(
-                            max(t["t_enter"] for t in timings) - t_dispatch_wall, 4),
-                        "lat_collect": round(
-                            t_collect_wall - max(t["t_exit"] for t in timings), 4),
-                    }
-                    if timings and "t_enter" in timings[0] and cand_refs is not None
-                    else {}
-                ),
+                "lat_first_enter": round(
+                    min(t["t_enter"] for t in timings) - t_dispatch_wall, 4),
+                "lat_last_enter": round(
+                    max(t["t_enter"] for t in timings) - t_dispatch_wall, 4),
+                "lat_collect": round(
+                    t_collect_wall - max(t["t_exit"] for t in timings), 4),
             }
         )
         t_ck = time.perf_counter()
@@ -553,74 +491,39 @@ class EpochCrawler:
             ),
         )
 
-    def _record_skips(self, cands: pa.Table) -> None:
-        """Skip records route to their url_key shard, which owns the
-        first-wins dedup set and retains rows until the next per-epoch
-        checkpoint delta — the driver holds no O(total-skips) state
-        (crawler.rs:1093-1124 skipped.contains_key semantics)."""
-        sk = cands.filter(pc.equal(cands["tag"], "skip"))
-        if not sk.num_rows:
-            return
-        sh = shard_of(sk["url_key"].to_numpy(zero_copy_only=False), self.cfg.num_shards)
-        args = [(sk.filter(pa.array(sh == i)),) for i in range(self.cfg.num_shards)]
-        self._shard_call("record_skips", args)
+    def _ingest(self, parts: list, wave_size: int, n_ok: int) -> None:
+        """Hand one wave's candidates to the frontier.  ``parts`` holds
+        one entry per worker call — its candidates split by frontier
+        shard (object refs under Ray, values in-process) — and every
+        shard reads only its own slice: skip records go to its
+        first-wins skip set, ok-candidates to its two-phase admit.
 
-    def _admit(self, cands: pa.Table, wave_size: int) -> None:
-        """Two-phase shard-parallel admit: each shard sorts / dedups /
-        membership-tests ITS key partition concurrently (phase A),
-        the driver only sums winner counts for the cap check, then
-        commits (phase B).  The driver does no per-candidate work on
-        the fast path — this was the epoch loop's Amdahl term."""
-        ok = cands.filter(pc.equal(cands["tag"], "ok"))
-        if not ok.num_rows:
-            return
+        ``n_ok`` (Σ per-worker deduped ok counts) bounds the
+        admissions.  When even admitting all of them cannot bind a cap,
+        each shard records and admits in ONE call; under Ray the driver
+        does not wait for it (actor task order runs the next drain and
+        checkpoint behind it, and the refs are collected with the next
+        checkpoint).  Otherwise the shards stash their winners, the
+        driver sums their counts for the cap check, and either commits
+        or falls back to the exact sequential simulation."""
         V, W, cfg = self.visited_count, wave_size, self.cfg
-        sh = shard_of(ok["url_key"].to_numpy(zero_copy_only=False), self.cfg.num_shards)
-        args = [(ok.filter(pa.array(sh == i)),) for i in range(self.cfg.num_shards)]
-        # upper bound: even admitting every candidate can't bind the caps
-        # → fused single-round admit
-        if (
-            V + W + ok.num_rows <= cfg.max_visited_urls
-            and (W - 1) + ok.num_rows <= cfg.max_queue_length
-        ):
-            self._shard_call("admit_direct", args)
+
+        def fits(n: int) -> bool:
+            return V + W + n <= cfg.max_visited_urls and (W - 1) + n <= cfg.max_queue_length
+
+        if n_ok == 0 or fits(n_ok):
+            if self._use_ray:
+                self._ingest_refs.extend(
+                    s.ingest_direct_parts.remote(*parts) for s in self._shards)
+            else:
+                self._shard_call("ingest_direct_parts", *parts)
             return
-        counts = self._shard_call("try_admit", args)
-        n_unseen = int(sum(counts))
-        fast_ok = (
-            V + W + n_unseen <= cfg.max_visited_urls
-            and (W - 1) + n_unseen <= cfg.max_queue_length
-        )
-        if fast_ok:
+        self._shard_call("record_skips_parts", *parts)
+        if fits(sum(self._shard_call("try_admit_parts", *parts))):
             self._shard_call("commit_stash")
             return
         self._shard_call("abort_stash")
-        self._admit_exact(wave_size)
-
-    def _admit_parts(self, cand_refs: list, wave_size: int, n_ok: int) -> None:
-        """Ref-based admit: candidate parts never touch the driver —
-        every shard pulls the refs and filters its own ok-partition.
-        Cap logic identical to :meth:`_admit` (n_ok = Σ per-worker
-        deduped ok counts is an upper bound on admissions)."""
-        if n_ok == 0:
-            return
-        V, W, cfg = self.visited_count, wave_size, self.cfg
-        if (
-            V + W + n_ok <= cfg.max_visited_urls
-            and (W - 1) + n_ok <= cfg.max_queue_length
-        ):
-            self._shard_call_refs("admit_direct_parts", cand_refs)
-            return
-        counts = self._shard_call_refs("try_admit_parts", cand_refs)
-        n_unseen = int(sum(counts))
-        if (
-            V + W + n_unseen <= cfg.max_visited_urls
-            and (W - 1) + n_unseen <= cfg.max_queue_length
-        ):
-            self._shard_call("commit_stash")
-            return
-        self._shard_call("abort_stash")
-        self._admit_exact(wave_size)
+        self._admit_exact(W)
 
     def _admit_exact(self, wave_size: int) -> None:
         """Exact sequential enqueue simulation (caps bind) — see module
@@ -733,15 +636,16 @@ class EpochCrawler:
             # run() end); a crash in that window loses only the newest
             # manifest, and resume() already prunes shard/visited dirs
             # newer than the last manifest it finds.
+            # This epoch's ingest refs ride along and are collected with
+            # the ckpt refs next epoch; take them out BEFORE the flush,
+            # which would otherwise wait on them here and re-introduce
+            # the per-epoch barrier this removes.
+            ingest_refs, self._ingest_refs = self._ingest_refs, []
             self._flush_pending()
             refs = [s.checkpoint.remote(sdir) for s in self._shards]
-            # this epoch's ingest refs ride along and are collected with
-            # the ckpt refs next epoch — collecting them HERE would
-            # re-introduce the per-epoch barrier this removes
-            self._pending_ckpt = (e, manifest, refs, self._ingest_refs)
-            self._ingest_refs = []
+            self._pending_ckpt = (e, manifest, refs, ingest_refs)
         else:
-            manifest["shards"] = self._shard_call("checkpoint", [(sdir,) for _ in self._shards])
+            manifest["shards"] = self._shard_call("checkpoint", sdir)
             self._write_manifest(e, manifest)
 
     def _write_manifest(self, e: int, manifest: dict) -> None:
@@ -787,7 +691,7 @@ class EpochCrawler:
         self._make_shards()
         # delta-chain restore: every epoch's seen delta up to e, in order
         sdirs = [os.path.join(self.workdir, "shards", f"epoch={i}") for i in range(e + 1)]
-        self._shard_call("restore", [(sdirs,) for _ in self._shards])
+        self._shard_call("restore", sdirs)
         self.epoch = e + 1
         self.visited_count = manifest["visited_count"]
         self.basename_counts = dict(manifest["basename_counts"])

@@ -159,10 +159,11 @@ def read_observations(obs_dir: str):
     """Dataset over an accumulated observation tree
     (``epoch=NNNNN/obs-*.parquet`` files written by
     `pipelines/delta.crawl_delta(observations_out=...)``) — the input
-    `recrawl_priority` consumes in a standing crawl."""
+    `recrawl_priority` consumes in a standing crawl.  Reads only the
+    columns `change_rate_estimates` uses."""
     import ray.data as rd
 
-    return rd.read_parquet(obs_dir)
+    return rd.read_parquet(obs_dir, columns=["url_key", "url", "host", "changed"])
 
 
 def recrawl_priority(obs_ds, interval_sec: float, horizon_sec: float,

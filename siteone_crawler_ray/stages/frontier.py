@@ -157,56 +157,50 @@ class FrontierShardState:
         self._stash = cands.take(pa.array(win_idx)).select(self.DISPATCH_COLS)
         return int(len(win_idx))
 
-    # -- ref-based variants: the driver fans the SAME candidate-part
-    # object refs to every shard; each shard filters its key partition
-    # here (plasma shared-memory reads — no driver copy)
-    def _partition_of(self, num_shards: int, parts, tag: str) -> pa.Table | None:
+    # -- part-based variants: the driver fans the SAME candidate parts
+    # (object refs under Ray — plasma shared-memory reads, no driver
+    # copy) to every shard; each shard takes its own slice here
+    def _partition_of(self, parts, tag: str) -> pa.Table | None:
+        """This shard's ``tag`` rows of the workers' candidate parts.
+        Each part is (candidates sorted by shard, per-shard offsets) —
+        stages/worker.py::_split_by_shard — so every shard slices out
+        its own rows instead of re-scanning all candidates; a worker
+        without candidates sends None."""
         import pyarrow.compute as pc
 
-        # workers may pre-partition by shard (list per worker): pick our
-        # slice and skip the key-mod scan — each shard then does O(its
-        # rows) work instead of every shard re-scanning all candidates
-        pre_partitioned = all(isinstance(p, (list, tuple)) for p in parts if p is not None)
-        parts = [
-            p[self.shard_id] if isinstance(p, (list, tuple)) else p
-            for p in parts
-            if p is not None
-        ]
-        parts = [p for p in parts if p is not None and p.num_rows]
-        if not parts:
+        i = self.shard_id
+        mine = [t.slice(offs[i], offs[i + 1] - offs[i]) for t, offs in
+                (p for p in parts if p is not None)]
+        mine = [t for t in mine if t.num_rows]
+        if not mine:
             return None
-        t = pa.concat_tables(parts)
+        t = pa.concat_tables(mine)
         t = t.filter(pc.equal(t["tag"], tag))
-        if not t.num_rows:
-            return None
-        if not pre_partitioned:
-            mine = shard_of(t["url_key"].to_numpy(zero_copy_only=False), num_shards) == self.shard_id
-            t = t.filter(pa.array(mine))
         return t if t.num_rows else None
 
-    def admit_direct_parts(self, num_shards: int, *parts) -> int:
-        sub = self._partition_of(num_shards, parts, "ok")
+    def admit_direct_parts(self, *parts) -> int:
+        sub = self._partition_of(parts, "ok")
         if sub is None:
             self._stash = None
             return 0
         return self.admit_direct(sub)
 
-    def try_admit_parts(self, num_shards: int, *parts) -> int:
-        sub = self._partition_of(num_shards, parts, "ok")
+    def try_admit_parts(self, *parts) -> int:
+        sub = self._partition_of(parts, "ok")
         if sub is None:
             self._stash = None
             return 0
         return self.try_admit(sub)
 
-    def ingest_direct_parts(self, num_shards: int, *parts) -> int:
+    def ingest_direct_parts(self, *parts) -> int:
         """Fused fast-path: record skips AND admit in one actor call —
         halves the driver↔shard round-trips per epoch when caps can't
         bind (the epoch loop's serial term)."""
-        self.record_skips_parts(num_shards, *parts)
-        return self.admit_direct_parts(num_shards, *parts)
+        self.record_skips_parts(*parts)
+        return self.admit_direct_parts(*parts)
 
-    def record_skips_parts(self, num_shards: int, *parts) -> int:
-        sub = self._partition_of(num_shards, parts, "skip")
+    def record_skips_parts(self, *parts) -> int:
+        sub = self._partition_of(parts, "skip")
         if sub is None:
             return 0
         return self.record_skips(sub)

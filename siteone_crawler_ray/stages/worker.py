@@ -8,23 +8,24 @@ worker is therefore a long-lived actor created ONCE per run — the
 "stateful stages are actor pools" rule applied across waves, which the
 Dataset API cannot express today (pools die with each execution).
 
-Each ``process`` call handles one wave chunk end-to-end:
+Each ``process_shared`` call handles one wave chunk end-to-end:
 
-    fetch (corpus lookup, politeness buckets)      stages/fetch.py
+    select this worker's rows of the shared wave   (routing)
+    → fetch (corpus lookup, politeness buckets)    stages/fetch.py
     → write its visited parquet part               (deterministic name
       per (epoch, chunk) → idempotent under re-execution; the file IS
       the per-partition lineage the checkpoint manifest records)
     → explode spans → candidate gauntlet           stages/extract.py
-    → return the (small) candidate table + non-200 URLs
+    → return the candidates split by frontier shard + non-200 URLs
 
-Only candidates and non-200 URL lists travel back to the driver; page
+The candidate parts go to the frontier shards, each of which reads only
+its own slice; the driver gets the non-200 URL lists and timings.  Page
 bodies/spans stay in the parquet partition.  The basename blocklist is
 re-broadcast only when it changes (rare).
 """
 
 from __future__ import annotations
 
-import gc
 import os
 
 import numpy as np
@@ -41,8 +42,11 @@ EXTRACT_COLUMNS = ["doc_id", "spans", "wavepos", "depth", "uq_id"]
 class CrawlWorker:
     """One fused fetch→extract→gauntlet pipeline instance.
 
-    Used directly on the driver for small waves (identical output) and
-    wrapped in Ray actors for large ones."""
+    Every wave goes through :meth:`process_shared`: the driver-local
+    instance takes whole narrow waves (one worker of one), Ray actor
+    instances take their share of wide ones.  Both return the same
+    per-shard candidate parts and timing dict, which the driver hands
+    to the frontier shards unchanged."""
 
     def __init__(
         self,
@@ -69,16 +73,6 @@ class CrawlWorker:
         )
         self.gauntlet = CandidateGauntlet(**gauntlet_kwargs)
         self._last_full: pa.Table | None = None
-        if arrow_threads is not None:
-            # the hot path allocates (per-href strings, memo-cache tuples)
-            # but creates no reference cycles, so cyclic GC finds nothing
-            # to free: freeze the long-lived constructor state out of GC
-            # and collect far less often.  Actor processes only (like the
-            # Arrow clamp above): the driver-local instance never retunes
-            # its caller's GC.
-            gc.collect()
-            gc.freeze()
-            gc.set_threshold(200_000, 50, 50)
 
     def node_id(self) -> str:
         """Ray node this instance lives on (placement evidence for the
@@ -112,16 +106,17 @@ class CrawlWorker:
         num_workers: int,
         num_buckets: int,
         vdir: str,
-        routing: str = "bucket",
-        salt_map: dict | None = None,
-        num_shards: int = 0,
-    ) -> tuple[pa.Table | list[pa.Table] | None, list[str], dict]:
+        routing: str,
+        salt_map: dict | None,
+        num_shards: int,
+    ) -> tuple[tuple[pa.Table, list[int]] | None, list[str], dict]:
         """Self-selection from the shared wave table.
 
-        The driver ``ray.put``s the wave ONCE (zero-copy Arrow in the
-        object store); each worker takes only its rows here, in
-        parallel, instead of the driver cutting and pickling K chunks
-        serially.
+        The wave is ONE object (shard 0's assemble_wave output,
+        zero-copy Arrow in the object store); each worker takes only its
+        rows here, in parallel, instead of the driver cutting and
+        pickling K chunks serially.  The driver-local worker is called
+        as worker 0 of 1 and takes the whole wave.
 
         routing="bucket": worker = (url_key % num_buckets) % K —
         corpus-cache affine, politeness budget split across workers.
@@ -149,18 +144,19 @@ class CrawlWorker:
         idx = np.nonzero(wid == worker_id)[0]
         if not len(idx):
             self._last_full = None
-            return None, [], {"rows": 0, "cands_raw": 0, "fetch": 0.0, "write": 0.0,
-                              "extract": 0.0, "t_enter": t_enter, "t_exit": time.time()}
-        cands, non200, timing = self.process(wave.take(pa.array(idx)), vdir, worker_id)
+            return None, [], {"rows": 0, "cands_raw": 0, "n_ok": 0, "fetch": 0.0,
+                              "write": 0.0, "extract": 0.0,
+                              "t_enter": t_enter, "t_exit": time.time()}
+        chunk = wave if len(idx) == len(keys) else wave.take(pa.array(idx))
+        cands, non200, timing = self.process(chunk, vdir, worker_id)
         timing["t_enter"] = t_enter
         timing["t_exit"] = time.time()
-        if num_shards and cands is not None and cands.num_rows:
-            # pre-partition by frontier shard HERE (29-way parallel) so
-            # each shard actor later touches only its own rows instead
-            # of every shard re-scanning the full candidate set (S×
-            # duplicated work — the big-wave frontier bottleneck)
-            cands = _split_by_shard(cands, num_shards)
-        return cands, non200, timing
+        # pre-partition by frontier shard HERE (29-way parallel) so each
+        # shard actor later touches only its own rows instead of every
+        # shard re-scanning the full candidate set (S× duplicated work —
+        # the big-wave frontier bottleneck)
+        parts = _split_by_shard(cands, num_shards) if cands is not None and cands.num_rows else None
+        return parts, non200, timing
 
     def process(
         self, chunk: pa.Table, vdir: str, part: int
@@ -218,17 +214,19 @@ class CrawlWorker:
         return cands, non200, timing
 
 
-def _split_by_shard(cands: pa.Table, num_shards: int) -> list[pa.Table]:
-    """Partition a candidate table into per-frontier-shard tables
-    (``url_key % num_shards``) — one stable argsort + zero-copy slices."""
+def _split_by_shard(cands: pa.Table, num_shards: int) -> tuple[pa.Table, list[int]]:
+    """Partition a candidate table by frontier shard (``url_key %
+    num_shards``): the rows sorted by shard (one stable argsort) plus
+    num_shards + 1 offsets; shard i's rows are [offs[i], offs[i+1]).
+    One table serializes cheaper than num_shards slices of it: putting
+    300 candidates into the Ray object store took 1.7 ms this way and
+    6.9 ms as 8 slices (4-vCPU x86 VM)."""
     from .frontier import shard_of
 
     sh = shard_of(cands["url_key"].to_numpy(zero_copy_only=False), num_shards)
     order = np.argsort(sh, kind="stable")
-    srt = cands.take(pa.array(order))
-    counts = np.bincount(sh, minlength=num_shards)
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    return [srt.slice(int(offs[i]), int(counts[i])) for i in range(num_shards)]
+    offs = np.concatenate([[0], np.cumsum(np.bincount(sh, minlength=num_shards))])
+    return cands.take(pa.array(order)), offs.tolist()
 
 
 def _chunk_dedup(cands: pa.Table) -> pa.Table:

@@ -218,8 +218,12 @@ def test_run_ai_phase_end_to_end(tmp_path, ray_session):
     txt = out1["llms_txt"]
     assert txt.startswith("# Example Site\n\n> A synthetic crawl corpus.\n")
     assert "## " in txt and "- [" in txt and "](https://" in txt
+    # the max_pages selection is the only bound on the Ray path's
+    # take_all(): with more candidates than the cap, the SummaryStage
+    # must see exactly the selected rows (one llms-txt call per row)
+    assert out1["selection"]["total_candidates_before_cap"] > 12
     n = out1["entries"].num_rows
-    assert 0 < n <= 12
+    assert n == 12
     assert out1["usage"]["calls"] == n
     assert out1["usage"]["prompt_tokens"] > 0
     # every selected page produced a parsed (non-empty) entry

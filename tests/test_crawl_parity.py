@@ -324,9 +324,34 @@ def test_ray_path_parity(tmp_workdir):
     """The distributed path (Ray Data fetch/extract + shard actors) must
     produce the identical canonical order."""
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=150, out_degree=4)
-    cfg = CrawlConfig(use_ray=True, num_shards=4, fetch_concurrency=2, gauntlet_concurrency=2)
+    cfg = CrawlConfig(use_ray=True, num_shards=4, fetch_concurrency=2)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("caps", [{"max_visited_urls": 40}, {"max_queue_length": 15}],
+                         ids=["max_visited", "max_queue"])
+@pytest.mark.parametrize("threshold", [None, 1], ids=["driver_local", "fan_out"])
+def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, threshold):
+    """Caps binding mid-wave under Ray: at the default wave threshold the
+    binding wave runs on the driver-local worker; at threshold 1 it fans
+    out, so the exact admit pulls full_candidates() from remote workers."""
+    exact_on_local = []
+    admit_exact = EpochCrawler._admit_exact
+
+    def spy(self, wave_size):
+        exact_on_local.append(self._epoch_workers_used is None)
+        return admit_exact(self, wave_size)
+
+    monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
+    tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
+    cfg = CrawlConfig(use_ray=True, num_shards=2, fetch_concurrency=2, **caps,
+                      **({} if threshold is None else {"ray_wave_threshold": threshold}))
+    res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
+    _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
+    assert exact_on_local, "no cap bound: the exact admit never ran"
+    assert set(exact_on_local) == {threshold is None}
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -218,6 +218,8 @@ def test_observation_sink_through_crawl_delta(tmp_path):
             crawl_delta(rd.from_arrow(snaps[c - 1]), rd.from_arrow(snaps[c])), c))
 
     disk = read_observations(obs_dir)
+    # projected read: only what change_rate_estimates consumes
+    assert disk.schema().names == ["url_key", "url", "host", "changed"]
     # ...but the sink captured the full observation set anyway
     got = recrawl_priority(disk, DT, H, top_b=8)
     want = recrawl_priority(rd.from_arrow(pa.concat_tables(mem)), DT, H, top_b=8)

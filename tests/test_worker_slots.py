@@ -8,7 +8,6 @@ warm-up ray.get pends forever — reproduced on the simulated 4-node
 cluster before this existed).  The shard share is the one the shard
 pool itself books (stages/frontier.py::shard_cpu_share)."""
 
-import gc
 import json
 import math
 import os
@@ -136,29 +135,6 @@ def _tiny_crawl(tmp):
     robots = dict(zip(tabs["robots"]["host"].to_pylist(),
                       tabs["robots"]["body"].to_pylist()))
     return tabs, cp, seeds, robots
-
-
-def test_crawl_worker_gc_tuned_in_actor_only(tmp_workdir):
-    """The GC tuning runs in the worker actor's constructor, and the
-    driver-local worker leaves the calling process's GC untouched."""
-    import ray
-
-    from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
-
-    _, cp, seeds, robots = _tiny_crawl(tmp_workdir)
-    before = gc.get_threshold()
-    c = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "work"),
-                     CrawlConfig(num_shards=2, fetch_concurrency=1))
-    try:
-        c.seed()
-        assert c._local_worker is not None and len(c._workers) == 1
-        assert gc.get_threshold() == before
-        threshold, frozen = ray.get(c._workers[0].__ray_call__.remote(
-            lambda self: (gc.get_threshold(), gc.get_freeze_count())))
-        assert tuple(threshold) == (200_000, 50, 50)
-        assert frozen > 0
-    finally:
-        c.shutdown()
 
 
 ONE_CPU_CHILD = r"""
