@@ -272,53 +272,29 @@ def _anti_join_scatter(sf_dir: str, num_partitions: int | None = None) -> pa.Tab
     scatter once on key%P; partition p emits its distinct custkeys that
     miss its event-key set.  Exact for any P (a key lives in one
     partition on both sides); output rows are result-sized."""
-    import ray
-
     from ..functions.agg import block_refs
-    from ..stages.dedup import _auto_partitions, _key_mod
+    from ..stages.dedup import _auto_partitions, _scatter_exchange
 
     P = num_partitions if num_partitions is not None else _auto_partitions()
     orefs = block_refs(_read(sf_dir, "orders", ["o_custkey"]))
     erefs = block_refs(_read(sf_dir, "events", ["user_id"]))
 
-    @ray.remote
-    def scatter(block: pa.Table, key_col: str):
-        if block is None or block.num_rows == 0:
-            return (None,) * P if P > 1 else None
+    def distinct(block: pa.Table, key_col: str) -> pa.Table:
         # pre-dedup inside the block: only distinct keys cross the wire
-        keys = np.unique(block[key_col].to_numpy(zero_copy_only=False))
-        if P == 1:
-            return pa.table({key_col: pa.array(keys)})
-        part = (keys.view(np.uint64) if keys.dtype == np.int64
-                else keys.astype(np.uint64)) % np.uint64(P)
-        return tuple(pa.table({key_col: pa.array(keys[part == p])}) for p in range(P))
+        return pa.table({key_col: pa.array(np.unique(
+            block[key_col].to_numpy(zero_copy_only=False)))})
 
-    @ray.remote
-    def anti(n_ord: int, *parts) -> pa.Table:
-        ot = [t for t in parts[:n_ord] if t is not None and t.num_rows]
-        et = [t for t in parts[n_ord:] if t is not None and t.num_rows]
-        if not ot:
+    def anti(ot: pa.Table, et: pa.Table) -> pa.Table:
+        if ot is None:
             return None
-        ck = np.unique(np.concatenate(
-            [t["o_custkey"].to_numpy(zero_copy_only=False) for t in ot]))
-        if et:
-            ev = np.unique(np.concatenate(
-                [t["user_id"].to_numpy(zero_copy_only=False) for t in et]))
+        ck = np.unique(ot["o_custkey"].to_numpy(zero_copy_only=False))
+        if et is not None:
+            ev = np.unique(et["user_id"].to_numpy(zero_copy_only=False))
             ck = ck[np.isin(ck, ev, invert=True, assume_unique=True)]
         return pa.table({"o_custkey": pa.array(ck)})
 
-    def split(refs, key_col):
-        cols = [scatter.options(num_returns=P).remote(r, key_col) for r in refs]
-        return [[c] for c in cols] if P == 1 else cols
-
-    ocols, ecols = split(orefs, "o_custkey"), split(erefs, "user_id")
-    out = ray.get([
-        anti.remote(len(orefs),
-                    *[ocols[i][p] for i in range(len(orefs))],
-                    *[ecols[i][p] for i in range(len(erefs))])
-        for p in range(P)
-    ])
-    out = [t for t in out if t is not None and t.num_rows]
+    out = _scatter_exchange([(orefs, "o_custkey", distinct, "o_custkey"),
+                             (erefs, "user_id", distinct, "user_id")], anti, P)
     if not out:
         return pa.table({"o_custkey": pa.array([], pa.int64())})
     return pa.concat_tables(out).sort_by("o_custkey")
@@ -477,11 +453,7 @@ def _segment_join_shuffled(sf_dir: str) -> pa.Table:
     pfn = make_partial_fn(["c_mktsegment"], specs)
 
     def post(joined: pa.Table) -> pa.Table:
-        if "c_mktsegment" in joined.column_names:
-            seg = pc.fill_null(joined["c_mktsegment"], "")
-        else:  # partition had no customer rows at all
-            seg = pa.array([""] * joined.num_rows, pa.string())
-        return pfn(pa.table({"c_mktsegment": seg,
+        return pfn(pa.table({"c_mktsegment": pc.fill_null(joined["c_mktsegment"], ""),
                              "o_totalprice": joined["o_totalprice"]}))
 
     parts = hash_join(orders_ds, cust_ds, "o_custkey", how="left", post=post)
@@ -620,38 +592,22 @@ def _range_join_scatter(sf_dir: str, num_partitions: int | None = None) -> pa.Ta
     ``p`` builds its local composite-rank index and answers its local
     events — identical results for any P because a key lives in
     exactly one partition."""
-    import ray
-
     from ..functions.agg import block_refs
-    from ..stages.dedup import _auto_partitions, _key_mod
+    from ..stages.dedup import _auto_partitions, _scatter_exchange
 
     P = num_partitions if num_partitions is not None else _auto_partitions()
     orefs = block_refs(_read(sf_dir, "orders", ["o_custkey", "o_orderdate"]))
     erefs = block_refs(_read(sf_dir, "events", ["event_id", "user_id", "ts"]))
 
-    @ray.remote
-    def scatter(block: pa.Table, key_col: str):
-        if block is None or block.num_rows == 0:
-            return (None,) * P if P > 1 else None
-        if P == 1:
-            return block
-        part = _key_mod(block, key_col, P)
-        return tuple(block.filter(pa.array(part == p)) for p in range(P))
-
-    @ray.remote
-    def answer(n_ord: int, *parts) -> pa.Table:
-        ot = [t for t in parts[:n_ord] if t is not None and t.num_rows]
-        et = [t for t in parts[n_ord:] if t is not None and t.num_rows]
-        if not et:
+    def answer(orders: pa.Table, ev: pa.Table) -> pa.Table:
+        if ev is None:
             return None
-        ev = pa.concat_tables(et)
         uid = ev["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = ev["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        if not ot:
+        if orders is None:
             n = np.zeros(len(uid), dtype=np.int64)
             asof = np.full(len(uid), -1, dtype=np.int64)
         else:
-            orders = pa.concat_tables(ot)
             ck = orders["o_custkey"].to_numpy(zero_copy_only=False)
             od = orders["o_orderdate"].to_numpy(zero_copy_only=False) \
                 .astype("datetime64[us]").astype(np.int64)
@@ -662,18 +618,7 @@ def _range_join_scatter(sf_dir: str, num_partitions: int | None = None) -> pa.Ta
             "asof_date_us": pa.array(asof),
         })
 
-    def split(refs, key_col):
-        cols = [scatter.options(num_returns=P).remote(r, key_col) for r in refs]
-        return [[c] for c in cols] if P == 1 else cols
-
-    ocols, ecols = split(orefs, "o_custkey"), split(erefs, "user_id")
-    out = ray.get([
-        answer.remote(len(orefs),
-                      *[ocols[i][p] for i in range(len(orefs))],
-                      *[ecols[i][p] for i in range(len(erefs))])
-        for p in range(P)
-    ])
-    out = [t for t in out if t is not None and t.num_rows]
+    out = _scatter_exchange([(orefs, "o_custkey"), (erefs, "user_id")], answer, P)
     if not out:
         return pa.table({"event_id": pa.array([], pa.int64()),
                          "n_before": pa.array([], pa.int64()),
@@ -681,75 +626,7 @@ def _range_join_scatter(sf_dir: str, num_partitions: int | None = None) -> pa.Ta
     return pa.concat_tables(out)
 
 
-# -- distinct / windowed / parsing shapes ------------------------------------
-
-
-def distinct_users_by_type(sf_dir: str) -> pa.Table:
-    """headers-inventory shape: count distinct values per key.
-    Two-stage: dedup (event_type,user_id) pairs per batch + global
-    groupby-dedup, then count per type."""
-    from ray.data.aggregate import Count
-
-    def pair_dedup(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False).astype(str)
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        key = np.char.add(np.char.add(et, "\x00"), uid.astype(str))
-        _, idx = np.unique(key, return_index=True)
-        return pa.table(
-            {"event_type": pa.array(et[idx], pa.string()), "user_id": pa.array(uid[idx])}
-        )
-
-    raw = _read(sf_dir, "events", ["event_type", "user_id"])
-    ds = raw.map_batches(pair_dedup, batch_format="pyarrow")
-    # per-block dedup shrinks each block to its distinct pairs; the
-    # residue (bounded by global pair cardinality) combines on the
-    # driver below _DISTINCT_DRIVER_ROWS, else the coded scale path
-    # hash-partitions the residue on user_id — a (type, user) pair
-    # lands in exactly one partition, so per-partition dedup + count
-    # is exact and the driver only sums #types×P tiny partials
-    # (test_distinct_users_scatter_path_matches).  The threshold reads
-    # the INPUT row count (parquet-metadata-only, conservative upper
-    # bound on the residue) so the pipeline never executes twice.
-    if raw.count() > _DISTINCT_DRIVER_ROWS:
-        return _distinct_users_scatter(ds)
-    t = _collect(ds)
-    et = t["event_type"].to_numpy(zero_copy_only=False).astype(str)
-    uid = t["user_id"].to_numpy(zero_copy_only=False)
-    key = np.char.add(np.char.add(et, "\x00"), uid.astype(str))
-    _, idx = np.unique(key, return_index=True)
-    types, counts = np.unique(et[idx], return_counts=True)
-    return pa.table({"event_type": pa.array(types, pa.string()), "n_users": pa.array(counts.astype(np.int64))})
-
-
-_DISTINCT_DRIVER_ROWS = 5_000_000  # deduped pairs above this hash-partition
-
-
-def _distinct_users_scatter(pairs_ds, num_partitions: int | None = None) -> pa.Table:
-    """Coded scale path for count-distinct-per-key: exchange the
-    block-deduped (event_type, user_id) pairs once on user_id%P,
-    dedup + count per partition, sum the #types×P partials."""
-    from ..stages.dedup import _auto_partitions, _partitioned_exchange
-
-    def count_part(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False).astype(str)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        key = np.char.add(np.char.add(et, "\x00"), uid.astype(str))
-        _, idx = np.unique(key, return_index=True)
-        types, counts = np.unique(et[idx], return_counts=True)
-        return pa.table({"event_type": pa.array(types, pa.string()),
-                         "n_users": pa.array(counts.astype(np.int64))})
-
-    P = num_partitions if num_partitions is not None else _auto_partitions()
-    out = _partitioned_exchange(pairs_ds, "user_id", count_part, num_partitions=P)
-    if not out:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n_users": pa.array([], pa.int64())})
-    merged = pa.concat_tables(out)
-    types, inv = np.unique(
-        merged["event_type"].to_numpy(zero_copy_only=False).astype(str), return_inverse=True)
-    sums = np.bincount(inv, weights=merged["n_users"].to_numpy(zero_copy_only=False),
-                       minlength=len(types)).astype(np.int64)
-    return pa.table({"event_type": pa.array(types, pa.string()), "n_users": pa.array(sums)})
+# -- windowed / parsing shapes -----------------------------------------------
 
 
 def hourly_window(sf_dir: str) -> pa.Table:
@@ -840,39 +717,18 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 def _session_scatter(sf_dir: str, gap_us: int, num_partitions: int | None = None) -> pa.Table:
     """The coded scale path: events scatter on user_id%P, partition p
     sessionizes its own users with the identical kernel."""
-    import ray
-
     from ..functions.agg import block_refs
-    from ..stages.dedup import _auto_partitions, _key_mod
+    from ..stages.dedup import _auto_partitions, _scatter_exchange
 
     P = num_partitions if num_partitions is not None else _auto_partitions()
     refs = block_refs(_read(sf_dir, "events", ["user_id", "ts"]))
 
-    @ray.remote
-    def scatter(block: pa.Table):
-        if block is None or block.num_rows == 0:
-            return (None,) * P if P > 1 else None
-        if P == 1:
-            return block
-        part = _key_mod(block, "user_id", P)
-        return tuple(block.filter(pa.array(part == p)) for p in range(P))
-
-    @ray.remote
-    def sessionize(*parts) -> pa.Table:
-        tabs = [t for t in parts if t is not None and t.num_rows]
-        if not tabs:
-            return None
-        t = pa.concat_tables(tabs)
+    def sessionize(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         return _session_kernel(uid, ts, gap_us)
 
-    cols = [scatter.options(num_returns=P).remote(r) for r in refs]
-    if P == 1:
-        cols = [[c] for c in cols]
-    out = ray.get([sessionize.remote(*[cols[i][p] for i in range(len(refs))])
-                   for p in range(P)])
-    out = [t for t in out if t is not None and t.num_rows]
+    out = _scatter_exchange([(refs, "user_id")], sessionize, P)
     if not out:
         return pa.table({"user_id": pa.array([], pa.int64()),
                          "session_no": pa.array([], pa.int64()),
@@ -966,8 +822,11 @@ def embedding_dup_pairs_table(sf_dir: str, threshold: float = 0.45) -> pa.Table:
 # -- merged query surfaces (one queries() slot, several operators) ----------
 
 
+_DISTINCT_DRIVER_ROWS = 5_000_000  # deduped pairs above this hash-partition
+
+
 def user_type_stats(sf_dir: str) -> pa.Table:
-    """count_by_type + distinct_users_by_type in one table
+    """count_by_type + distinct users per type in one table
     (event_type, n, n_users) — the two per-type aggregates share a key
     AND a single pass: each block reduces to its distinct
     (event_type, user_id) pairs with their row counts (Arrow hash-agg,

@@ -115,48 +115,69 @@ def _auto_partitions(num_rows: int | None = None, *, rows_per_partition: int = 2
     return p
 
 
-def _key_mod(block: pa.Table, key_col: str, P: int) -> np.ndarray:
-    """key % P as int64, bit-stable for int64 OR uint64 key columns."""
+def _key_mod(block: pa.Table, key_col: str, P: int | None) -> np.ndarray:
+    """key % P as uint64, bit-stable for int64 OR uint64 key columns;
+    ``P=None`` returns the uint64 keys themselves (a hash input)."""
     keys = block[key_col].to_numpy(zero_copy_only=False)
-    return (keys.view(np.uint64) if keys.dtype == np.int64 else keys.astype(np.uint64)) % np.uint64(P)
+    keys = keys.view(np.uint64) if keys.dtype == np.int64 else keys.astype(np.uint64)
+    return keys if P is None else keys % np.uint64(P)
 
 
-def _scatter_exchange(refs, key_col: str, fn, num_partitions: int,
-                      return_refs: bool = False) -> list:
-    """Row-moves-once hash shuffle on raw Ray tasks: stage 1 splits each
-    block into ``P`` key partitions (scatter — each sub-table becomes
-    its own object), stage 2 task ``p`` concatenates partition ``p``
-    across all blocks and applies ``fn``.  Same exactness guarantee as
-    the broadcast path (identical key ⇒ identical partition) with each
-    row crossing the wire once.  ``return_refs=True`` keeps the
-    per-partition outputs in the object store (refs, possibly to
-    ``None``) so a caller can chain a second exchange without the
-    tables ever landing on the driver."""
+def _scatter_exchange(inputs, fn, num_partitions: int, return_refs: bool = False) -> list:
+    """Row-moves-once hash shuffle on raw Ray tasks — the one keyed
+    scatter→gather every coded scale path runs on.
+
+    ``inputs`` is a list of ``(refs, key_col)`` or ``(refs, key_col,
+    pre, arg)``.  Stage 1 runs one task per block: ``pre(block, arg)``
+    first if given (a bloom prune, a candidate join; ``arg`` rides as a
+    task argument, so a ``ray.put`` ref arrives as its value), then the
+    block splits into ``P`` partitions on ``key_col % P``, each sub-table
+    its own object.  Stage 2 task ``p`` concatenates partition ``p`` of
+    each input and calls ``fn(*tables)``, with ``None`` for an input
+    that has no rows there; a partition where every input is empty
+    yields ``None`` without calling ``fn``.  Identical key ⇒ identical
+    partition across all inputs, so a per-partition group or join is
+    exact for any ``P``, and each row crosses the wire once.
+    ``return_refs=True`` keeps the per-partition outputs in the object
+    store (refs, possibly to ``None``) so a caller can chain a second
+    exchange without the tables ever landing on the driver."""
     import ray
 
-    @ray.remote
-    def scatter(block: pa.Table, P: int):
-        if block is None or block.num_rows == 0:  # ref from an upstream exchange
-            return (None,) * P if P > 1 else None
-        if P == 1:  # num_returns=1 must yield the bare table, not a 1-tuple
-            return block
-        part = _key_mod(block, key_col, P)
-        return tuple(block.filter(pa.array(part == p)) for p in range(P))
+    P = num_partitions
+    keys = [inp[1] for inp in inputs]
+    pres = [inp[2] if len(inp) > 2 else None for inp in inputs]
+    counts = [len(inp[0]) for inp in inputs]
 
     @ray.remote
-    def gather(*parts) -> pa.Table:
-        parts = [x for x in parts if x is not None and x.num_rows]
-        if not parts:
+    def scatter(block: pa.Table, i: int, arg):
+        # block may be None: a ref from an upstream exchange
+        if block is not None and block.num_rows and pres[i] is not None:
+            block = pres[i](block, arg)
+        if block is None or block.num_rows == 0:
+            parts = (None,) * P
+        else:
+            part = _key_mod(block, keys[i], P)
+            parts = tuple(block.filter(pa.array(part == p)) for p in range(P))
+        return parts if P > 1 else parts[0]  # num_returns=1 returns the bare value
+
+    @ray.remote
+    def gather(*parts):
+        tables, start = [], 0
+        for n in counts:
+            got = [x for x in parts[start:start + n] if x is not None and x.num_rows]
+            tables.append(pa.concat_tables(got) if got else None)
+            start += n
+        if all(t is None for t in tables):
             return None
-        return fn(pa.concat_tables(parts))
+        return fn(*tables)
 
-    cols = [
-        scatter.options(num_returns=num_partitions).remote(r, num_partitions) for r in refs
-    ]
-    if num_partitions == 1:  # num_returns=1 yields a bare ref, not a list
-        cols = [[c] for c in cols]
-    out_refs = [gather.remote(*[cols[i][p] for i in range(len(refs))])
-                for p in range(num_partitions)]
+    cols = []
+    for i, inp in enumerate(inputs):
+        arg = inp[3] if len(inp) > 3 else None
+        for r in inp[0]:
+            c = scatter.options(num_returns=P).remote(r, i, arg)
+            cols.append([c] if P == 1 else c)  # num_returns=1 yields a bare ref
+    out_refs = [gather.remote(*[c[p] for c in cols]) for p in range(P)]
     if return_refs:
         return out_refs
     out = ray.get(out_refs)
@@ -186,7 +207,7 @@ def _partitioned_exchange(ds, key_col: str, fn, num_partitions: int | None = Non
     if num_partitions is None:
         num_partitions = _auto_partitions(total)
     if total is None or total > _SCATTER_THRESHOLD_ROWS:
-        return _scatter_exchange(refs, key_col, fn, num_partitions, return_refs=return_refs)
+        return _scatter_exchange([(refs, key_col)], fn, num_partitions, return_refs=return_refs)
 
     @ray.remote
     def one_partition(p: int, P: int, *blocks) -> pa.Table:
@@ -261,7 +282,7 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
         if not parts:
             return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64())}))
         return rd.from_arrow(combine(pa.concat_tables(parts)))
-    out = _scatter_exchange(refs, "content_hash", combine, num_partitions=_auto_partitions(total))
+    out = _scatter_exchange([(refs, "content_hash")], combine, _auto_partitions(total))
     if not out:
         return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64())}))
     return rd.from_arrow(out)
@@ -1054,7 +1075,7 @@ def duplicated_window_counts(ds, *, id_col="doc_id", text_col="text",
         # 100-TB path: per-doc partials move once, keyed on doc_id —
         # every doc's rows land in one partition, so the per-partition
         # group_by IS the exact global sum
-        out = _scatter_exchange(part_refs, id_col, doc_combine, _auto_partitions(total))
+        out = _scatter_exchange([(part_refs, id_col)], doc_combine, _auto_partitions(total))
         if not out:
             return empty
         merged = pa.concat_tables(out)
@@ -1344,10 +1365,10 @@ def dedup_cut(ds, *, id_col="doc_id", text_col="text", k: int = 64) -> pa.Table:
         text_refs = [r for b in text_bundles for r in b.block_refs]
         if not text_refs:
             return empty
-        str_refs = _scatter_exchange(list(cand_refs) + text_refs, id_col,
+        str_refs = _scatter_exchange([(list(cand_refs) + text_refs, id_col)],
                                      build_strings, P, return_refs=True)
-        rem_refs = _scatter_exchange(str_refs, "win_key", mark, P, return_refs=True)
-        out = _scatter_exchange(list(rem_refs) + text_refs, id_col, cut, P)
+        rem_refs = _scatter_exchange([(str_refs, "win_key")], mark, P, return_refs=True)
+        out = _scatter_exchange([(list(rem_refs) + text_refs, id_col)], cut, P)
         merged = pa.concat_tables([t for t in out if t is not None and t.num_rows])
     if not merged.num_rows:
         return empty

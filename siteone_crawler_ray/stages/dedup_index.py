@@ -40,7 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .dedup import _partitioned_exchange, lsh_band_rows, minhash_signatures
+from .dedup import (_key_mod, _partitioned_exchange, _scatter_exchange, lsh_band_rows,
+                    minhash_signatures)
 
 _FMT = "part={:05d}"
 
@@ -160,20 +161,16 @@ class MinHashIndex:
 
         if sigs is None:
             sigs = self.signatures(ds, id_col=id_col, text_col=text_col)
+        # an exchange partition holds exactly the rows whose key % P is
+        # its index, so the first row's key names the partition directory
         sig_manifest = _partitioned_exchange(
-            sigs.map_batches(_with_mod(id_col, "part_key", SP),
-                             batch_format="pyarrow"),
-            "part_key",
-            lambda t: wp(t.drop_columns(["part_key"]), sig_root,
-                         int(t["part_key"][0].as_py()), epoch),
+            sigs, id_col,
+            lambda t: wp(t, sig_root, int(_key_mod(t, id_col, SP)[0]), epoch),
             num_partitions=SP)
         band_manifest = _partitioned_exchange(
-            sigs.map_batches(self._band_fn(id_col), batch_format="pyarrow")
-                .map_batches(_with_mod("band_hash", "part_key", BP),
-                             batch_format="pyarrow"),
-            "part_key",
-            lambda t: wp(t.drop_columns(["part_key"]), band_root,
-                         int(t["part_key"][0].as_py()), epoch),
+            sigs.map_batches(self._band_fn(id_col), batch_format="pyarrow"),
+            "band_hash",
+            lambda t: wp(t, band_root, int(_key_mod(t, "band_hash", BP)[0]), epoch),
             num_partitions=BP)
         rows = lambda m: int(sum(t["rows"][0].as_py() for t in m))  # noqa: E731
         return {"epoch": epoch, "sig_rows": rows(sig_manifest),
@@ -206,14 +203,13 @@ class MinHashIndex:
         # stage 1: increment band rows → their band partition; candidates
         # = equality on (band_id, band_hash) against the partition's files
         def candidates(t: pa.Table) -> pa.Table:
-            part = int(t["part_key"][0].as_py())
+            part = int(_key_mod(t, "band_hash", BP)[0])
             idx = rp(band_root, part, exclude_epoch=xe)
             if idx is None or idx.num_rows == 0:
                 return None
             import pyarrow.compute as pc
 
-            j = t.drop_columns(["part_key"]).rename_columns(
-                ["band_id", "band_hash", "new_id"]).join(
+            j = t.rename_columns(["band_id", "band_hash", "new_id"]).join(
                 idx.rename_columns(["band_id", "band_hash", "old_id"]),
                 keys=["band_id", "band_hash"], join_type="inner",
                 use_threads=False)
@@ -229,9 +225,8 @@ class MinHashIndex:
             return pa.table({"new_id": pa.array(arr[:, 0]),
                              "old_id": pa.array(arr[:, 1])})
 
-        bands_keyed = sigs.map_batches(self._band_fn(id_col), batch_format="pyarrow") \
-            .map_batches(_with_mod("band_hash", "part_key", BP), batch_format="pyarrow")
-        cand_parts = _partitioned_exchange(bands_keyed, "part_key", candidates,
+        band_rows = sigs.map_batches(self._band_fn(id_col), batch_format="pyarrow")
+        cand_parts = _partitioned_exchange(band_rows, "band_hash", candidates,
                                            num_partitions=BP)
         if not cand_parts:
             return _empty_pairs()
@@ -240,46 +235,25 @@ class MinHashIndex:
                         cands["old_id"].to_numpy(zero_copy_only=False)], axis=1)
         arr = np.unique(arr, axis=0)  # cross-band dedup (candidate-sized)
 
-        # stage 2: attach the increment's signatures — one task PER SIG
-        # BLOCK (the candidate table is pair-ids-only and broadcast via
-        # ray.put; no single gather task ever holds the full signature
-        # matrix), each fanning its joined rows out by old_id%SP
+        # stage 2: attach the increment's signatures — the candidate join
+        # runs inside each SIG BLOCK's scatter task (the candidate table
+        # is pair-ids-only and broadcast via ray.put; no single task
+        # ever holds the full signature matrix), and the joined rows
+        # exchange on old_id against the signature partitions
         import ray
 
         from ..functions.agg import block_refs
 
         cand_tbl = pa.table({"new_id": pa.array(arr[:, 0]),
                              "old_id": pa.array(arr[:, 1])})
-        cand_ref = ray.put(cand_tbl)
-        sig_refs = block_refs(sigs)
 
-        @ray.remote
-        def attach(sig_block: pa.Table, cand):
-            """Join this block's signatures with the candidate pairs,
-            split by old_id%SP (num_returns fan-out)."""
-            if sig_block is None or sig_block.num_rows == 0 or cand.num_rows == 0:
-                return (None,) * SP if SP > 1 else None
-            j = cand.join(sig_block.rename_columns(
+        def attach(sig_block: pa.Table, cand: pa.Table) -> pa.Table:
+            return cand.join(sig_block.rename_columns(
                 ["new_id"] + [c for c in sig_block.column_names if c != id_col]),
                 keys="new_id", join_type="inner", use_threads=False)
-            if j.num_rows == 0:
-                return (None,) * SP if SP > 1 else None
-            if SP == 1:
-                return j
-            old = j["old_id"].to_numpy(zero_copy_only=False)
-            om = (old.view(np.uint64) if old.dtype == np.int64
-                  else old.astype(np.uint64)) % np.uint64(SP)
-            return tuple(j.filter(pa.array(om == p)) for p in range(SP))
-
-        cols = [attach.options(num_returns=SP).remote(r, cand_ref)
-                for r in sig_refs]
-        if SP == 1:
-            cols = [[c] for c in cols]
-        routed = [[cols[i][p] for i in range(len(sig_refs))]
-                  for p in range(SP)]
 
         def verify(t: pa.Table) -> pa.Table:
-            part = int(t["old_part"][0].as_py())
+            part = int(_key_mod(t, "old_id", SP)[0])
             idx = rp(sig_root, part, exclude_epoch=xe)
             if idx is None or idx.num_rows == 0:
                 return None
@@ -318,33 +292,13 @@ class MinHashIndex:
                 "est_jaccard": pa.array(np.round(est[keep], 6)),
             })
 
-        @ray.remote
-        def verify_part(p: int, *parts) -> pa.Table:
-            tabs = [t for t in parts if t is not None and t.num_rows]
-            if not tabs:
-                return None
-            routed_tbl = pa.concat_tables(tabs)
-            sub = routed_tbl.append_column(
-                "old_part", pa.array(np.full(routed_tbl.num_rows, p, np.int64)))
-            return verify(sub)
-
-        out = ray.get([verify_part.remote(p, *routed[p]) for p in range(SP)])
-        out = [t for t in out if t is not None and t.num_rows]
+        out = _scatter_exchange([(block_refs(sigs), "old_id", attach, ray.put(cand_tbl))],
+                                verify, SP)
         if not out:
             return _empty_pairs()
         res = pa.concat_tables(out)
         return res.take(pa.compute.sort_indices(
             res, sort_keys=[("new_id", "ascending"), ("old_id", "ascending")]))
-
-
-def _with_mod(src_col: str, out_col: str, P: int):
-    def fn(batch: pa.Table) -> pa.Table:
-        k = batch[src_col].to_numpy(zero_copy_only=False)
-        m = (k.view(np.uint64) if k.dtype == np.int64 else k.astype(np.uint64)) \
-            % np.uint64(P)
-        return batch.append_column(out_col, pa.array(m.astype(np.int64)))
-
-    return fn
 
 
 def _empty_pairs() -> pa.Table:

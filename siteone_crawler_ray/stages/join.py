@@ -2,12 +2,12 @@
 
 Every other join in the engine broadcasts its small side
 (`pipelines/relational.py` §2.4 shapes); this is the coded scale path
-for the case where NEITHER side fits a broadcast: both inputs scatter
-by ``key % P`` (each row crosses the wire exactly once, the
-`stages/dedup._scatter_exchange` guarantee), and partition ``p`` joins
-its two co-located slices with the Arrow join kernel.  Identical key ⇒
-identical partition on both sides, so the partition-local join is
-exact for any ``P``.
+for the case where NEITHER side fits a broadcast.  It runs on
+`stages/dedup._scatter_exchange`, the one keyed scatter→gather of the
+engine: both inputs scatter by ``key % P`` (each row crosses the wire
+exactly once), and partition ``p`` joins its two co-located slices
+with the Arrow join kernel.  Identical key ⇒ identical partition on
+both sides, so the partition-local join is exact for any ``P``.
 
 Used by ``pipelines/relational.segment_join`` above
 ``_BROADCAST_JOIN_ROWS`` (pytest-forced parity:
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _auto_partitions, _key_mod
+from .dedup import _auto_partitions, _key_mod, _scatter_exchange
 from .sketch import splitmix64
 
 # Runtime bloom filter (Spark's "runtime filter" / Bloom-join shape,
@@ -38,11 +38,6 @@ _BLOOM_STEP = 0x9E3779B97F4A7C15  # splitmix64 stream step (python int:
 
 def _bloom_seed(j: int) -> np.uint64:
     return np.uint64((_BLOOM_STEP * (j + 1)) & 0xFFFFFFFFFFFFFFFF)
-
-
-def _keys_u64(block: pa.Table, key_col: str) -> np.ndarray:
-    keys = block[key_col].to_numpy(zero_copy_only=False)
-    return keys.view(np.uint64) if keys.dtype == np.int64 else keys.astype(np.uint64)
 
 
 def _bloom_build(keys: np.ndarray, bits: int, k: int = _BLOOM_K) -> np.ndarray:
@@ -87,7 +82,7 @@ def _build_bloom_ref(refs, key_col: str, bits: int):
     def partial(block: pa.Table):
         if block is None or block.num_rows == 0:
             return None
-        return _bloom_build(_keys_u64(block, key_col), bits)
+        return _bloom_build(_key_mod(block, key_col, None), bits)
 
     @ray.remote
     def merge(*ws):
@@ -107,9 +102,7 @@ def _build_bloom_ref(refs, key_col: str, bits: int):
         return None
     return ray.put(words)
 
-# full outer: a right-only partition null-fills the left side via the
-# captured left schema names (join_partition's rename + the driver's
-# permissive concat promote missing columns to null)
+
 _JOIN_TYPES = {
     "inner": "inner",
     "left": "left outer",
@@ -150,8 +143,6 @@ def hash_join(left_ds, right_ds, key: str, how: str = "inner",
     (``test_hash_join_bloom_filter_parity``); a saturated bitmap
     (fill > 50%) disables that direction.
     """
-    import ray
-
     from ..functions.agg import block_refs
 
     how_arrow = _JOIN_TYPES[how]
@@ -159,7 +150,6 @@ def hash_join(left_ds, right_ds, key: str, how: str = "inner",
     rrefs = block_refs(right_ds)
     if num_partitions is None:
         num_partitions = _auto_partitions()
-    P = num_partitions
 
     lbloom = rbloom = None  # bloom pruning LEFT / RIGHT rows respectively
     if runtime_filter and how != "full":  # full outer outputs every row
@@ -167,63 +157,36 @@ def hash_join(left_ds, right_ds, key: str, how: str = "inner",
         if how in ("inner", "semi"):
             lbloom = _build_bloom_ref(rrefs, key, bloom_bits)
 
-    @ray.remote
-    def scatter(block: pa.Table, bloom):
-        if block is None or block.num_rows == 0:
-            return (None,) * P if P > 1 else None
-        if bloom is not None:
-            keep = _bloom_contains(bloom, _keys_u64(block, key))
-            if not keep.all():
-                block = block.filter(pa.array(keep))
-                if block.num_rows == 0:
-                    return (None,) * P if P > 1 else None
-        if P == 1:  # num_returns=1 must yield the bare table, not a 1-tuple
+    def prune(block: pa.Table, bloom) -> pa.Table:
+        if bloom is None:
             return block
-        part = _key_mod(block, key, P)
-        return tuple(block.filter(pa.array(part == p)) for p in range(P))
+        keep = _bloom_contains(bloom, _key_mod(block, key, None))
+        return block if keep.all() else block.filter(pa.array(keep))
 
-    # full outer needs the left column names to suffix a right-only
-    # partition's collisions exactly as the Arrow join kernel would
-    left_names = set(left_ds.schema().names) if how == "full" else None
+    # zero-row stand-in for a side with no rows in a partition, so an
+    # outer join null-fills that side's columns exactly as Arrow does
+    # (None when the side's schema is unknown: it has no blocks at all)
+    def empty(ds):
+        schema = ds.schema()
+        return None if schema is None else schema.base_schema.empty_table()
 
-    @ray.remote
-    def join_partition(n_left: int, *parts) -> pa.Table:
-        lt = [t for t in parts[:n_left] if t is not None and t.num_rows]
-        rt = [t for t in parts[n_left:] if t is not None and t.num_rows]
-        if not lt:
-            if how == "full" and rt:  # right-only rows survive full outer
-                rcat = pa.concat_tables(rt)
-                rcat = rcat.rename_columns(
-                    [c if c == key or c not in left_names else c + right_suffix
-                     for c in rcat.column_names])
-                return post(rcat) if post is not None else rcat
+    lempty = empty(left_ds) if how == "full" else None
+    rempty = empty(right_ds) if how in ("left", "full") else None
+
+    def join_partition(lt, rt) -> pa.Table:
+        if lt is None and how != "full" or rt is None and how in ("inner", "semi"):
             return None
-        if not rt and how in ("inner", "semi"):
-            return None
-        lcat = pa.concat_tables(lt)
-        if not rt:  # left/anti/full with empty right: left rows pass through
-            # (the driver concat promotes missing right columns to null)
-            joined = lcat
+        lt = lempty if lt is None else lt
+        rt = rempty if rt is None else rt
+        if lt is None or rt is None:  # left anti / unknown schema: one side passes
+            joined = rt if lt is None else lt
         else:
-            joined = lcat.join(pa.concat_tables(rt), keys=key,
-                               join_type=how_arrow,
-                               right_suffix=right_suffix, use_threads=False)
+            joined = lt.join(rt, keys=key, join_type=how_arrow,
+                             right_suffix=right_suffix, use_threads=False)
         return post(joined) if post is not None else joined
 
-    def split(refs, bloom):
-        cols = [scatter.options(num_returns=P).remote(r, bloom) for r in refs]
-        return [[c] for c in cols] if P == 1 else cols
-
-    lcols, rcols = split(lrefs, lbloom), split(rrefs, rbloom)
-    out_refs = [
-        join_partition.remote(
-            len(lrefs),
-            *[lcols[i][p] for i in range(len(lrefs))],
-            *[rcols[i][p] for i in range(len(rrefs))])
-        for p in range(P)
-    ]
-    out = ray.get(out_refs)
-    return [t for t in out if t is not None and t.num_rows]
+    return _scatter_exchange([(lrefs, key, prune, lbloom), (rrefs, key, prune, rbloom)],
+                             join_partition, num_partitions)
 
 
 def hash_join_table(left_ds, right_ds, key: str, how: str = "inner",

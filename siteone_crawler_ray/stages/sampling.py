@@ -225,7 +225,7 @@ def cap_per_group(ds, group_col: str, order_col: str, k: int,
     total = None if any(c is None for c in counts) else sum(counts)
     if total is None or total > _DRIVER_COMBINE_ROWS:
         out = _scatter_exchange(
-            refs, "__gkey",
+            [(refs, "__gkey")],
             lambda t: _cap_kernel(t.drop_columns(["__gkey"]), group_col, order_col, k),
             num_partitions,
         )
@@ -310,7 +310,7 @@ def ngram_combine(refs, total: int | None, k: int,
         # identical ngram ⇒ identical partition, so per-partition sums are
         # final and a partition's local top-k is globally sufficient
         out = _scatter_exchange(
-            refs, "__gkey", lambda t: sum_topk(t.drop_columns(["__gkey"])),
+            [(refs, "__gkey")], lambda t: sum_topk(t.drop_columns(["__gkey"])),
             num_partitions)
         if not out:
             return pa.table({"ngram": pa.array([], pa.string()),
@@ -627,7 +627,7 @@ def pack_sequences(ds, group_col: str = "source", order_col: str = "doc_id",
 
     refs = block_refs(ds.map_batches(keyed, batch_format="pyarrow"))
     out = _scatter_exchange(
-        refs, "__gkey",
+        [(refs, "__gkey")],
         lambda t: _pack_kernel(t.drop_columns(["__gkey"]), group_col, order_col,
                                text_col, budget),
         num_partitions,

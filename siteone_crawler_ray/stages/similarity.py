@@ -979,7 +979,7 @@ def knn_join(a_ds, b_ds, k: int = 5, *, nlist: int = 16, nprobe: int = 2,
     if total > _KNN_JOIN_DRIVER_ROWS:
         # second exchange: identical a_id ⇒ one partition, so the
         # per-partition merge is the global answer for its a rows
-        out = _scatter_exchange(part_refs, "a_id", merge_topk, P)
+        out = _scatter_exchange([(part_refs, "a_id")], merge_topk, P)
         if not out:
             return empty
         merged = pa.concat_tables(out)

@@ -357,7 +357,7 @@ def approx_distinct_by(ds, group_col: str, key_col: str, p: int = 12,
 
         P = num_partitions if num_partitions is not None else _auto_partitions(total)
         parts = _scatter_exchange(
-            refs, "__gkey", lambda t: combine(t.drop_columns(["__gkey"])), P)
+            [(refs, "__gkey")], lambda t: combine(t.drop_columns(["__gkey"])), P)
         if not parts:
             return empty
         merged = pa.concat_tables(parts)
@@ -612,7 +612,7 @@ def approx_quantiles_by(ds, group_col: str, col: str, qs: list[float],
 
         P = num_partitions if num_partitions is not None else _auto_partitions(total)
         parts = _scatter_exchange(
-            refs, "__gkey", lambda t: combine(t.drop_columns(["__gkey"])), P)
+            [(refs, "__gkey")], lambda t: combine(t.drop_columns(["__gkey"])), P)
         if not parts:
             return empty
         merged = pa.concat_tables(parts)

@@ -68,17 +68,19 @@ def test_index_query_matches_bruteforce(ray_session, tmp_path):
     from siteone_crawler_ray.stages.dedup_index import MinHashIndex
 
     (a_ids, a_texts), (b_ids, b_texts) = _mk_corpora()
-    ix = MinHashIndex(str(tmp_path / "ix"), num_perm=32, bands=8,
-                      band_parts=4, sig_parts=4)
-    m = ix.add(rd.from_arrow(_docs(a_ids, a_texts)), epoch=0)
-    assert m["sig_rows"] == 30 and m["band_rows"] == 30 * 8 and not m["skipped"]
-
-    got = ix.query(rd.from_arrow(_docs(b_ids, b_texts)), threshold=0.5)
-    got_pairs = sorted(zip(got["new_id"].to_pylist(), got["old_id"].to_pylist(),
-                           got["est_jaccard"].to_pylist()))
     want = _reference_pairs(a_ids, a_texts, b_ids, b_texts, num_perm=32,
                             bands=8, shingle_k=5, seed=7, threshold=0.5)
-    assert got_pairs == want
+    # 1 partition per family runs the single-partition exchanges
+    for parts in (4, 1):
+        ix = MinHashIndex(str(tmp_path / f"ix{parts}"), num_perm=32, bands=8,
+                          band_parts=parts, sig_parts=parts)
+        m = ix.add(rd.from_arrow(_docs(a_ids, a_texts)), epoch=0)
+        assert m["sig_rows"] == 30 and m["band_rows"] == 30 * 8 and not m["skipped"]
+
+        got = ix.query(rd.from_arrow(_docs(b_ids, b_texts)), threshold=0.5)
+        got_pairs = sorted(zip(got["new_id"].to_pylist(), got["old_id"].to_pylist(),
+                               got["est_jaccard"].to_pylist()))
+        assert got_pairs == want, parts
     assert len(want) >= 10          # the 10 planted near-dups are found
     planted = {(500 + i, 100 + i) for i in range(10)}
     assert planted <= {(n, o) for n, o, _ in got_pairs}

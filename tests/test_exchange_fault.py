@@ -58,12 +58,12 @@ def test_scatter_exchange_survives_worker_death(ray_session, tmp_path):
 
     refs = block_refs(_mkds())
     clean = pa.concat_tables(
-        _scatter_exchange(refs, "k", grouped_sum, num_partitions=4)
+        _scatter_exchange([(refs, "k")], grouped_sum, num_partitions=4)
     ).sort_by("k")
 
     refs2 = block_refs(_mkds())
     got = pa.concat_tables(
-        _scatter_exchange(refs2, "k", killing_fn, num_partitions=4)
+        _scatter_exchange([(refs2, "k")], killing_fn, num_partitions=4)
     ).sort_by("k")
     assert os.path.exists(marker), "the kill branch never ran"
     assert got.equals(clean)
@@ -90,18 +90,19 @@ def test_partitioned_exchange_survives_worker_death(ray_session, tmp_path):
 
 def test_scatter_exchange_single_partition(ray_session):
     """P=1 regression: Ray's num_returns=1 yields a bare ref, so the
-    scatter must return the bare table, not a 1-tuple (the bug class
-    fixed across dedup/join/relational scatters)."""
+    scatter must return the bare table, not a 1-tuple.  Every keyed
+    exchange (joins, relational scale paths, dedup index) runs on this
+    one scatter, so this guards them all."""
     from siteone_crawler_ray.functions.agg import block_refs
     from siteone_crawler_ray.stages.dedup import _scatter_exchange
 
     marker_free, _ = _make_kernels("/nonexistent-marker")
     refs = block_refs(_mkds())
     one = pa.concat_tables(
-        _scatter_exchange(refs, "k", marker_free, num_partitions=1)
+        _scatter_exchange([(refs, "k")], marker_free, num_partitions=1)
     ).sort_by("k")
     refs2 = block_refs(_mkds())
     four = pa.concat_tables(
-        _scatter_exchange(refs2, "k", marker_free, num_partitions=4)
+        _scatter_exchange([(refs2, "k")], marker_free, num_partitions=4)
     ).sort_by("k")
     assert one.equals(four)
