@@ -736,7 +736,7 @@ def main(argv: list[str] | None = None, init_ray: bool = True) -> int:
                     visited_ai, site_name=_host0 or "site",
                     include=inc, exclude=exc, max_pages=args.ai_max_pages,
                     concurrency=args.ai_max_concurrency,
-                    use_ray=cfg.use_ray, actions=page_actions,
+                    actions=page_actions,
                     custom_prompt=custom_prompt, forced_lang=args.ai_language)
             else:
                 out = {"usage": {"calls": 0, "prompt_tokens": 0,

@@ -1146,7 +1146,7 @@ class SummaryStage:
 def run_ai_phase(visited: pa.Table, *, site_name: str, site_summary: str = "",
                  include=(), exclude=(), max_pages: int = 30,
                  transport_factory=None, concurrency: int = 2,
-                 use_ray: bool = True, actions: tuple = ("llms-txt",),
+                 actions: tuple = ("llms-txt",),
                  custom_prompt: str = "", forced_lang: str | None = None,
                  ) -> dict:
     """Selection → per-page actions (actor pool) → assembled outputs.
@@ -1167,7 +1167,8 @@ def run_ai_phase(visited: pa.Table, *, site_name: str, site_summary: str = "",
                      visited["uq_id"].to_numpy(zero_copy_only=False)])
     rows = visited.filter(mask).select(keep_cols)
 
-    if use_ray and rows.num_rows:
+    entries_rows = []
+    if rows.num_rows:
         import ray.data as rd
 
         step = max(1, -(-rows.num_rows // max(1, concurrency)))
@@ -1187,12 +1188,6 @@ def run_ai_phase(visited: pa.Table, *, site_name: str, site_summary: str = "",
             # short summary strings — a report-sized result, never the
             # corpus
         ).take_all()
-    else:
-        stage = SummaryStage(transport_factory=transport_factory,
-                             actions=actions, site_name=site_name,
-                             custom_prompt=custom_prompt,
-                             forced_lang=forced_lang)
-        entries_rows = stage(rows).to_pylist() if rows.num_rows else []
 
     by_url = {r["url"]: r for r in entries_rows}
     ordered = [by_url[u] for u in order if u in by_url]

@@ -47,13 +47,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..functions import urls as U
 from ..functions.hashing import uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
-from ..stages.frontier import FrontierShardState, assemble_wave, shard_of
-from ..stages.worker import CrawlWorker, adaptive_worker_count, make_crawl_workers
+from ..stages.frontier import make_shard_actors, shard_of
+from ..stages.worker import (CrawlWorker, adaptive_worker_count, clamp_worker_count,
+                             make_crawl_workers)
 from ..types import UrlSource
 
 
@@ -101,9 +103,7 @@ class CrawlConfig:
     storage_compression: str = "snappy"
     num_shards: int = 8
     fetch_concurrency: int | None = None  # None → adaptive to cluster CPUs
-    fetch_batch_size: int = 2048
     filter_capacity: int = 1 << 20
-    use_ray: bool = True  # False → in-process loop (unit tests / oracle-speed runs)
     # waves smaller than this are processed by the driver-local worker
     # (identical code path/output): dispatching a handful of URLs to
     # remote actors costs more than the work.  Remote workers stay warm
@@ -122,8 +122,8 @@ class CrawlResult:
     workdir: str
     visited_dir: str
     skipped: pa.Table
-    # per-shard seen-set snapshots: ObjectRefs (ray mode) or uint64
-    # ndarrays (in-process).  Kept as refs so run() never concatenates
+    # per-shard seen-set snapshots as ObjectRefs of uint64 ndarrays.
+    # Kept as refs so run() never concatenates
     # the full seen set on the driver — at 10^10 keys that is an 80 GB
     # materialization whose only consumers are parity tests.
     seen_parts: list = field(default_factory=list)
@@ -137,11 +137,7 @@ class CrawlResult:
         tests / small crawls only; scale consumers should ray.get and
         process ``seen_parts`` shard-by-shard."""
         if self._seen_cache is None:
-            parts = self.seen_parts
-            if parts and not isinstance(parts[0], np.ndarray):
-                import ray
-
-                parts = ray.get(list(parts))
+            parts = ray.get(list(self.seen_parts))
             self._seen_cache = (
                 np.sort(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
             )
@@ -211,7 +207,6 @@ class EpochCrawler:
         self.basename_counts: dict[str, int] = {}
         self.metrics: dict = {"epochs": []}
         self._shards: list = []
-        self._use_ray = self.cfg.use_ray
         self._workers: list = []
         self._local_worker: CrawlWorker | None = None
         self._blocklist: frozenset = frozenset()
@@ -224,35 +219,23 @@ class EpochCrawler:
         self._ingest_refs: list = []
         self._pending_ckpt: tuple | None = None
 
-    # -- shard plumbing (works with or without Ray) -------------------------
+    # -- shard plumbing -----------------------------------------------------
     def _make_shards(self):
-        if self._use_ray:
-            from ..stages.frontier import make_shard_actors
-
-            self._shards = make_shard_actors(self.cfg.num_shards, self.cfg.filter_capacity)
-            from ..stages.worker import clamp_worker_count
-
-            # clamp a user-requested pool to schedulable CPUs — an
-            # oversized pool of 1-CPU actors would pend forever and
-            # deadlock the warm-up ray.get (wizard Stress Test
-            # --workers=20 on a small box)
-            k = clamp_worker_count(
-                self.cfg.fetch_concurrency
-                or adaptive_worker_count(self.cfg.num_shards),
-                num_shards=self.cfg.num_shards)
-            self._workers = make_crawl_workers(
-                k,
-                num_shards=self.cfg.num_shards,
-                corpus_path=self.corpus_path,
-                gauntlet_kwargs=self._gauntlet_kwargs(),
-                max_reqs_per_sec=self.cfg.max_reqs_per_sec,
-                budget_split=1 if self.cfg.routing == "host" else k,
-                storage_compression=self.cfg.storage_compression,
-            )
-        else:
-            self._shards = [
-                FrontierShardState(i, self.cfg.filter_capacity) for i in range(self.cfg.num_shards)
-            ]
+        self._shards = make_shard_actors(self.cfg.num_shards, self.cfg.filter_capacity)
+        # clamp a user-requested pool to schedulable CPUs — an oversized
+        # pool of 1-CPU actors would pend forever and deadlock the
+        # warm-up ray.get (wizard Stress Test --workers=20 on a small box)
+        k = clamp_worker_count(
+            self.cfg.fetch_concurrency or adaptive_worker_count(self.cfg.num_shards),
+            num_shards=self.cfg.num_shards)
+        self._workers = make_crawl_workers(
+            k,
+            corpus_path=self.corpus_path,
+            gauntlet_kwargs=self._gauntlet_kwargs(),
+            max_reqs_per_sec=self.cfg.max_reqs_per_sec,
+            budget_split=1 if self.cfg.routing == "host" else k,
+            storage_compression=self.cfg.storage_compression,
+        )
         self._local_worker = CrawlWorker(
             corpus_path=self.corpus_path,
             gauntlet_kwargs=self._gauntlet_kwargs(),
@@ -269,13 +252,9 @@ class EpochCrawler:
         """Call ``method`` on every shard and wait for the results: with
         the same ``args`` everywhere, or with ``per_shard[i]`` on shard i."""
         arg_lists = per_shard if per_shard is not None else [args] * len(self._shards)
-        if self._use_ray:
-            import ray
-
-            return ray.get(
-                [getattr(s, method).remote(*a) for s, a in zip(self._shards, arg_lists)]
-            )
-        return [getattr(s, method)(*a) for s, a in zip(self._shards, arg_lists)]
+        return ray.get(
+            [getattr(s, method).remote(*a) for s, a in zip(self._shards, arg_lists)]
+        )
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         """Batched membership across shards (one call per shard)."""
@@ -323,8 +302,8 @@ class EpochCrawler:
     def run_epoch(self) -> int:
         """Process one wave; returns number of pages visited (0 → done).
 
-        With Ray the wave never lands on the driver unless it is narrow
-        enough for the driver-local worker: shard drains flow as object
+        The wave never lands on the driver unless it is narrow enough
+        for the driver-local worker: shard drains flow as object
         refs into :meth:`FrontierShardState.assemble_wave` on shard 0,
         workers self-select rows from its output object, and their
         per-shard candidate parts flow as refs straight to the frontier
@@ -333,21 +312,15 @@ class EpochCrawler:
         counts, timings."""
         t0 = time.perf_counter()
         want_hosts = self.cfg.routing == "host"
-        if self._use_ray:
-            import ray
-
-            part_refs = [s.drain.remote() for s in self._shards]
-            # assemble on shard 0's warm actor, not a task: a num_cpus=0
-            # task may land on a cold worker process whose first Arrow
-            # concat/sort measured ~0.6 s at 16 CPUs (epoch-0 critical
-            # path); shard 0 runs this between waves when it is idle.
-            meta_ref, wave = self._shards[0].assemble_wave.options(num_returns=2).remote(
-                self.visited_count, self.epoch, want_hosts, *part_refs
-            )
-            meta = ray.get(meta_ref)
-        else:
-            meta, wave = assemble_wave(
-                self.visited_count, self.epoch, want_hosts, *self._shard_call("drain"))
+        part_refs = [s.drain.remote() for s in self._shards]
+        # assemble on shard 0's warm actor, not a task: a num_cpus=0
+        # task may land on a cold worker process whose first Arrow
+        # concat/sort measured ~0.6 s at 16 CPUs (epoch-0 critical
+        # path); shard 0 runs this between waves when it is idle.
+        meta_ref, wave = self._shards[0].assemble_wave.options(num_returns=2).remote(
+            self.visited_count, self.epoch, want_hosts, *part_refs
+        )
+        meta = ray.get(meta_ref)
         W = meta["W"]
         t_drain = time.perf_counter() - t0
         if W == 0:
@@ -361,8 +334,6 @@ class EpochCrawler:
             self._blocklist = bl
             self._local_worker.set_blocklist(bl)
             if self._workers:
-                import ray
-
                 ray.get([w.set_blocklist.remote(bl) for w in self._workers])
 
         t_fetch = time.perf_counter()
@@ -401,13 +372,11 @@ class EpochCrawler:
             timings = ray.get([t[2] for t in triplets])
             self._epoch_workers_used = list(workers)
         else:
-            if self._use_ray:
-                wave = ray.get(wave)
             part, non200, tm = self._local_worker.process_shared(
-                wave, 0, 1, self.num_buckets, vdir, self.cfg.routing, None,
+                ray.get(wave), 0, 1, self.num_buckets, vdir, self.cfg.routing, None,
                 self.cfg.num_shards)
             # one object for every shard, like a remote worker's output
-            parts = [ray.put(part) if self._use_ray else part]
+            parts = [ray.put(part)]
             non200_lists, timings = [non200], [tm]
             self._epoch_workers_used = None
         t_collect_wall = time.time()
@@ -493,15 +462,15 @@ class EpochCrawler:
 
     def _ingest(self, parts: list, wave_size: int, n_ok: int) -> None:
         """Hand one wave's candidates to the frontier.  ``parts`` holds
-        one entry per worker call — its candidates split by frontier
-        shard (object refs under Ray, values in-process) — and every
-        shard reads only its own slice: skip records go to its
-        first-wins skip set, ok-candidates to its two-phase admit.
+        one object ref per worker call — its candidates split by
+        frontier shard — and every shard reads only its own slice: skip
+        records go to its first-wins skip set, ok-candidates to its
+        two-phase admit.
 
         ``n_ok`` (Σ per-worker deduped ok counts) bounds the
         admissions.  When even admitting all of them cannot bind a cap,
-        each shard records and admits in ONE call; under Ray the driver
-        does not wait for it (actor task order runs the next drain and
+        each shard records and admits in ONE call; the driver does not
+        wait for it (actor task order runs the next drain and
         checkpoint behind it, and the refs are collected with the next
         checkpoint).  Otherwise the shards stash their winners, the
         driver sums their counts for the cap check, and either commits
@@ -512,11 +481,7 @@ class EpochCrawler:
             return V + W + n <= cfg.max_visited_urls and (W - 1) + n <= cfg.max_queue_length
 
         if n_ok == 0 or fits(n_ok):
-            if self._use_ray:
-                self._ingest_refs.extend(
-                    s.ingest_direct_parts.remote(*parts) for s in self._shards)
-            else:
-                self._shard_call("ingest_direct_parts", *parts)
+            self._ingest_refs.extend(s.ingest_direct_parts.remote(*parts) for s in self._shards)
             return
         self._shard_call("record_skips_parts", *parts)
         if fits(sum(self._shard_call("try_admit_parts", *parts))):
@@ -573,8 +538,6 @@ class EpochCrawler:
         if self._epoch_workers_used is None:
             parts = [self._local_worker.full_candidates()]
         else:
-            import ray
-
             parts = ray.get([w.full_candidates.remote() for w in self._epoch_workers_used])
         parts = [p for p in parts if p is not None and p.num_rows]
         full = pa.concat_tables(parts) if parts else _empty_cand_table()
@@ -585,14 +548,11 @@ class EpochCrawler:
         """Release the actor pools (a finished crawl would otherwise pin
         ~K worker + num_shards processes until the driver exits; results
         live in parquet, resume builds fresh actors)."""
-        if self._use_ray and (self._shards or self._workers):
-            import ray
-
-            for a in [*self._shards, *self._workers]:
-                try:
-                    ray.kill(a)
-                except Exception:
-                    pass
+        for a in [*self._shards, *self._workers]:
+            try:
+                ray.kill(a)
+            except Exception:
+                pass
         self._shards, self._workers = [], []
 
     def _collect_skipped(self) -> pa.Table:
@@ -616,7 +576,7 @@ class EpochCrawler:
         manifest = {
             "epoch": e,
             "visited_count": self.visited_count,
-            # SNAPSHOT, not the live dict: the Ray-mode manifest write is
+            # SNAPSHOT, not the live dict: the manifest write is
             # deferred one epoch (_flush_pending), and by then the next
             # epoch's non-200s have been added — a resume would then
             # re-add them (double count), tripping the ≥max_non200
@@ -628,25 +588,21 @@ class EpochCrawler:
             "shards": None,
             "metrics": self.metrics["epochs"][-1],
         }
-        if self._use_ray:
-            # async: flush the PREVIOUS epoch's refs (instant by now —
-            # actor ordering ran them before this epoch's drain), then
-            # submit this epoch's shard checkpoints without waiting.
-            # The manifest for epoch e is written one epoch later (or at
-            # run() end); a crash in that window loses only the newest
-            # manifest, and resume() already prunes shard/visited dirs
-            # newer than the last manifest it finds.
-            # This epoch's ingest refs ride along and are collected with
-            # the ckpt refs next epoch; take them out BEFORE the flush,
-            # which would otherwise wait on them here and re-introduce
-            # the per-epoch barrier this removes.
-            ingest_refs, self._ingest_refs = self._ingest_refs, []
-            self._flush_pending()
-            refs = [s.checkpoint.remote(sdir) for s in self._shards]
-            self._pending_ckpt = (e, manifest, refs, ingest_refs)
-        else:
-            manifest["shards"] = self._shard_call("checkpoint", sdir)
-            self._write_manifest(e, manifest)
+        # async: flush the PREVIOUS epoch's refs (instant by now — actor
+        # ordering ran them before this epoch's drain), then submit this
+        # epoch's shard checkpoints without waiting.  The manifest for
+        # epoch e is written one epoch later (or at run() end); a crash
+        # in that window loses only the newest manifest, and resume()
+        # already prunes shard/visited dirs newer than the last manifest
+        # it finds.
+        # This epoch's ingest refs ride along and are collected with the
+        # ckpt refs next epoch; take them out BEFORE the flush, which
+        # would otherwise wait on them here and re-introduce the
+        # per-epoch barrier this removes.
+        ingest_refs, self._ingest_refs = self._ingest_refs, []
+        self._flush_pending()
+        refs = [s.checkpoint.remote(sdir) for s in self._shards]
+        self._pending_ckpt = (e, manifest, refs, ingest_refs)
 
     def _write_manifest(self, e: int, manifest: dict) -> None:
         tmp = os.path.join(self.workdir, "manifest.tmp")
@@ -657,10 +613,6 @@ class EpochCrawler:
     def _flush_pending(self) -> None:
         """Collect last epoch's fire-and-forget shard refs: propagate
         any ingest error and write the deferred manifest."""
-        if not self._use_ray:
-            return
-        import ray
-
         if self._pending_ckpt is not None:
             e, manifest, refs, ingest_refs = self._pending_ckpt
             self._pending_ckpt = None
@@ -718,8 +670,6 @@ class EpochCrawler:
         rule's metric is *sustained* pages/s."""
         t0 = time.perf_counter()
         if self._workers:
-            import ray
-
             K = len(self._workers)
             ray.get(
                 [
@@ -727,21 +677,18 @@ class EpochCrawler:
                     for i, w in enumerate(self._workers)
                 ]
             )
-        if self._use_ray and self._shards:
-            import ray
-
-            # first remote call per shard actor is cold — a harmless
-            # read moves that off epoch 0's critical path
-            ray.get([s.seen_count.remote() for s in self._shards])
-            # warm the assemble path THROUGH the real kernels on shard
-            # 0's actor: a zero-part call short-circuits before Arrow
-            # concat/sort/np.unique, leaving ~0.6 s of cold first-touch
-            # on epoch 0 at 16 CPUs — one throwaway row exercises them
-            warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
-            meta_ref, _ = self._shards[0].assemble_wave.options(num_returns=2).remote(
-                0, 0, True, warm
-            )
-            ray.get(meta_ref)
+        # first remote call per shard actor is cold — a harmless read
+        # moves that off epoch 0's critical path
+        ray.get([s.seen_count.remote() for s in self._shards])
+        # warm the assemble path THROUGH the real kernels on shard 0's
+        # actor: a zero-part call short-circuits before Arrow
+        # concat/sort/np.unique, leaving ~0.6 s of cold first-touch on
+        # epoch 0 at 16 CPUs — one throwaway row exercises them
+        warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
+        meta_ref, _ = self._shards[0].assemble_wave.options(num_returns=2).remote(
+            0, 0, True, warm
+        )
+        ray.get(meta_ref)
         # First process() call per worker pays cold costs (parquet
         # writer import, Arrow kernel modules, first plasma map) —
         # measured ~0.2 s.  Adaptive fanout touches NEW workers on every
@@ -753,7 +700,6 @@ class EpochCrawler:
             import shutil
 
             from ..functions.hashing import xxh64
-            from ..functions import urls as U
 
             u = self.seed_urls[0]
             dummy = _dispatch_table([(u, xxh64(u), U.host_of(u), 0, 0, "", 0)])
@@ -762,8 +708,6 @@ class EpochCrawler:
             dummy = dummy.append_column("epoch", pa.array([0], pa.int32()))
             wdir = os.path.join(self.workdir, "warmup")
             if self._workers:
-                import ray
-
                 ray.get([
                     w.process.remote(dummy, wdir, i) for i, w in enumerate(self._workers)
                 ])
@@ -774,26 +718,27 @@ class EpochCrawler:
         return dt
 
     def run(self, max_epochs: int = 10_000) -> CrawlResult:
-        if not self._shards:
-            self.seed()
-            self.warmup()
-        t0 = time.perf_counter()
-        while self.epoch < max_epochs:
-            if self.run_epoch() == 0:
-                break
-        total = time.perf_counter() - t0
-        self._flush_pending()  # final epoch's ingest/ckpt refs + manifest
-        skipped = self._collect_skipped()
-        # snapshot refs only: the arrays stay in the object store (they
-        # outlive the shard actors as long as the result holds the refs);
-        # CrawlResult.seen_keys gathers on demand.
-        if self._use_ray:
-            import ray
-
+        # shut the actor pools down on the error path too: leaked shard
+        # and worker actors keep their CPUs, and the next crawl in the
+        # same Ray session then waits forever in warmup()
+        try:
+            if not self._shards:
+                self.seed()
+                self.warmup()
+            t0 = time.perf_counter()
+            while self.epoch < max_epochs:
+                if self.run_epoch() == 0:
+                    break
+            total = time.perf_counter() - t0
+            self._flush_pending()  # final epoch's ingest/ckpt refs + manifest
+            # snapshot refs only: the arrays stay in the object store
+            # (they outlive the shard actors as long as the result holds
+            # the refs); CrawlResult.seen_keys gathers on demand.
             seen_parts = [s.snapshot_seen.remote() for s in self._shards]
             ray.wait(seen_parts, num_returns=len(seen_parts), fetch_local=False)
-        else:
-            seen_parts = [s.snapshot_seen() for s in self._shards]
+        finally:
+            self.shutdown()
+        skipped = self._collect_skipped()
         self.metrics["total_sec"] = round(total, 4)
         self.metrics["visited"] = self.visited_count
         self.metrics["candidates"] = int(sum(m["candidates"] for m in self.metrics["epochs"]))
@@ -801,7 +746,6 @@ class EpochCrawler:
         self.metrics["frontier_ops_per_sec"] = round(
             self.metrics["candidates"] / max(total, 1e-9), 2
         )
-        self.shutdown()
         return CrawlResult(
             workdir=self.workdir,
             visited_dir=os.path.join(self.workdir, "visited"),

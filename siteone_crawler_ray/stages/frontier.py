@@ -30,7 +30,7 @@ from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
 
 class FrontierShardState:
-    """Plain (actor-wrappable) shard state. Unit-testable without Ray."""
+    """Plain shard state; make_shard_actors wraps it as a Ray actor."""
 
     def __init__(self, shard_id: int, filter_capacity: int = 1 << 20, cold: bool = False):
         self.shard_id = shard_id
@@ -122,12 +122,37 @@ class FrontierShardState:
         return t
 
     def assemble_wave(self, visited_count: int, epoch: int, want_hosts: bool, *parts):
-        """Assemble the epoch wave from every shard's drain output on
-        THIS (warm) actor process — see :func:`assemble_wave`.  The
-        driver submits this on shard 0 right after the drains; actor
-        tasks run in submission order, so shard 0's own drain ref is
-        ready before this executes (no deadlock)."""
-        return assemble_wave(visited_count, epoch, want_hosts, *parts)
+        """Wave assembly: concat every shard's drain output,
+        priority-sort, annotate seq/wavepos/epoch.  The driver submits
+        this on shard 0 right after the drains; actor tasks run in
+        submission order, so shard 0's own drain ref is ready before
+        this executes (no deadlock).  The full wave table never lands
+        on the driver — it gets only (W, host histogram); workers
+        self-select rows straight from the call's output object
+        (plasma, zero-copy).
+
+        Running this on an ALREADY-WARM shard actor instead of a
+        detached ``num_cpus=0`` task matters on the epoch-0 critical
+        path: a task may land on any idle worker process, and the first
+        Arrow concat/sort/first-plasma-get on a cold process measured
+        ~0.6 s at 16 CPUs — an actor process that has been
+        offering/draining all along has those code paths hot."""
+        import pyarrow.compute as pc
+
+        parts = [p for p in parts if p is not None and p.num_rows]
+        if not parts:
+            return {"W": 0}, None
+        wave = pa.concat_tables(parts)
+        wave = wave.take(pc.sort_indices(wave, sort_keys=[("priority", "ascending")]))
+        W = wave.num_rows
+        wave = wave.append_column("seq", pa.array(visited_count + np.arange(W), type=pa.int64()))
+        wave = wave.append_column("wavepos", pa.array(np.arange(W), type=pa.int64()))
+        wave = wave.append_column("epoch", pa.array(np.full(W, epoch), type=pa.int32()))
+        meta = {"W": W}
+        if want_hosts:
+            uniq, cnt = np.unique(wave["host"].to_numpy(zero_copy_only=False), return_counts=True)
+            meta["hosts"] = (uniq, cnt)
+        return meta, wave
 
     # -- two-phase admit (the shard-parallel anti-join) ---------------------
     DISPATCH_COLS = ["url", "url_key", "host", "depth", "priority", "source_uq_id", "source_attr"]
@@ -158,8 +183,8 @@ class FrontierShardState:
         return int(len(win_idx))
 
     # -- part-based variants: the driver fans the SAME candidate parts
-    # (object refs under Ray — plasma shared-memory reads, no driver
-    # copy) to every shard; each shard takes its own slice here
+    # (object refs — plasma shared-memory reads, no driver copy) to
+    # every shard; each shard takes its own slice here
     def _partition_of(self, parts, tag: str) -> pa.Table | None:
         """This shard's ``tag`` rows of the workers' candidate parts.
         Each part is (candidates sorted by shard, per-shard offsets) —
@@ -285,37 +310,6 @@ class FrontierShardState:
                 skip_keys.append(pq.read_table(p, columns=["url_key"])["url_key"].to_numpy())
         if skip_keys:
             self._skip_seen.add_batch(np.concatenate(skip_keys).astype(np.uint64))
-
-
-def assemble_wave(visited_count: int, epoch: int, want_hosts: bool, *parts):
-    """Wave assembly: concat the shard drains, priority-sort, annotate
-    seq/wavepos/epoch.  Runs as a method on shard-0's actor (below) so
-    the full wave table never lands on the driver — the driver gets
-    only (W, host histogram); workers self-select rows straight from
-    the actor call's output object (plasma, zero-copy).
-
-    Running this on an ALREADY-WARM shard actor instead of a detached
-    ``num_cpus=0`` task matters on the epoch-0 critical path: a task
-    may land on any idle worker process, and the first Arrow
-    concat/sort/first-plasma-get on a cold process measured ~0.6 s at
-    16 CPUs — an actor process that has been offering/draining all
-    along has those code paths hot."""
-    import pyarrow.compute as pc
-
-    parts = [p for p in parts if p is not None and p.num_rows]
-    if not parts:
-        return {"W": 0}, None
-    wave = pa.concat_tables(parts)
-    wave = wave.take(pc.sort_indices(wave, sort_keys=[("priority", "ascending")]))
-    W = wave.num_rows
-    wave = wave.append_column("seq", pa.array(visited_count + np.arange(W), type=pa.int64()))
-    wave = wave.append_column("wavepos", pa.array(np.arange(W), type=pa.int64()))
-    wave = wave.append_column("epoch", pa.array(np.full(W, epoch), type=pa.int32()))
-    meta = {"W": W}
-    if want_hosts:
-        uniq, cnt = np.unique(wave["host"].to_numpy(zero_copy_only=False), return_counts=True)
-        meta["hosts"] = (uniq, cnt)
-    return meta, wave
 
 
 def shard_cpu_share(cluster_cpus: float, num_shards: int) -> float:

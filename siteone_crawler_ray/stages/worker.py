@@ -249,19 +249,16 @@ def _chunk_dedup(cands: pa.Table) -> pa.Table:
     return cands.take(pa.array(keep)) if len(keep) != m else cands
 
 
-def make_crawl_workers(num_workers: int, num_shards: int = 8, **kwargs):
-    """Create the 1-CPU fetch worker pool, clamped to what can actually
-    schedule.  A user-requested pool larger than the cluster (e.g. the
-    wizard's Stress Test `--workers=20` on a 4-CPU box) would otherwise
-    leave actors pending forever and deadlock the warm-up `ray.get` —
-    the reference's workers are I/O tasks that oversubscribe freely
-    (crawler.rs worker loop), ours are CPU-pinned actors, so the cap is
-    the honest translation."""
+def make_crawl_workers(num_workers: int, **kwargs):
+    """Create ``num_workers`` 1-CPU crawl worker actors.  The caller
+    sizes the pool with :func:`clamp_worker_count` first: the
+    reference's workers are I/O tasks that oversubscribe freely
+    (crawler.rs worker loop), ours are CPU-pinned actors, and a pool
+    larger than the cluster would pend forever."""
     import ray
 
-    n = clamp_worker_count(num_workers, num_shards)
     Actor = ray.remote(num_cpus=1)(CrawlWorker)
-    return [Actor.remote(**kwargs) for _ in range(n)]
+    return [Actor.remote(**kwargs) for _ in range(num_workers)]
 
 
 def _worker_slots(num_shards: int) -> int:

@@ -89,7 +89,7 @@ def _crawl_visited(tmp_path, seed=23, hosts=2, pages=200):
     write_corpus(tabs["documents"], cp, num_buckets=4)
     robots = dict(zip(tabs["robots"]["host"].to_pylist(),
                       tabs["robots"]["body"].to_pylist()))
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     res = EpochCrawler(cp, tabs["seeds"]["url"].to_pylist(), robots,
                        os.path.join(str(tmp_path), "w"), cfg).run()
     return res.visited_table(columns=[
@@ -97,7 +97,7 @@ def _crawl_visited(tmp_path, seed=23, hosts=2, pages=200):
         "content_type", "is_external", "title", "description", "spans"])
 
 
-def test_select_pages_matches_scalar_and_duckdb_depths(tmp_path):
+def test_select_pages_matches_scalar_and_duckdb_depths(tmp_path, ray_session):
     visited = _crawl_visited(tmp_path)
     sel = select_pages(visited, max_pages=25)
     assert 0 < sel.selected.num_rows <= 25
@@ -168,7 +168,7 @@ def test_select_pages_matches_scalar_and_duckdb_depths(tmp_path):
         assert duck_depths[k] == v, k
 
 
-def test_masks_fail_closed_and_lookahead_compiles(tmp_path, capsys):
+def test_masks_fail_closed_and_lookahead_compiles(tmp_path, ray_session, capsys):
     visited = _crawl_visited(tmp_path, seed=29, pages=120)
     all_sel = select_pages(visited, max_pages=1000)
     n_all = all_sel.total_candidates_before_cap
@@ -212,8 +212,8 @@ def test_run_ai_phase_end_to_end(tmp_path, ray_session):
                         max_pages=12, concurrency=2)
     out2 = run_ai_phase(visited, site_name="Example Site",
                         site_summary="A synthetic crawl corpus.",
-                        max_pages=12, concurrency=3, use_ray=False)
-    # deterministic across runs AND across ray/in-process execution
+                        max_pages=12, concurrency=3)
+    # deterministic across runs AND across actor-pool sizes
     assert out1["llms_txt"] == out2["llms_txt"]
     txt = out1["llms_txt"]
     assert txt.startswith("# Example Site\n\n> A synthetic crawl corpus.\n")
@@ -380,10 +380,10 @@ def test_run_ai_phase_all_actions(tmp_path, ray_session):
             assert probe in json.loads(s)
     for s in out["entries"]["custom"].to_pylist():
         assert isinstance(json.loads(s), list)
-    # determinism across executions
+    # determinism across executions and actor-pool sizes
     out2 = run_ai_phase(
         visited, site_name="Acme", site_summary="Synthetic.",
-        max_pages=6, concurrency=3, use_ray=False,
+        max_pages=6, concurrency=3,
         actions=("llms-txt", "llms-full", "seo", "typos", "custom"),
         custom_prompt="Check {{content_markdown}} for policy issues.")
     assert out2["llms_full"] == full

@@ -97,7 +97,7 @@ def test_gauntlet_force_relative_folds_seen_keys():
     assert len(unfolded) == 3
 
 
-def test_engine_oracle_parity_with_force_relative(tmp_path):
+def test_engine_oracle_parity_with_force_relative(tmp_path, ray_session):
     """Engine and sequential oracle stay identical with the flag on."""
     import numpy as np
 
@@ -110,7 +110,7 @@ def test_engine_oracle_parity_with_force_relative(tmp_path):
     write_corpus(tabs["documents"], cp, num_buckets=4)
     robots = dict(zip(tabs["robots"]["host"].to_pylist(), tabs["robots"]["body"].to_pylist()))
     seeds = tabs["seeds"]["url"].to_pylist()
-    cfg = CrawlConfig(num_shards=4, use_ray=False, force_relative_urls=True)
+    cfg = CrawlConfig(num_shards=4, force_relative_urls=True)
     res = EpochCrawler(cp, seeds, robots, str(tmp_path / "work"), cfg).run()
     orc = run_oracle(tabs["documents"], seeds, robots, cfg)
     assert res.visited_table(columns=["url"])["url"].to_pylist() == [

@@ -17,6 +17,8 @@ from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 from siteone_crawler_ray.pipelines.oracle import run_oracle
 from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
 
+pytestmark = pytest.mark.usefixtures("ray_session")
+
 VISITED_COLS = ["seq", "url", "uq_id", "source_uq_id", "source_attr", "epoch", "status_code", "depth"]
 
 
@@ -48,7 +50,7 @@ def _run_engine(tmp, tabs, cfg, num_buckets=4):
 
 def test_tiny_single_host_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=7, hosts=1, total_pages=50, out_degree=4)
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert res.metrics["visited"] > 10
@@ -56,7 +58,7 @@ def test_tiny_single_host_parity(tmp_workdir):
 
 def test_small_multi_host_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=500, out_degree=6)
-    cfg = CrawlConfig(use_ray=False, num_shards=4)
+    cfg = CrawlConfig(num_shards=4)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     oracle = run_oracle(tabs["documents"], seeds, robots, cfg)
     _assert_parity(res, oracle)
@@ -68,10 +70,10 @@ def test_small_multi_host_parity(tmp_workdir):
 def test_limits_truncate_identically(tmp_workdir):
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
     for cfg in [
-        CrawlConfig(use_ray=False, num_shards=2, max_visited_urls=40),
-        CrawlConfig(use_ray=False, num_shards=2, max_queue_length=15),
-        CrawlConfig(use_ray=False, num_shards=2, max_depth=2),
-        CrawlConfig(use_ray=False, num_shards=2, max_url_length=60),
+        CrawlConfig(num_shards=2, max_visited_urls=40),
+        CrawlConfig(num_shards=2, max_queue_length=15),
+        CrawlConfig(num_shards=2, max_depth=2),
+        CrawlConfig(num_shards=2, max_url_length=60),
     ]:
         res, (seeds, robots) = _run_engine(
             os.path.join(tmp_workdir, f"lim{cfg.max_visited_urls}-{cfg.max_queue_length}-{cfg.max_depth}-{cfg.max_url_length}"),
@@ -83,7 +85,7 @@ def test_limits_truncate_identically(tmp_workdir):
 
 def test_query_param_filtering_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=13, hosts=2, total_pages=200, out_degree=5)
-    cfg = CrawlConfig(use_ray=False, num_shards=2, remove_query_params=True)
+    cfg = CrawlConfig(num_shards=2, remove_query_params=True)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
 
@@ -94,17 +96,17 @@ def test_disable_assets_and_regex_only_pages_parity(tmp_workdir):
     (crawler.rs:1316-1318: static files bypass include/ignore) must
     truncate identically in engine and oracle."""
     tabs = make_graph_corpus(seed=17, hosts=2, total_pages=300, out_degree=5)
-    base_cfg = CrawlConfig(use_ray=False, num_shards=2)
+    base_cfg = CrawlConfig(num_shards=2)
     base, (seeds, robots) = _run_engine(os.path.join(tmp_workdir, "base"), tabs, base_cfg)
 
-    cfg = CrawlConfig(use_ray=False, num_shards=2,
+    cfg = CrawlConfig(num_shards=2,
                       disabled_span_kinds=("img", "script", "css", "media"))
     res, _ = _run_engine(os.path.join(tmp_workdir, "noassets"), tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert res.metrics["visited"] < base.metrics["visited"], \
         "disabling every asset kind must shrink the crawl"
 
-    cfg2 = CrawlConfig(use_ray=False, num_shards=2,
+    cfg2 = CrawlConfig(num_shards=2,
                        ignore_regex=(r"\.(js|png|css)$", r"/p/00"),
                        regex_filtering_only_for_pages=True)
     res2, _ = _run_engine(os.path.join(tmp_workdir, "regexpages"), tabs, cfg2)
@@ -128,7 +130,7 @@ def test_single_page_and_single_foreign_page_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=23, hosts=3, total_pages=300, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
 
-    sp_cfg = CrawlConfig(use_ray=False, num_shards=2, single_page=True)
+    sp_cfg = CrawlConfig(num_shards=2, single_page=True)
     res = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "sp"), sp_cfg).run()
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, sp_cfg))
     # only the seed page + its direct assets: nothing at depth 2+, and no
@@ -141,11 +143,11 @@ def test_single_page_and_single_foreign_page_parity(tmp_workdir):
                  if ct == ContentType.HTML]
     assert html_rows == [u for u in html_rows if u in seeds] or len(html_rows) <= len(seeds) + 1
 
-    sf_cfg = CrawlConfig(use_ray=False, num_shards=2, single_foreign_page=True,
+    sf_cfg = CrawlConfig(num_shards=2, single_foreign_page=True,
                          allowed_domains_crawl=("*",))
     res2 = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "sf"), sf_cfg).run()
     _assert_parity(res2, run_oracle(tabs["documents"], seeds, robots, sf_cfg))
-    full_cfg = CrawlConfig(use_ray=False, num_shards=2, allowed_domains_crawl=("*",))
+    full_cfg = CrawlConfig(num_shards=2, allowed_domains_crawl=("*",))
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), full_cfg).run()
     # foreign pages are reachable but never expand → strictly fewer visits
     assert 0 < res2.metrics["visited"] < full.metrics["visited"]
@@ -184,7 +186,7 @@ def test_sitemap_only_mode_parity(tmp_workdir):
     seeds = ["https://a.test/sitemap.xml"]
     cp = os.path.join(tmp_workdir, "corpus")
     write_corpus(docs, cp, num_buckets=2)
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     res = EpochCrawler(cp, seeds, {}, os.path.join(tmp_workdir, "work"), cfg).run()
     _assert_parity(res, run_oracle(docs, seeds, {}, cfg))
     urls = set(res.visited_table(columns=["url"])["url"].to_pylist())
@@ -239,14 +241,14 @@ def test_disable_files_and_fonts_parity(tmp_workdir):
     cp = os.path.join(tmp_workdir, "corpus")
     write_corpus(docs, cp, num_buckets=2)
 
-    base_cfg = CrawlConfig(use_ray=False, num_shards=2)
+    base_cfg = CrawlConfig(num_shards=2)
     base = EpochCrawler(cp, seeds, {}, os.path.join(tmp_workdir, "base"), base_cfg).run()
     _assert_parity(base, run_oracle(docs, seeds, {}, base_cfg))
     base_urls = set(base.visited_table(columns=["url"])["url"].to_pylist())
     assert {"https://a.test/doc.pdf", "https://a.test/f.woff2",
             "https://a.test/page.html"} <= base_urls
 
-    cfg = CrawlConfig(use_ray=False, num_shards=2, disable_files=True, disable_fonts=True)
+    cfg = CrawlConfig(num_shards=2, disable_files=True, disable_fonts=True)
     res = EpochCrawler(cp, seeds, {}, os.path.join(tmp_workdir, "gated"), cfg).run()
     _assert_parity(res, run_oracle(docs, seeds, {}, cfg))
     urls = set(res.visited_table(columns=["url"])["url"].to_pylist())
@@ -285,7 +287,7 @@ def test_single_foreign_page_gates_before_dedup(tmp_workdir):
         schema=DOCUMENTS_SCHEMA,
     )
     seeds = ["https://a.test/p/00000"]
-    cfg = CrawlConfig(use_ray=False, num_shards=2, single_foreign_page=True,
+    cfg = CrawlConfig(num_shards=2, single_foreign_page=True,
                       allowed_domains_crawl=("*",))
     cp = os.path.join(tmp_workdir, "corpus")
     write_corpus(docs, cp, num_buckets=2)
@@ -299,7 +301,7 @@ def test_span_sequence_equality(tmp_workdir):
     """Per-row invariant from BASELINE.json input_hint: output spans must
     equal corpus spans in (kind, text, media_ref, order)."""
     tabs = make_graph_corpus(seed=7, hosts=2, total_pages=100, out_degree=4)
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     res, _ = _run_engine(tmp_workdir, tabs, cfg)
     vt = res.visited_table(columns=["seq", "doc_id", "spans"])
     vt = vt.filter(pa.compute.is_valid(vt["doc_id"]))
@@ -319,17 +321,15 @@ def test_span_sequence_equality(tmp_workdir):
     assert checked > 10
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_ray_path_parity(tmp_workdir):
     """The distributed path (Ray Data fetch/extract + shard actors) must
     produce the identical canonical order."""
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=150, out_degree=4)
-    cfg = CrawlConfig(use_ray=True, num_shards=4, fetch_concurrency=2)
+    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
 
 
-@pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("caps", [{"max_visited_urls": 40}, {"max_queue_length": 15}],
                          ids=["max_visited", "max_queue"])
 @pytest.mark.parametrize("threshold", [None, 1], ids=["driver_local", "fan_out"])
@@ -346,7 +346,7 @@ def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, thresho
 
     monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
-    cfg = CrawlConfig(use_ray=True, num_shards=2, fetch_concurrency=2, **caps,
+    cfg = CrawlConfig(num_shards=2, fetch_concurrency=2, **caps,
                       **({} if threshold is None else {"ray_wave_threshold": threshold}))
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
@@ -354,11 +354,10 @@ def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, thresho
     assert set(exact_on_local) == {threshold is None}
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_resume_reproduces_uninterrupted_run(tmp_workdir):
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(use_ray=False, num_shards=4)
+    cfg = CrawlConfig(num_shards=4)
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
 
@@ -367,6 +366,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_workdir):
     c1.seed()
     c1.run_epoch()
     c1.run_epoch()  # stop mid-crawl (checkpoint written per epoch)
+    c1.shutdown()  # free the actor pool for the resumed crawler
 
     c2 = EpochCrawler(cp, seeds, robots, part_dir, cfg)
     assert c2.resume()
@@ -379,10 +379,9 @@ def test_resume_reproduces_uninterrupted_run(tmp_workdir):
     assert sorted(full.skipped.to_pylist(), key=str) == sorted(res.skipped.to_pylist(), key=str)
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_deferred_manifest_snapshots_basename_counts(tmp_workdir):
     """``manifest['basename_counts']`` must be a COPY taken at
-    checkpoint time: the Ray path writes the manifest one epoch later,
+    checkpoint time: the crawl writes the manifest one epoch later,
     by which point the live dict already holds the next epoch's non-200
     counts — a resume would re-add them (double count) and trip the
     ≥max_non200 basename blocklist early, silently dropping pages the
@@ -392,7 +391,7 @@ def test_deferred_manifest_snapshots_basename_counts(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(use_ray=True, num_shards=4, fetch_concurrency=2,
+    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2,
                       ray_wave_threshold=1)
     wdir = os.path.join(tmp_workdir, "w")
     c = EpochCrawler(cp, seeds, robots, wdir, cfg)
@@ -409,9 +408,8 @@ def test_deferred_manifest_snapshots_basename_counts(tmp_workdir):
         "deferred manifest captured post-checkpoint basename mutations")
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_ray_async_checkpoint_crash_window_resume(tmp_workdir):
-    """The Ray path defers each epoch's manifest write until the next
+    """The crawl defers each epoch's manifest write until the next
     epoch (fire-and-forget shard checkpoints).  A crash inside that
     window leaves shards/epoch=N written but manifest-epochN.json
     missing; resume() must fall back to epoch N-1, prune the stale
@@ -420,7 +418,7 @@ def test_ray_async_checkpoint_crash_window_resume(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(use_ray=True, num_shards=4, fetch_concurrency=2,
+    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2,
                       ray_wave_threshold=1)
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
@@ -456,6 +454,32 @@ def test_ray_async_checkpoint_crash_window_resume(tmp_workdir):
     assert sorted(full.skipped.to_pylist(), key=str) == sorted(res.skipped.to_pylist(), key=str)
 
 
+def test_run_releases_actors_when_it_raises(tmp_workdir, monkeypatch):
+    """A crawl that raises mid-run must still release its shard and
+    worker actors: leaked actors keep their CPUs, and the next crawl in
+    the same Ray session would wait forever in warmup()."""
+    tabs = make_graph_corpus(seed=7, hosts=1, total_pages=50, out_degree=4)
+    cp, seeds, robots = _setup(tmp_workdir, tabs)
+    cfg = CrawlConfig()
+    ingest, calls = EpochCrawler._ingest, []
+
+    def failing_ingest(self, *args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("injected ingest failure")
+        return ingest(self, *args)
+
+    monkeypatch.setattr(EpochCrawler, "_ingest", failing_ingest)
+    c = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "fail"), cfg)
+    with pytest.raises(RuntimeError, match="injected"):
+        c.run()
+    assert c._shards == [] and c._workers == []
+
+    monkeypatch.undo()
+    res = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "ok"), cfg).run()
+    _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
+
+
 def test_resume_prunes_stale_shard_epoch_dirs(tmp_workdir):
     """A crash between shard checkpoint writes and the manifest replace
     leaves a shards/epoch=N dir with no covering manifest; resume() must
@@ -465,7 +489,7 @@ def test_resume_prunes_stale_shard_epoch_dirs(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(use_ray=False, num_shards=4)
+    cfg = CrawlConfig(num_shards=4)
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
 
@@ -474,6 +498,7 @@ def test_resume_prunes_stale_shard_epoch_dirs(tmp_workdir):
     c1.seed()
     c1.run_epoch()
     c1.run_epoch()
+    c1.shutdown()  # free the actor pool for the resumed crawler
     # simulate the torn checkpoint: a post-manifest shard epoch dir with
     # phantom skip rows that the restored filters have never seen
     stale = os.path.join(part_dir, "shards", "epoch=99")
@@ -501,7 +526,7 @@ def test_depth_include_ignore_transform_parity(tmp_workdir):
     (crawler.rs:1146-1338, 1680-1724)."""
     tabs = make_graph_corpus(seed=13, hosts=3, total_pages=300)
     cfg = CrawlConfig(
-        use_ray=False, num_shards=4,
+        num_shards=4,
         allowed_domains_crawl=("*",), allowed_domains_static=("*",),
         max_depth=3,
         include_regex=(r"site-00[012]\.test",),
@@ -521,7 +546,7 @@ def test_redirect_pages_parity(tmp_workdir):
     target with source_attr=80 (crawler.rs:733-755); transport-error
     docs visit with their negative code (visited_url.rs:13-17)."""
     tabs = make_graph_corpus(seed=21, hosts=2, total_pages=400)
-    cfg = CrawlConfig(use_ray=False, num_shards=4,
+    cfg = CrawlConfig(num_shards=4,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
@@ -551,7 +576,7 @@ def test_host_routing_output_invariance(tmp_workdir):
     """routing='host' (politeness-exact, salted hot hosts) must produce
     the identical visited order/seen set as bucket routing."""
     tabs = make_graph_corpus(seed=31, hosts=3, total_pages=600)
-    cfg = CrawlConfig(use_ray=True, num_shards=4, fetch_concurrency=3, routing="host",
+    cfg = CrawlConfig(num_shards=4, fetch_concurrency=3, routing="host",
                       ray_wave_threshold=16,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
@@ -565,7 +590,7 @@ def test_host_routing_politeness_rate_bound(tmp_workdir):
 
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=60)
     rate = 40.0
-    cfg = CrawlConfig(use_ray=False, num_shards=2, routing="host", max_reqs_per_sec=rate,
+    cfg = CrawlConfig(num_shards=2, routing="host", max_reqs_per_sec=rate,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     t0 = time.monotonic()
     res, _ = _run_engine(tmp_workdir, tabs, cfg)
@@ -644,7 +669,7 @@ def test_empty_seeds_and_all_404_corpus(tmp_workdir):
     cp, _, robots = _setup(tmp_workdir, tabs)
     import os
 
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     res = EpochCrawler(cp, [], robots, os.path.join(tmp_workdir, "w0"), cfg).run()
     assert res.metrics["visited"] == 0 and res.skipped.num_rows == 0
 
@@ -665,9 +690,9 @@ def test_resume_rejects_changed_config(tmp_workdir):
     tabs = make_graph_corpus(seed=4, hosts=2, total_pages=80)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
     wd = os.path.join(tmp_workdir, "w")
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     EpochCrawler(cp, seeds, robots, wd, cfg).run()
-    other = CrawlConfig(use_ray=False, num_shards=2, max_depth=1)
+    other = CrawlConfig(num_shards=2, max_depth=1)
     c2 = EpochCrawler(cp, seeds, robots, wd, other)
     with pytest.raises(ValueError, match="fingerprint"):
         c2.resume()
@@ -684,7 +709,7 @@ def test_url_list_seeds_carry_url_list_source(tmp_workdir):
     extra = [u for u in docs if u not in seeds][:3]
     all_seeds = seeds + extra
     attrs = [UrlSource.INIT_URL] * len(seeds) + [UrlSource.URL_LIST] * len(extra)
-    cfg = CrawlConfig(use_ray=False, num_shards=2)
+    cfg = CrawlConfig(num_shards=2)
     res = EpochCrawler(cp, all_seeds, robots, os.path.join(tmp_workdir, "w"),
                        cfg, seed_attrs=attrs).run()
     oracle = run_oracle(tabs["documents"], all_seeds, robots, cfg, seed_attrs=attrs)

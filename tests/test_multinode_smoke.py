@@ -1,6 +1,7 @@
 """Fast multi-node smoke: a 2-node simulated cluster (subprocess —
 the session fixture owns this process's Ray) must reproduce the
-in-process single-node crawl exactly, with actors on both nodes.
+sequential oracle crawl (pipelines/oracle.py) exactly, with actors on
+both nodes.
 
 The full 4-node drill (scale crawl, exchange hashes, node-loss
 checkpoint resume) lives in scripts/multinode_sim.py; this guards the
@@ -14,7 +15,8 @@ import sys
 
 import pytest
 
-from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
+from siteone_crawler_ray.pipelines.crawl import CrawlConfig
+from siteone_crawler_ray.pipelines.oracle import run_oracle
 from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
 
 CHILD = r"""
@@ -29,7 +31,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 cp, workdir, seeds_json, robots_json = sys.argv[1:5]
-cfg = CrawlConfig(use_ray=True, num_shards=4, ray_wave_threshold=1)
+cfg = CrawlConfig(num_shards=4, ray_wave_threshold=1)
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir, cfg)
 c.seed(); c.warmup()
 nodes = set(ray.get([w.node_id.remote() for w in c._workers])) | \
@@ -54,9 +56,7 @@ def test_two_node_cluster_matches_single_process(tmp_workdir):
     robots = dict(zip(tabs["robots"]["host"].to_pylist(),
                       tabs["robots"]["body"].to_pylist()))
 
-    ref = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "ref"),
-                       CrawlConfig(use_ray=False, num_shards=4)).run()
-    rt = ref.visited_table(columns=["url", "depth", "status_code"])
+    rt = run_oracle(tabs["documents"], seeds, robots, CrawlConfig(num_shards=4)).visited_table()
     ref_rows = sorted(zip(rt["url"].to_pylist(), rt["depth"].to_pylist(),
                           rt["status_code"].to_pylist()))
 
@@ -69,6 +69,6 @@ def test_two_node_cluster_matches_single_process(tmp_workdir):
     assert lines, f"child failed:\n{p.stdout[-2000:]}\n{p.stderr[-2000:]}"
     got = json.loads(lines[-1][len("SMOKE_JSON "):])
     assert got["nodes"] == 2, f"actors did not spread: {got['nodes']} node(s)"
-    assert got["visited"] == ref.metrics["visited"]
+    assert got["visited"] == rt.num_rows
     assert got["n"] == len(ref_rows)
     assert [tuple(r) for r in got["rows_tail"]] == ref_rows[-5:]

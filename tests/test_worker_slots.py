@@ -145,7 +145,7 @@ DataContext.get_current().enable_progress_bars = False
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 cp, workdir, seeds_json, robots_json = sys.argv[1:5]
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir,
-                 CrawlConfig(use_ray=True, num_shards=8, ray_wave_threshold=1))
+                 CrawlConfig(num_shards=8, ray_wave_threshold=1))
 c.seed()
 n_workers = len(c._workers)
 res = c.run()
