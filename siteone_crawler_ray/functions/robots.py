@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 ASSET_EXTENSION_RE = re.compile(
     r"\.(js|css|json|eot|ttf|woff2|woff|otf|png|gif|jpg|jpeg|ico|webp|avif|tif|bmp|svg)",
     re.I,
 )
+_ASSET_EXTENSION_RE2 = "(?i)" + ASSET_EXTENSION_RE.pattern
 _UA_RE = re.compile(r"^User-agent:\s*(.*)", re.I)
 _DISALLOW_RE = re.compile(r"^Disallow:\s*(.*)", re.I)
 _ALLOW_RE = re.compile(r"^Allow:\s*(.*)", re.I)
@@ -66,6 +70,41 @@ def path_matches(url_path: str, pattern: str) -> bool:
     return low.startswith(pattern.lower())
 
 
+def _rule_re2(pattern: str) -> str | None:
+    """RE2 spelling of :func:`path_matches` for one rule, matched against
+    the lowercased path; None for a ``$``-anchored wildcard rule, whose
+    earliest-find semantics have no regex form.  An unanchored wildcard
+    rule is a regex: earliest-find finds a placement of its parts
+    whenever any placement exists."""
+    low = pattern.lower()
+    if low.endswith("$"):
+        body = low[:-1]
+        return None if "*" in body else "^" + re.escape(body) + "$"
+    return "^" + ".*".join(re.escape(p) for p in low.split("*"))
+
+
+def _compile_rules(rules: tuple[str, ...]) -> tuple[str | None, tuple[str, ...]]:
+    """→ (one RE2 alternation of the regex-expressible rules or None,
+    the ``$``+``*`` rules left to the scalar matcher)."""
+    res = [(r, _rule_re2(r)) for r in rules]
+    alts = [x for _, x in res if x is not None]
+    return ("(?s)" + "|".join(f"(?:{x})" for x in alts) if alts else None,
+            tuple(r for r, x in res if x is None))
+
+
+def _paths_of(urls):
+    """Column form of :func:`_extract_path`."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    rest = pc.replace_substring_regex(urls, pattern=r"(?s)^.*?://[^/]*", replacement="",
+                                      max_replacements=1)
+    path = pc.if_else(pc.and_(pc.match_substring(urls, "://"), pc.equal(rest, "")),
+                      pa.scalar("/"), rest)
+    return pc.replace_substring_regex(path, pattern=r"(?s)\?.*", replacement="",
+                                      max_replacements=1)
+
+
 @dataclass(frozen=True)
 class RobotsRules:
     """Parsed rules for one host. Hashable/picklable → broadcastable."""
@@ -87,6 +126,48 @@ class RobotsRules:
             if path_matches(path, d):
                 return False
         return True
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        return _compile_rules(self.allowed) + _compile_rules(self.disallowed)
+
+    def allowed_mask(self, urls) -> np.ndarray:
+        """:meth:`is_allowed` over a string column → bool ndarray.
+
+        Prefix, ``*`` and ``$`` rules run as one RE2 pass per rule kind
+        over the ASCII-lowercased paths; ``$``+``*`` rules keep the
+        scalar earliest-find matcher, and non-ASCII URLs (whose Python
+        lowercasing RE2 cannot reproduce) take :meth:`is_allowed`."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        n = len(urls)
+        if not self.disallowed or n == 0:
+            return np.ones(n, dtype=bool)
+        allow_re, allow_sc, deny_re, deny_sc = self._compiled
+        paths = pc.ascii_lower(_paths_of(urls))
+
+        def hits(pattern):
+            if pattern is None:
+                return np.zeros(n, dtype=bool)
+            return pc.match_substring_regex(paths, pattern=pattern).to_numpy(
+                zero_copy_only=False)
+
+        allow = hits(allow_re) | pc.match_substring_regex(
+            urls, pattern=_ASSET_EXTENSION_RE2).to_numpy(zero_copy_only=False)
+        deny = hits(deny_re)
+        if allow_sc or deny_sc:
+            todo = np.nonzero(~allow)[0]
+            for i, p in zip(todo, paths.take(pa.array(todo)).to_pylist()):
+                if any(path_matches(p, r) for r in allow_sc):
+                    allow[i] = True
+                elif any(path_matches(p, r) for r in deny_sc):
+                    deny[i] = True
+        out = allow | ~deny
+        scalar = np.nonzero(~pc.string_is_ascii(urls).to_numpy(zero_copy_only=False))[0]
+        for i, u in zip(scalar, urls.take(pa.array(scalar)).to_pylist()):
+            out[i] = self.is_allowed(u)
+        return out
 
 
 def _extract_path(url: str) -> str:

@@ -18,9 +18,10 @@ Behavioral parity targets (all in /root/reference/):
   (src/engine/parsed_url.rs:465-482)
 
 These are per-row Python functions applied inside ``map_batches``; the
-regexes are module-level compiled once per worker process.  Hashing the
-resulting canonical URLs (the actual partition keys) is fully vectorized
-in :mod:`.hashing`.
+regexes are module-level compiled once per worker process.
+:func:`canonicalize_pairs` is the column form of the fast path, for
+whole batches.  Hashing the resulting canonical URLs (the actual
+partition keys) is fully vectorized in :mod:`.hashing`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from urllib.parse import urljoin, urlsplit
 import numpy as np
 
 NON_HTTP_SCHEME_RE = re.compile(r"^[a-z]+:[a-z0-9]", re.I)
-HTTP_URL_RE = re.compile(r"^https?://", re.I)
 HAS_SCHEME_RE = re.compile(r"^[a-zA-Z0-9]+:")
 IS_HTTP_RE = re.compile(r"^https?:/", re.I)
 DOMAIN_2ND_LEVEL_RE = re.compile(r"([^.]+\.[^.]+)$")
@@ -276,24 +276,115 @@ def canonicalize_fast(href: str, base_url: str) -> str | None:
     return base_url[: m.start(4)] + path[: path.rfind("/") + 1] + href
 
 
-# Vectorized url-list fast path (flat crawl).  A row is admitted
-# unchanged only when one Arrow regex pass proves it is ALREADY in
-# canonical absolute form — the same conservative conditions as
-# _fast_absolute, expressed as column kernels.  RE2 has no lookahead,
-# so the disqualifiers are separate match passes combined with boolean
-# kernels.
-_VEC_CANON_RE = r"^(https?)://([a-z0-9.\-]+)(:[1-9][0-9]{0,3})?(/[^?#]*)(\?[^#]+)?$"
-_VEC_TRAIL_RE = r"""[&"'\t ?]$"""
-_VEC_DEFAULT_PORT_RE = r"^(https?://[a-z0-9.\-]+:0|http://[a-z0-9.\-]+:80/|https://[a-z0-9.\-]+:443/)"
+# Column form of canonicalize_fast (one Arrow pass per step over a whole
+# batch).  Each accepted href shape is a prefix joined to a body; the
+# joined URL is accepted only if it passes _fast_absolute's conditions,
+# spelled as ONE canonical-shape regex plus ONE disqualifier regex.
+# RE2's ``\s`` is ASCII-only, so Python's (str.isspace) is spelled out.
+_PY_SPACE_RE2 = (r"\t\n\x0b\x0c\r\x1c-\x1f \x{85}\x{a0}\x{1680}\x{2000}-\x{200a}"
+                 r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}")
+# explicit port: 1-65535 without zero padding (the renderer would
+# rewrite a padded port, urlsplit rejects one above 65535)
+_PORT_RE2 = (r"(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
+             r"|655[0-2][0-9]|6553[0-5]))?")
+_PAIR_CANON_RE2 = r"^https?://[a-z0-9.\-]+" + _PORT_RE2 + r"/[^?#]*(?:\?[^#]*)?$"
+# _FAST_ABS_BAD_RE plus a spelled-out default port
+_BAD_RE2 = ("[" + _PY_SPACE_RE2 + r"""\"'<>{}\[\]\\#%]|&#|&amp|\./|/\."""
+            r"|^http://[^/]*:80/|^https://[^/]*:443/")
+# joined URL: also a trailing "&"/"?" (normalize_href's rstrip, bare
+# query) or a path ending in empty params
+_PAIR_BAD_RE2 = _BAD_RE2 + r"|[&?]$|^[^?]*;(?:\?|$)"
+# base a bare relative joins onto: urljoin's merge keeps the base path
+# through its last "/" and drops the base query; params and empty
+# segments in the base path change the merge, so they disqualify
+_BASE_DIR_RE2 = r"^https?://[a-z0-9.\-]+" + _PORT_RE2 + r"/[^?#]*(?:\?[^#]*)?$"
+_BASE_BAD_RE2 = _BAD_RE2 + r"|;|(?s:^https?://.*//)"
+# bare-relative body: optional "./", then no leading "/.?#", no ":"
+# or ";" anywhere, and no empty segment ("//")
+_BARE_REL_RE2 = r"^(?:\./)?[^/.?#:;](?:[^:;/]|/(?:[^:;/]|$))*$"
+_ABS_PARTS_RE2 = r"(?s)^(?P<a>[^:]*://[^/?#]*)(?P<r>[^#]*)"
+
+
+def canonicalize_pairs(hrefs, bases):
+    """Vectorized :func:`canonicalize_fast` over aligned href/base string
+    columns → ``pa.StringArray``: the canonical URL where one of the
+    modeled shapes applies, null where the caller must fall back to the
+    scalar gauntlet.
+
+    Shapes: path-absolute (base origin + href), protocol-relative (base
+    scheme + ``:`` + href), absolute (scheme and authority lowercased,
+    fragment stripped) and bare or ``./`` relative (base directory +
+    href; unlike canonicalize_fast, also against a base with a query,
+    which urljoin drops).  Base prefixes are computed once per distinct base.  A
+    prefix only has to be right when the joined URL passes the two
+    checks, so the origin and scheme are plain extractions; every
+    non-null output equals ``canonicalize(href, base)``
+    (property-tested)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(hrefs, pa.ChunkedArray):
+        hrefs = hrefs.combine_chunks()
+    if isinstance(bases, pa.ChunkedArray):
+        bases = bases.combine_chunks()
+    n = len(hrefs)
+    if n == 0:
+        return pa.array([], pa.string())
+
+    def mask(a):
+        return pc.fill_null(a, False).to_numpy(zero_copy_only=False)
+
+    # 1 protocol-relative, 2 path-absolute, 3 absolute, 4 bare relative
+    shape = np.select(
+        [mask(pc.starts_with(hrefs, "//")), mask(pc.starts_with(hrefs, "/")),
+         mask(pc.match_substring_regex(hrefs, r"(?i)^https?://")),
+         mask(pc.match_substring_regex(hrefs, _BARE_REL_RE2))],
+        [1, 2, 3, 4], 0)
+    idx_parts, joined = [], []
+    based = np.nonzero((shape == 1) | (shape == 2) | (shape == 4))[0]
+    if len(based):
+        enc = bases.take(pa.array(based)).dictionary_encode()
+        ub = enc.dictionary
+        dir_ok = pc.and_(pc.match_substring_regex(ub, pattern=_BASE_DIR_RE2),
+                         pc.invert(pc.match_substring_regex(ub, pattern=_BASE_BAD_RE2)))
+        prefixes = pa.concat_arrays([
+            pc.struct_field(pc.extract_regex(ub, pattern=r"^(?P<s>https?:)//"), [0]),
+            pc.struct_field(pc.extract_regex(ub, pattern=r"^(?P<o>https?://[^/]*)"), [0]),
+            pc.if_else(dir_ok, pc.struct_field(
+                pc.extract_regex(ub, pattern=r"^(?P<d>[^?]*/)"), [0]),
+                pa.scalar(None, pa.string())),
+        ])
+        # prefix table rows: [schemes | origins | dirs], one per distinct base
+        which = (shape[based] // 2) * len(ub) + enc.indices.to_numpy(zero_copy_only=False)
+        # only a bare relative can start with "./"
+        body = pc.replace_substring_regex(hrefs.take(pa.array(based)), pattern=r"^\./",
+                                          replacement="", max_replacements=1)
+        idx_parts.append(based)
+        joined.append(pc.binary_join_element_wise(prefixes.take(pa.array(which)), body, ""))
+    absi = np.nonzero(shape == 3)[0]
+    if len(absi):
+        ex = pc.extract_regex(hrefs.take(pa.array(absi)), pattern=_ABS_PARTS_RE2)
+        idx_parts.append(absi)
+        joined.append(pc.binary_join_element_wise(
+            pc.ascii_lower(pc.struct_field(ex, [0])), pc.struct_field(ex, [1]), ""))
+    if not idx_parts:
+        return pa.nulls(n, pa.string())
+    j = pa.concat_arrays(joined)
+    ok = pc.and_(pc.match_substring_regex(j, pattern=_PAIR_CANON_RE2),
+                 pc.invert(pc.match_substring_regex(j, pattern=_PAIR_BAD_RE2)))
+    j = pc.if_else(ok, j, pa.scalar(None, pa.string()))
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[np.concatenate(idx_parts)] = np.arange(len(j))
+    return j.take(pa.array(pos, mask=pos < 0))
 
 
 def canonicalize_urls(arr, max_len: int = DEFAULT_MAX_URL_LENGTH) -> np.ndarray:
     """Vectorized ``canonicalize(u, u)`` over a URL-list column → object
     ndarray aligned with the input (None = dropped / over-length).
 
-    The dominant shape in a ``--url-list`` file (crawler.rs:226-230) is
-    an already-canonical absolute URL; those pass through with zero
-    per-row Python.  Everything else falls back to the scalar
+    The dominant shapes in a ``--url-list`` file (crawler.rs:226-230)
+    are absolute URLs; :func:`canonicalize_pairs` renders those with
+    zero per-row Python.  Everything else falls back to the scalar
     fast/full gauntlet for exact parity (property-tested)."""
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -316,49 +407,21 @@ def canonicalize_urls(arr, max_len: int = DEFAULT_MAX_URL_LENGTH) -> np.ndarray:
     out = np.empty(n, dtype=object)
     if n == 0:
         return out
-    admit = pc.and_(
-        pc.and_(
-            pc.match_substring_regex(arr, pattern=_VEC_CANON_RE),
-            pc.invert(pc.match_substring_regex(arr, pattern=_FAST_ABS_BAD_RE.pattern)),
-        ),
-        pc.and_(
-            pc.invert(pc.match_substring_regex(arr, pattern=_VEC_TRAIL_RE)),
-            pc.and_(
-                pc.invert(pc.match_substring_regex(arr, pattern=_VEC_DEFAULT_PORT_RE)),
-                pc.less_equal(pc.utf8_length(arr), max_len),
-            ),
-        ),
-    )
-    admit_np = pc.fill_null(admit, False).to_numpy(zero_copy_only=False)
-    vals = arr.to_numpy(zero_copy_only=False)
-    out[admit_np] = vals[admit_np]
-    miss = np.nonzero(~admit_np)[0]
-    for i in miss:
-        u = vals[i]
-        if u is None or not u:
-            out[i] = None
-            continue
-        c = canonicalize_fast(u, u)
-        if c is None:
-            c = canonicalize(u, u)
-        out[i] = c if c is not None and len(c) <= max_len else None
-    return out
-
-
-def canonicalize_many(
-    hrefs,
-    bases,
-    *,
-    remove_query_params: bool = False,
-    keep_query_params: tuple[str, ...] = (),
-) -> np.ndarray:
-    """Row-wise canonicalize over aligned href/base columns → object array
-    (None where dropped).  Called inside map_batches."""
-    out = np.empty(len(hrefs), dtype=object)
-    for i, (h, b) in enumerate(zip(hrefs, bases)):
-        out[i] = canonicalize(
-            h, b, remove_query_params=remove_query_params, keep_query_params=keep_query_params
-        )
+    canon = canonicalize_pairs(arr, arr)
+    hit = pc.is_valid(canon).to_numpy(zero_copy_only=False)
+    short = pc.fill_null(pc.less_equal(pc.utf8_length(canon), max_len), False)
+    out[:] = pc.if_else(short, canon, pa.scalar(None, pa.string())).to_numpy(
+        zero_copy_only=False)
+    miss = np.nonzero(~hit)[0]
+    if len(miss):
+        for i, u in zip(miss, arr.take(pa.array(miss)).to_pylist()):
+            if not u:
+                out[i] = None
+                continue
+            c = canonicalize_fast(u, u)
+            if c is None:
+                c = canonicalize(u, u)
+            out[i] = c if c is not None and len(c) <= max_len else None
     return out
 
 

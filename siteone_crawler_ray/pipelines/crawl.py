@@ -400,6 +400,9 @@ class EpochCrawler:
                 # frontier-ops metric counts every gauntlet-emitted
                 # candidate (pre chunk-dedup): partition-invariant
                 "candidates": int(sum(t["cands_raw"] for t in timings)),
+                # gauntlet input rows judged per (href, base) pair in
+                # Python instead of by the column kernels
+                "gauntlet_fallback": int(sum(t["gauntlet_fallback"] for t in timings)),
                 "fetch_sec": round(t_fetch, 4),
                 "worker_max": {
                     k: round(max((t[k] for t in timings), default=0.0), 4)
@@ -669,26 +672,25 @@ class EpochCrawler:
         spin-up from the sustained-throughput measurement — the north
         rule's metric is *sustained* pages/s."""
         t0 = time.perf_counter()
-        if self._workers:
-            K = len(self._workers)
-            ray.get(
-                [
-                    w.preload_buckets.remote([b for b in range(self.num_buckets) if b % K == i])
-                    for i, w in enumerate(self._workers)
-                ]
-            )
-        # first remote call per shard actor is cold — a harmless read
-        # moves that off epoch 0's critical path
-        ray.get([s.seen_count.remote() for s in self._shards])
-        # warm the assemble path THROUGH the real kernels on shard 0's
+        # warm the assemble path THROUGH the real kernels on every shard
         # actor: a zero-part call short-circuits before Arrow
         # concat/sort/np.unique, leaving ~0.6 s of cold first-touch on
-        # epoch 0 at 16 CPUs — one throwaway row exercises them
+        # epoch 0 at 16 CPUs — one throwaway row exercises them.  The
+        # Arrow argument also makes each shard import ray.data/ray.air
+        # (~0.2 s) here instead of in epoch 0's ingest (a shard that got
+        # no seed rows first deserializes an Arrow table there).
+        # assemble_wave is pure, so no shard state is touched; submitted
+        # first so the imports overlap the workers' bucket preload.
         warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
-        meta_ref, _ = self._shards[0].assemble_wave.options(num_returns=2).remote(
-            0, 0, True, warm
-        )
-        ray.get(meta_ref)
+        pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, True, warm)[0]
+                   for s in self._shards]
+        if self._workers:
+            K = len(self._workers)
+            pending += [
+                w.preload_buckets.remote([b for b in range(self.num_buckets) if b % K == i])
+                for i, w in enumerate(self._workers)
+            ]
+        ray.get(pending)
         # First process() call per worker pays cold costs (parquet
         # writer import, Arrow kernel modules, first plasma map) —
         # measured ~0.2 s.  Adaptive fanout touches NEW workers on every

@@ -10,10 +10,13 @@ are already structured, so discovery is a pure Arrow ``list_flatten`` +
 crawler.rs:1018-1187: requestable → host allow → basename guard →
 robots (checked against the RAW normalized href, a reference quirk we
 keep for seen-set parity) → absolutize → fragment strip → query filter
-→ suitability (regex include/ignore, URL length).  Canonicalization is
-per-row Python (compiled regexes, urllib) but every surrounding
-mask/key/grouping step is vectorized; the xxhash64 keys are computed by
-the vectorized kernel in functions/hashing.
+→ suitability (regex include/ignore, URL length).  It runs as Arrow
+column kernels over the whole batch: functions/urls.canonicalize_pairs
+renders the common href shapes, host facts run once per distinct host,
+robots rules run as compiled RE2 (functions/robots), and only the href
+shapes the kernels do not model take the scalar per-(href, base)
+derivation.  The xxhash64 keys are computed by the vectorized kernel in
+functions/hashing.
 """
 
 from __future__ import annotations
@@ -50,12 +53,11 @@ FONT_EXT_RE = _re.compile(r"\.(eot|ttf|woff2|woff|otf)", _re.I)
 _FILE_EXT_RE2 = r"(?i)\.[a-z0-9]{1,10}(\?.*)?$"
 _HTML_PAGE_EXT_RE2 = r"(?i)\.(htm|html|shtml|php|phtml|ashx|xhtml|asp|aspx|jsp|jspx|do|cfm|cgi|pl)"
 _FONT_EXT_RE2 = r"(?i)\.(eot|ttf|woff2|woff|otf)"
-
-
-def _origin_of(b: str) -> str:
-    """scheme://host[:port] prefix — cache key for base-independent hrefs."""
-    p = b.find("/", 8)  # past "https://"
-    return b if p < 0 else b[:p]
+# on canonical URLs: the host, and a static-file extension ending the
+# path (U.is_static_file)
+_CANON_HOST_RE2 = r"^https?://(?P<h>[a-z0-9.\-]+)"
+_STATIC_RE2 = (r"(?i)^[^?]*\.(?:" + "|".join(sorted(U.STATIC_EXTENSIONS))
+               + r")(?:\?|$)")
 
 
 def explode_spans(
@@ -300,12 +302,11 @@ class CandidateGauntlet:
             sp = urlsplit(initial_url)
             self.initial_scheme = sp.scheme or "https"
             self.initial_host = sp.hostname or ""
-        self._cache: dict = {}
-
-    CACHE_CAP = 1 << 18  # entries; cleared wholesale when exceeded
+        # rows the last __call__ sent to the scalar _derive (worker timing)
+        self.last_fallback_rows = 0
 
     def _derive(self, h: str, b: str) -> tuple:
-        """All per-(href, base) derivations, cached: canonical URL, host,
+        """All per-(href, base) derivations: canonical URL, host,
         same-host, allowed-domain matches, basename, robots verdict, and
         the final (query-filtered, length/include/ignore/transform
         checked) URL or None."""
@@ -326,23 +327,29 @@ class CandidateGauntlet:
         # robots on the RAW normalized href (crawler.rs:1113-1124);
         # static files bypass robots (robots_txt.rs:8-10,107)
         robots_ok = self.ignore_robots or static or self._robots_allowed(host, h)
-        if fast:
-            # the fast canon is already rendered; query filtering is a
-            # pure string op on it (identical to the full path's
-            # filter-before-render for safe strings)
-            if self.remove_query:
-                q = canon.find("?")
-                final = canon[:q] if q >= 0 else canon
-            elif self.keep_query:
-                final = U.filter_query_params(canon, self.keep_query)
-            else:
-                final = canon
+        if fast or not (self.remove_query or self.keep_query):
+            final = self._fast_query(canon)
         else:
             final = U.canonicalize(
                 h, b, remove_query_params=self.remove_query, keep_query_params=self.keep_query
             )
-        # force-relative folding happens after query filtering, before
-        # suitability (crawler.rs:1158-1164 ordering)
+        return (canon, host, same, allowed_s, allowed_c, basename, robots_ok,
+                self._finish(final, static))
+
+    def _fast_query(self, canon: str) -> str:
+        """Query filtering of an already-rendered fast-path canonical URL:
+        a pure string op (identical to the full path's filter-before-
+        render for the strings the fast path accepts)."""
+        if self.remove_query:
+            q = canon.find("?")
+            return canon[:q] if q >= 0 else canon
+        if self.keep_query:
+            return U.filter_query_params(canon, self.keep_query)
+        return canon
+
+    def _finish(self, final: str | None, static: bool) -> str | None:
+        """force-relative folding, then suitability (length, include,
+        ignore), then transforms — crawler.rs:1158-1164 ordering."""
         if final is not None and self.force_relative:
             final = U.normalize_url_to_initial(final, self.initial_scheme, self.initial_host)
         # static files bypass the include/ignore regexes when configured
@@ -358,7 +365,7 @@ class CandidateGauntlet:
             final = None
         if final is not None and self.transforms.rules:
             final = self.transforms.apply_one(final)
-        return (canon, host, same, allowed_s, allowed_c, basename, robots_ok, final)
+        return final
 
     def _requestable(self, batch: pa.Table) -> np.ndarray:
         # is_requestable_resource (utils.rs:607-633) on the RAW href,
@@ -373,186 +380,159 @@ class CandidateGauntlet:
             pc.or_(pc.invert(has_scheme), is_http),
         ).to_numpy(zero_copy_only=False)
 
-    def _ent_for(self, h: str, b: str) -> tuple:
-        """Cached per-(href, origin) derivation for base-independent href
-        shapes (path-absolute / protocol-relative / absolute); uncached
-        full derivation for base-relative hrefs."""
-        if h[:1] == "/" or U.HTTP_URL_RE.match(h):
-            cache = self._cache
-            key = (h, _origin_of(b))
-            ent = cache.get(key)
-            if ent is None:
-                ent = self._derive(h, b)
-                if len(cache) >= self.CACHE_CAP:
-                    cache.clear()
-                cache[key] = ent
-            return ent
-        # base-relative href: the (href, page) pair never repeats after
-        # per-page dedup — caching it only bloats the dict
-        return self._derive(h, b)
-
-    def _decide(self, batch: pa.Table) -> tuple:
-        """Vectorized gauntlet: derive once per unique (href, origin)
-        pair (dictionary-encoded in Arrow, so repeated hrefs never even
-        materialize as Python strings), then run the drop/skip/ok
-        cascade as numpy mask algebra over per-unique gathers.  Output
-        is element-wise identical to :meth:`_decide_rows` (the scalar
-        reference kept for parity tests).
-
-        Measured tradeoff (alternated extract_probe A/B at 8/16
-        workers): even on the synthetic scaling corpus — the WORST
-        case for this path, random cross-links make ~77% of hrefs
-        unique so per-unique work ≈ per-row work — it ties the scalar
-        loop within run noise.  On real web graphs, nav/asset hrefs
-        repeat on every page of an origin, so the unique count (and
-        the Python-string materialization, which the Arrow
-        dictionary_encode confines to dictionary values) collapses."""
-        n = batch.num_rows
-        requestable = self._requestable(batch)
-
-        nh_col = batch["norm_href"]
-        if isinstance(nh_col, pa.ChunkedArray):
-            nh_col = nh_col.combine_chunks()
-        src_col = batch["source_url"]
-        if isinstance(src_col, pa.ChunkedArray):
-            src_col = src_col.combine_chunks()
-
-        # unique hrefs / unique source pages / unique origins
-        nh_dict = nh_col.dictionary_encode()
-        h_idx = nh_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        h_uniq = nh_dict.dictionary.to_pylist()
-        src_dict = src_col.dictionary_encode()
-        s_idx = src_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        s_uniq = src_dict.dictionary.to_pylist()
-        omap: dict = {}
-        origins: list[str] = []
-        rep_base: list[str] = []  # a representative full base per origin
-        oid_of_src = np.empty(len(s_uniq), dtype=np.int64)
-        for i, b in enumerate(s_uniq):
-            o = _origin_of(b)
-            j = omap.get(o)
-            if j is None:
-                j = omap[o] = len(origins)
-                origins.append(o)
-                rep_base.append(b)
-            oid_of_src[i] = j
-        row_oid = oid_of_src[s_idx]
-
-        # href shape: base-independent (cacheable by origin) vs relative
-        indep = pc.or_(
-            pc.starts_with(nh_col, pattern="/"),
-            pc.match_substring_regex(nh_col, pattern=r"(?i)^https?://"),
-        ).to_numpy(zero_copy_only=False)
-
-        # per-row ent fields, gathered from per-unique derivations
-        canon = np.full(n, None, dtype=object)
-        same = np.zeros(n, dtype=bool)
-        allowed_s = np.zeros(n, dtype=bool)
-        allowed_c = np.zeros(n, dtype=bool)
-        robots_ok = np.zeros(n, dtype=bool)
-        final = np.full(n, None, dtype=object)
+    def _kernel_facts(self, nh: pa.Array, canon: pa.Array, link: np.ndarray) -> dict:
+        """Gauntlet facts for rows whose canonical URL the column kernels
+        rendered (``canon`` has no nulls): host facts once per distinct
+        host, static-file as one regex pass, robots only for rows that
+        pass the host check on a host with rules, config features
+        without a kernel once per distinct canonical URL."""
+        n = len(canon)
+        host = pc.struct_field(pc.extract_regex(canon, pattern=_CANON_HOST_RE2), [0])
+        hd = host.dictionary_encode()
+        hi = hd.indices.to_numpy(zero_copy_only=False)
+        hosts = hd.dictionary.to_pylist()
+        same = np.array([U.is_same_host(h, self.seed_host) for h in hosts], dtype=bool)
+        als = np.array([not s and any(p.match(h) for p in self.allowed_static)
+                        for h, s in zip(hosts, same)], dtype=bool)[hi]
+        alc = np.array([not s and any(p.match(h) for p in self.allowed_crawl)
+                        for h, s in zip(hosts, same)], dtype=bool)[hi]
+        same = same[hi]
+        # U.is_static_file: (?i) folds exactly like str.lower() on ASCII
+        # input only, so non-ASCII URLs take the scalar function
+        static = pc.match_substring_regex(canon, pattern=_STATIC_RE2).to_numpy(
+            zero_copy_only=False)
+        odd = np.nonzero(~pc.string_is_ascii(canon).to_numpy(zero_copy_only=False))[0]
+        for i, c in zip(odd, canon.take(pa.array(odd)).to_pylist()):
+            static[i] = U.is_static_file(c)
+        robots_ok = np.ones(n, dtype=bool)
+        if not self.ignore_robots:
+            need = ~static & (same | alc | (als & ~link))
+            for k, h in enumerate(hosts):
+                rules = self.robots.by_host.get(h)
+                if rules is None or not rules.disallowed:
+                    continue
+                rows = np.nonzero(need & (hi == k))[0]
+                if len(rows):
+                    robots_ok[rows] = rules.allowed_mask(nh.take(pa.array(rows)))
+        scalar_final = (self.keep_query or self.force_relative or self.include
+                        or self.ignore or self.transforms.rules)
         bn_block = np.zeros(n, dtype=bool)
-        blocklist = self.basename_blocklist
+        if scalar_final or self.basename_blocklist:
+            cd = canon.dictionary_encode()
+            ci = cd.indices.to_numpy(zero_copy_only=False)
+            uniq = cd.dictionary.to_pylist()
+            if self.basename_blocklist:
+                bl = self.basename_blocklist
+                bn_block = np.array([U.basename_of(c) in bl for c in uniq], dtype=bool)[ci]
+        if scalar_final:
+            final = pa.array([self._finish(self._fast_query(c), U.is_static_file(c))
+                              for c in uniq], pa.string()).take(cd.indices)
+        else:
+            final = canon
+            if self.remove_query:
+                final = pc.replace_substring_regex(final, pattern=r"(?s)\?.*",
+                                                   replacement="", max_replacements=1)
+            final = pc.if_else(pc.less_equal(pc.utf8_length(final), self.max_url_length),
+                               final, pa.scalar(None, pa.string()))
+        return {"host": host, "same": same, "als": als, "alc": alc,
+                "robots_ok": robots_ok, "bn_block": bn_block, "final": final}
 
-        ci = np.nonzero(indep & requestable)[0]
-        if len(ci):
-            n_org = len(origins)
-            pairkey = h_idx[ci] * n_org + row_oid[ci]
-            upair, inv = np.unique(pairkey, return_inverse=True)
-            m = len(upair)
-            u_canon = np.empty(m, dtype=object)
-            u_same = np.empty(m, dtype=bool)
-            u_als = np.empty(m, dtype=bool)
-            u_alc = np.empty(m, dtype=bool)
-            u_rob = np.empty(m, dtype=bool)
-            u_final = np.empty(m, dtype=object)
-            u_bn = np.zeros(m, dtype=bool)
-            cache = self._cache
-            cap = self.CACHE_CAP
-            derive = self._derive
-            for k in range(m):
-                pk = int(upair[k])
-                h = h_uniq[pk // n_org]
-                o = origins[pk % n_org]
-                key = (h, o)
-                ent = cache.get(key)
-                if ent is None:
-                    ent = derive(h, rep_base[pk % n_org])
-                    if len(cache) >= cap:
-                        cache.clear()
-                    cache[key] = ent
-                u_canon[k] = ent[0]
-                u_same[k] = ent[2] or False
-                u_als[k] = ent[3] or False
-                u_alc[k] = ent[4] or False
-                u_rob[k] = ent[6] or False
-                u_final[k] = ent[7]
-                bn = ent[5]
-                if bn is not None and bn in blocklist:
-                    u_bn[k] = True
-            canon[ci] = u_canon[inv]
-            same[ci] = u_same[inv]
-            allowed_s[ci] = u_als[inv]
-            allowed_c[ci] = u_alc[inv]
-            robots_ok[ci] = u_rob[inv]
-            final[ci] = u_final[inv]
-            bn_block[ci] = u_bn[inv]
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        """→ rows tagged ``ok`` (enqueue candidates) or ``skip`` (recorded
+        with a reason); silently-dropped rows are removed.
 
-        ri = np.nonzero(~indep & requestable)[0]
-        if len(ri):
-            derive = self._derive
-            for i in ri:
-                ent = derive(h_uniq[h_idx[i]], s_uniq[s_idx[i]])
+        Column path: :func:`U.canonicalize_pairs` renders the common href
+        shapes for the whole batch and :meth:`_kernel_facts` judges them;
+        the rows it cannot model go to the scalar :meth:`_derive` once
+        per distinct (href, base) pair.  Element-wise identical to
+        :meth:`_decide_rows` (the scalar reference kept for parity
+        tests)."""
+        n = batch.num_rows
+        nh = _combined(batch["norm_href"])
+        requestable = self._requestable(batch)
+        link = pc.equal(batch["kind"], "link").to_numpy(zero_copy_only=False)
+        canon = U.canonicalize_pairs(nh, batch["source_url"])
+        kern = requestable & pc.is_valid(canon).to_numpy(zero_copy_only=False)
+        ki = np.nonzero(kern)[0]
+        fi = np.nonzero(requestable & ~kern)[0]
+        self.last_fallback_rows = len(fi)
+
+        has_canon = kern.copy()
+        same = np.zeros(n, dtype=bool)
+        als = np.zeros(n, dtype=bool)
+        alc = np.zeros(n, dtype=bool)
+        robots_ok = np.zeros(n, dtype=bool)
+        has_final = np.zeros(n, dtype=bool)
+        bn_block = np.zeros(n, dtype=bool)
+        k_canon = canon.take(pa.array(ki))
+        kf = self._kernel_facts(nh.take(pa.array(ki)), k_canon, link[ki])
+        same[ki], als[ki], alc[ki] = kf["same"], kf["als"], kf["alc"]
+        robots_ok[ki], bn_block[ki] = kf["robots_ok"], kf["bn_block"]
+        has_final[ki] = pc.is_valid(kf["final"]).to_numpy(zero_copy_only=False)
+
+        # scalar fallback, once per distinct (href, base) pair
+        f_ent: list[tuple] = []
+        if len(fi):
+            fsel = pa.array(fi)
+            hd = nh.take(fsel).dictionary_encode()
+            sd = _combined(batch["source_url"]).take(fsel).dictionary_encode()
+            h_idx = hd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+            s_idx = sd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+            _, first, inv = np.unique(h_idx * len(sd.dictionary) + s_idx,
+                                      return_index=True, return_inverse=True)
+            hs = hd.dictionary.take(pa.array(h_idx[first])).to_pylist()
+            bs = sd.dictionary.take(pa.array(s_idx[first])).to_pylist()
+            uents = [self._derive(h, b) for h, b in zip(hs, bs)]
+            f_ent = [uents[j] for j in inv]
+            bl = self.basename_blocklist
+            for i, ent in zip(fi, f_ent):
                 if ent[0] is None:
                     continue
-                canon[i] = ent[0]
-                same[i] = ent[2]
-                allowed_s[i] = ent[3]
-                allowed_c[i] = ent[4]
-                robots_ok[i] = ent[6]
-                final[i] = ent[7]
-                bn = ent[5]
-                if bn is not None and bn in blocklist:
-                    bn_block[i] = True
+                has_canon[i] = True
+                same[i], als[i], alc[i], robots_ok[i] = ent[2], ent[3], ent[4], ent[6]
+                has_final[i] = ent[7] is not None
+                bn_block[i] = ent[5] is not None and ent[5] in bl
 
         # decision cascade as mask algebra (same order as _decide_rows:
         # host-skip > robots-skip > depth-skip > final-drop > ok)
-        kinds_not_link = pc.not_equal(batch["kind"], "link").to_numpy(
-            zero_copy_only=False)
-        has_canon = np.array([c is not None for c in canon], dtype=bool)
-        und = requestable & has_canon & ~bn_block
-        allowed = allowed_c | (allowed_s & kinds_not_link)
-        skip_host = und & ~same & ~allowed
-        rem = und & ~skip_host
+        rem = requestable & has_canon & ~bn_block
+        skip_host = rem & ~same & ~(alc | (als & ~link))
+        rem &= ~skip_host
         skip_robots = rem & ~robots_ok
         rem &= ~skip_robots
+        skip_depth = np.zeros(n, dtype=bool)
         if self.max_depth is not None:
-            depths = batch["depth"].to_numpy(zero_copy_only=False)
-            skip_depth = rem & (depths.astype(np.int64) > self.max_depth)
+            depth = batch["depth"].to_numpy(zero_copy_only=False).astype(np.int64)
+            skip_depth = rem & (depth > self.max_depth)
             rem &= ~skip_depth
-        else:
-            skip_depth = np.zeros(n, dtype=bool)
-        has_final = np.array([f is not None for f in final], dtype=bool)
         ok = rem & has_final
-
-        tag = np.full(n, "", dtype=object)
-        skip_any = skip_host | skip_robots | skip_depth
-        tag[skip_any] = "skip"
-        tag[ok] = "ok"
         reason = np.zeros(n, dtype=np.int8)
         reason[skip_host] = SkippedReason.NOT_ALLOWED_HOST
         reason[skip_robots] = SkippedReason.ROBOTS_TXT
         reason[skip_depth] = SkippedReason.EXCEEDS_MAX_DEPTH
-        url = np.full(n, None, dtype=object)
-        url[ok] = final[ok]
-        skip_url = np.full(n, None, dtype=object)
-        sel = skip_any | ok
-        skip_url[sel] = canon[sel]
-        return url, skip_url, tag, reason
+        keep = ok | (reason != 0)
+        # kept rows' URL (final when ok, else canonical) and host, kernel
+        # rows as Arrow, fallback rows from their derivations, then put
+        # back in row order
+        kk = keep[ki]
+        k_url = pc.if_else(pa.array(ok[ki]), kf["final"], k_canon).filter(pa.array(kk))
+        k_host = kf["host"].filter(pa.array(kk))
+        f_rows = [(i, e) for i, e in zip(fi, f_ent) if keep[i]]
+        rows = np.concatenate([ki[kk], np.array([i for i, _ in f_rows], dtype=np.int64)])
+        url_arr = pa.concat_arrays([k_url, pa.array(
+            [e[7] if ok[i] else e[0] for i, e in f_rows], pa.string())])
+        hosts = pa.concat_arrays([k_host, pa.array([e[1] for _, e in f_rows], pa.string())])
+        if len(f_rows):
+            order = pa.array(np.argsort(rows, kind="stable"))
+            rows, url_arr, hosts = rows[order.to_numpy()], url_arr.take(order), hosts.take(order)
+        if self.force_relative or self.transforms.rules:
+            # both may rewrite an ok row's host
+            hosts = U.hosts_of(url_arr, return_arrow=True)
+        return _candidate_table(batch, rows, url_arr, hosts, ok[rows], reason[rows])
 
     def _decide_rows(self, batch: pa.Table) -> tuple:
         """Scalar reference decision loop — semantics-defining twin of
-        :meth:`_decide`, kept for the element-wise parity test."""
+        :meth:`__call__`, kept for the element-wise parity tests."""
         hrefs = batch["norm_href"].to_numpy(zero_copy_only=False)
         sources = batch["source_url"].to_numpy(zero_copy_only=False)
         kinds = batch["kind"].to_numpy(zero_copy_only=False)
@@ -572,8 +552,8 @@ class CandidateGauntlet:
             if not requestable[i]:
                 tag[i] = ""
                 continue
-            ent = self._ent_for(h, b)
-            canon, host, same, allowed_s, allowed_c, basename, robots_ok, final = ent
+            canon, host, same, allowed_s, allowed_c, basename, robots_ok, final = (
+                self._derive(h, b))
             if canon is None:
                 tag[i] = ""
                 continue
@@ -604,48 +584,56 @@ class CandidateGauntlet:
             skip_url[i] = canon
         return url, skip_url, tag, reason
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """→ rows tagged ``ok`` (enqueue candidates) or ``skip`` (recorded
-        with a reason); silently-dropped rows are removed."""
-        url, skip_url, tag, reason = self._decide(batch)
-        keep = np.nonzero(tag != "")[0]
-        out_url = np.where(tag == "ok", url, skip_url)[keep]
-        kept = batch.take(pa.array(keep))
-        # encode the URLs to Arrow ONCE; hashing and host extraction both
-        # read the Arrow buffers (the object-array round trips re-encoded
-        # every URL twice before r4)
-        url_arr = pa.array(out_url, type=pa.string())
-        keys = xxh64_strings(url_arr)
-        extract_idx = kept["extract_idx"].to_numpy(zero_copy_only=False)
-        if len(extract_idx) and int(extract_idx.max()) >= PRIO_SHIFT:
-            raise ValueError(
-                f"page exceeds {PRIO_SHIFT} extracted spans — priority packing "
-                "would collide and corrupt BFS order (raise PRIO_SHIFT)"
-            )
-        prio = (
-            kept["source_wavepos"].to_numpy(zero_copy_only=False) * PRIO_SHIFT
-            + extract_idx
-        )
-        hosts = U.hosts_of(url_arr, return_arrow=True)
-        return pa.table(
-            {
-                "url": url_arr,
-                "url_key": pa.array(keys, type=pa.uint64()),
-                "host": hosts,
-                "tag": pa.array(tag[keep], type=pa.string()),
-                "reason": pa.array(reason[keep], type=pa.int8()),
-                "source_uq_id": kept["source_uq_id"],
-                "source_attr": kept["source_attr"],
-                "priority": pa.array(prio, type=pa.int64()),
-                "depth": kept["depth"],
-            }
-        )
+    def _call_rows(self, batch: pa.Table) -> pa.Table:
+        """:meth:`__call__`'s output built from :meth:`_decide_rows` — the
+        table the parity tests compare the column path against."""
+        url, skip_url, tag, reason = self._decide_rows(batch)
+        rows = np.nonzero(tag != "")[0]
+        ok = tag[rows] == "ok"
+        url_arr = pa.array(list(np.where(ok, url[rows], skip_url[rows])), pa.string())
+        return _candidate_table(batch, rows, url_arr, U.hosts_of(url_arr, return_arrow=True),
+                                ok, reason[rows])
 
     def _robots_allowed(self, host: str, raw_href: str) -> bool:
         rules = self.robots.by_host.get(host)
         if rules is None:
             return True
         return rules.is_allowed(raw_href)
+
+
+def _combined(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _candidate_table(batch: pa.Table, rows: np.ndarray, url: pa.Array, hosts: pa.Array,
+                     ok: np.ndarray, reason: np.ndarray) -> pa.Table:
+    """The gauntlet's output for the kept ``rows`` of ``batch`` (in row
+    order): URL (final when ok, canonical when skipped), its key and
+    host, tag, skip reason and BFS priority."""
+    kept = batch.take(pa.array(rows, pa.int64()))
+    extract_idx = kept["extract_idx"].to_numpy(zero_copy_only=False)
+    if len(extract_idx) and int(extract_idx.max()) >= PRIO_SHIFT:
+        raise ValueError(
+            f"page exceeds {PRIO_SHIFT} extracted spans — priority packing "
+            "would collide and corrupt BFS order (raise PRIO_SHIFT)"
+        )
+    prio = (
+        kept["source_wavepos"].to_numpy(zero_copy_only=False) * PRIO_SHIFT
+        + extract_idx
+    )
+    return pa.table(
+        {
+            "url": url,
+            "url_key": pa.array(xxh64_strings(url), type=pa.uint64()),
+            "host": hosts,
+            "tag": pa.array(np.where(ok, "ok", "skip"), type=pa.string()),
+            "reason": pa.array(reason, type=pa.int8()),
+            "source_uq_id": kept["source_uq_id"],
+            "source_attr": kept["source_attr"],
+            "priority": pa.array(prio, type=pa.int64()),
+            "depth": kept["depth"],
+        }
+    )
 
 
 def extract_title_extras(batch: pa.Table) -> dict[str, np.ndarray]:

@@ -145,7 +145,7 @@ class CrawlWorker:
         if not len(idx):
             self._last_full = None
             return None, [], {"rows": 0, "cands_raw": 0, "n_ok": 0, "fetch": 0.0,
-                              "write": 0.0, "extract": 0.0,
+                              "write": 0.0, "extract": 0.0, "gauntlet_fallback": 0,
                               "t_enter": t_enter, "t_exit": time.time()}
         chunk = wave if len(idx) == len(keys) else wave.take(pa.array(idx))
         cands, non200, timing = self.process(chunk, vdir, worker_id)
@@ -210,6 +210,9 @@ class CrawlWorker:
             "fetch": round(t1 - t0, 4),
             "write": round(t2 - t1, 4),
             "extract": round(t3 - t2, 4),
+            # candidate rows the gauntlet's column kernels could not
+            # model (scalar per-pair fallback)
+            "gauntlet_fallback": self.gauntlet.last_fallback_rows if pages.num_rows else 0,
         }
         return cands, non200, timing
 

@@ -122,18 +122,31 @@ def test_engine_oracle_parity_with_force_relative(tmp_path, ray_session):
     )
 
 
-def test_gauntlet_vectorized_decide_matches_scalar():
-    """`CandidateGauntlet._decide` (unique-pair vectorized) must be
-    element-wise identical to `_decide_rows` (the scalar reference
-    loop) across href shapes: path-absolute, protocol-relative,
-    absolute (mixed case), bare-relative, dot-relative, fragments,
-    unrequestable schemes, foreign hosts, robots-blocked paths,
-    depth overflow and a basename blocklist hit."""
+@pytest.mark.parametrize("cfg", [
+    {},
+    {"remove_query_params": True},
+    {"keep_query_params": ("q",)},
+    {"include_regex": (r"/a/|rel",), "regex_filtering_only_for_pages": True},
+    {"ignore_regex": ("secret",), "transform_url": ("example.com -> example.net",)},
+    {"force_relative_urls": True, "initial_url": "https://www.example.com/"},
+    {"ignore_robots_txt": True, "max_url_length": 60},
+])
+def test_gauntlet_call_matches_scalar_reference(cfg):
+    """`CandidateGauntlet.__call__` (Arrow column kernels + per-pair
+    fallback) must return exactly the table built from `_decide_rows`
+    (the scalar reference loop), row for row and column for column,
+    across href shapes: path-absolute, protocol-relative, absolute
+    (mixed case), bare-relative, dot-relative, fragments, ports,
+    userinfo, non-ASCII, encodings, params, dot segments, odd bases,
+    unrequestable schemes, foreign hosts, robots-blocked paths (incl. a
+    `$`+`*` rule), depth overflow, over-length URLs and a basename
+    blocklist hit — under each config feature that has no kernel."""
     import numpy as np
     import pyarrow as pa
 
     robots = RobotsIndex.from_bodies({
-        "example.com": "User-agent: *\nDisallow: /private/\n",
+        "example.com": ("User-agent: *\nDisallow: /private/\nDisallow: /*.bin$\n"
+                        "Disallow: /a*z\nAllow: /a/ok\nDisallow: /Ünï\n"),
         "cdn.example.com": "User-agent: *\nDisallow: /\n",
     })
     hrefs = [
@@ -144,23 +157,41 @@ def test_gauntlet_vectorized_decide_matches_scalar():
         "/private/secret.html", "deep.html", "/a//double.html",
         "page.html?q=1&r=2", "/q?", "x.html;p=1", "",
         "/exact-dup.html", "/exact-dup.html", "notfound.bin",
+        # ports: explicit, default, zero-padded, out of range
+        "http://example.com:8080/p", "https://example.com:443/p",
+        "http://example.com:80/p", "https://example.com:0443/p",
+        "https://example.com:70000/p", "HTTP://Example.COM:8080/Q#f",
+        # userinfo, non-ASCII hosts and paths
+        "https://user:pw@example.com/u", "https://exämple.com/p",
+        "https://example.com/pä/ß", "/Ünïcode/path", "ünï/rel",
+        # %, ; and dot segments
+        "/a%20b", "/p;x", "/p;", "/x/./y", "/x/../y", "../up.html", "./",
+        "a/./b", ".hidden", "https://example.com/a?x=1&", "sub//x.html", "./a//b",
+        # robots rules: $+* (scalar matcher), * prefix, allow override
+        "/dir/file.bin", "/dir/file.bin?x", "/abcz", "/a/ok/z",
+        # static files bypass robots; "ſ" case-folds to "s" in RE2 but
+        # str.lower() keeps it, so ".xlſ" is not a static extension
+        "/private/doc.PDF", "/private/sheet.xlſ", "/private/clip.mKv",
+        # over-length URL
+        "/" + "long/" * 500,
     ]
     n = len(hrefs)
     rng = np.random.default_rng(3)
-    sources = [
-        ["https://example.com/", "https://example.com/sub/dir/page.html",
-         "https://example.com/other/"][rng.integers(0, 3)]
-        for _ in range(n)
+    bases = [
+        "https://example.com/", "https://example.com/sub/dir/page.html",
+        "https://example.com/other/", "https://example.com/q/page?x=1&y=/z",
+        "https://example.com/a//b/page", "https://example.com/d;p/page",
+        "http://example.com:8080/port/page", "HTTPS://EXAMPLE.COM/up/",
+        "https://example.com/%7Euser/page",
     ]
-    kinds = [["link", "img", "script"][rng.integers(0, 3)] for _ in range(n)]
+    sources = [bases[i] for i in rng.integers(0, len(bases), size=n)]
+    kinds = [["link", "img", "script"][i] for i in rng.integers(0, 3, size=n)]
     depths = rng.integers(0, 6, size=n).astype(np.int32)
 
     def mk():
-        g = CandidateGauntlet(
-            robots, "example.com",
-            allowed_domains_static=("static.*",),
-            max_depth=4, remove_query_params=False,
-        )
+        kw = dict(allowed_domains_static=("static.*",), max_depth=4)
+        kw.update(cfg)
+        g = CandidateGauntlet(robots, "example.com", **kw)
         g.basename_blocklist = frozenset({"exact-dup.html"})
         return g
 
@@ -173,12 +204,14 @@ def test_gauntlet_vectorized_decide_matches_scalar():
         "extract_idx": pa.array(np.zeros(n, np.int64)),
         "depth": pa.array(depths),
     })
-    u1, s1, t1, r1 = mk()._decide(batch)
-    u2, s2, t2, r2 = mk()._decide_rows(batch)
-    assert list(t1) == list(t2)
-    assert list(r1) == list(r2)
-    kept = [i for i in range(n) if t1[i]]
-    assert [u1[i] for i in kept] == [u2[i] for i in kept]
-    assert [s1[i] for i in kept] == [s2[i] for i in kept]
-    # at least one row of each decision class actually occurred
-    assert {"", "skip", "ok"} <= set(t1)
+    got = mk()(batch)
+    want = mk()._call_rows(batch)
+    assert got.schema == want.schema
+    for name in got.column_names:
+        assert got[name].to_pylist() == want[name].to_pylist(), name
+    # every decision class occurred, and both paths were exercised
+    tags = set(got["tag"].to_pylist())
+    assert {"skip", "ok"} <= tags and got.num_rows < n
+    g = mk()
+    g(batch)
+    assert 0 < g.last_fallback_rows < n

@@ -289,3 +289,98 @@ def test_arbitrary_port_strings_never_crash_and_agree(scheme, host, port, rest):
     vec = U.canonicalize_urls([href])[0]
     want = full if full is not None and len(full) <= U.DEFAULT_MAX_URL_LENGTH else None
     assert vec == want, (href, vec, want)
+
+
+_href_chars = st.sampled_from(list("aZ09/.-_?=&#%;:@ ") + ["//", "./", "../", "é", " ",
+                                                         "\t", "&amp;", "K"])
+_pieces = st.lists(_href_chars, max_size=8).map("".join)
+_hrefs = st.one_of(
+    _pieces,
+    st.tuples(st.sampled_from(["/", "//a.test/", "//A.test:8080/", "https://a.test/",
+                               "HTTP://WWW.B.TEST/", "https://x.test:443/", "http://u@a.test/",
+                               "./", "", "http://a.test:0080/", "https://b.test:65536/"]),
+              _pieces).map("".join),
+    absolute_urls(),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=30),
+)
+_bases = st.one_of(
+    absolute_urls(),
+    st.tuples(absolute_urls(), st.sampled_from(["", "?q=1", "//x", ";p", "/a b", "#f", "?",
+                                                ":8080", "%41"])).map("".join),
+    absolute_urls().map(lambda u: u.replace("://", "://WWW.", 1).upper()),
+    absolute_urls().map(lambda u: u.replace(".test", ".test:8443", 1)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_hrefs, _bases), min_size=1, max_size=16))
+def test_canonicalize_pairs_matches_full(pairs):
+    """Wherever the column canonicalizer renders a URL, it is the full
+    canonicalizer's answer."""
+    import pyarrow as pa
+
+    hrefs, bases = (list(c) for c in zip(*pairs))
+    got = U.canonicalize_pairs(pa.array(hrefs), pa.array(bases)).to_pylist()
+    for h, b, c in zip(hrefs, bases, got):
+        if c is not None:
+            assert c == U.canonicalize(h, b), (h, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_hrefs, _bases, st.sampled_from(["link", "img"])),
+                min_size=1, max_size=16),
+       st.sampled_from([{}, {"remove_query_params": True}, {"keep_query_params": ("a",)},
+                        {"allowed_domains_crawl": ("*.b.test",), "max_url_length": 40}]))
+def test_gauntlet_call_matches_scalar_rows(rows, cfg):
+    """Random href/base batches: the gauntlet's column path returns the
+    same table as the one built from the scalar `_decide_rows`."""
+    import pyarrow as pa
+
+    from siteone_crawler_ray.functions.robots import RobotsIndex
+    from siteone_crawler_ray.stages.extract import CandidateGauntlet
+
+    robots = RobotsIndex.from_bodies({
+        "a.test": "User-agent: *\nDisallow: /a\nAllow: /a/b\nDisallow: /*.Z$\n",
+        "www.b.test": "User-agent: *\nDisallow: /*9\n",
+    })
+    n = len(rows)
+    hrefs, bases, kinds = (list(c) for c in zip(*rows))
+    batch = pa.table({
+        "href": hrefs, "norm_href": hrefs, "kind": kinds, "source_url": bases,
+        "source_uq_id": ["s"] * n,
+        "source_wavepos": pa.array(np.arange(n, dtype=np.int64)),
+        "source_attr": pa.array(np.full(n, 10, np.int8)),
+        "extract_idx": pa.array(np.zeros(n, np.int64)),
+        "depth": pa.array(np.ones(n, np.int32)),
+    })
+
+    def mk():
+        return CandidateGauntlet(robots, "a.test", **cfg)
+
+    got, want = mk()(batch), mk()._call_rows(batch)
+    for name in want.column_names:
+        assert got[name].to_pylist() == want[name].to_pylist(), (name, rows)
+
+
+_rule_chars = st.sampled_from(list("/ab.*?K") + ["é", "İ", "K"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["Allow", "Disallow"]),
+                          st.lists(_rule_chars, min_size=1, max_size=6).map("".join),
+                          st.sampled_from(["", "$"])),
+                max_size=5),
+       st.lists(st.tuples(st.sampled_from(["", "https://h.test", "http://h.test/x?y=/"]),
+                          st.lists(st.sampled_from(list("/abAB.?*K$") + ["é", "İ", ".js"]),
+                                   max_size=8).map("".join)).map("".join),
+                min_size=1, max_size=12))
+def test_robots_allowed_mask_matches_is_allowed(rules, urls):
+    """Rules compiled to RE2 (and the scalar `$`+`*` matcher) decide every
+    URL exactly as `RobotsRules.is_allowed`."""
+    import pyarrow as pa
+
+    from siteone_crawler_ray.functions.robots import parse_robots
+
+    r = parse_robots("User-agent: *\n" + "".join(f"{k}: {p}{e}\n" for k, p, e in rules))
+    got = r.allowed_mask(pa.array(urls, pa.string()))
+    assert list(got) == [r.is_allowed(u) for u in urls], (r, urls)
