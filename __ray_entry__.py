@@ -914,9 +914,11 @@ def _oracle_paths() -> tuple[str, str]:
 # forbids aggregates in a recursive term, so each iteration is its own
 # CTE — r_{k+1}(v) = (1-d)/N + d * sum over incoming edges of r_k/deg,
 # the exact rule stages/graph.py::pagerank computes distributed.
+# MATERIALIZED: each r_{k+1} reads r_k twice, and DuckDB 1.0.0 inlines
+# a plain CTE at every reference, so the plan held 2^10 chain copies.
 _PAGERANK_ITERS = 10
 _PAGERANK_CHAIN = ",\n            ".join(
-    f"r{i + 1} AS (SELECT v.id, (1 - 0.85) / p.n + 0.85 * COALESCE(c.s, 0) AS r "
+    f"r{i + 1} AS MATERIALIZED (SELECT v.id, (1 - 0.85) / p.n + 0.85 * COALESCE(c.s, 0) AS r "
     f"FROM r{i} v CROSS JOIN nd p LEFT JOIN ("
     f"SELECT e.dst AS id, sum(rr.r / dg.deg) AS s FROM pedges e "
     f"JOIN r{i} rr ON rr.id = e.src JOIN pdeg dg ON dg.src = e.src "

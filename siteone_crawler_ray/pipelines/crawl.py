@@ -9,9 +9,9 @@ SURVEY.md §3.2:
     fused  = CrawlWorker.process_shared (stages/worker.py), one call per
              wave chunk: fetch → write visited parquet part (the
              checkpointed lineage) → explode_spans → candidate gauntlet
-             → candidates split by frontier shard.  Narrow waves run on
-             the driver-local worker, wide ones fan out to persistent
-             actors created once per run; both return the same parts
+             → candidates split by frontier shard.  Every wave fans
+             out to the first K = clamp(ceil(sqrt(W/16))) of the
+             persistent worker actors created once per run
     ingest = every shard takes its own slice of those parts: skips
              first-wins, then admit (dedup first-wins by priority →
              shard contains → caps → offer)
@@ -54,8 +54,7 @@ from ..functions.hashing import uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
 from ..stages.frontier import make_shard_actors, shard_of
-from ..stages.worker import (CrawlWorker, adaptive_worker_count, clamp_worker_count,
-                             make_crawl_workers)
+from ..stages.worker import adaptive_worker_count, clamp_worker_count, make_crawl_workers
 from ..types import UrlSource
 
 
@@ -104,12 +103,6 @@ class CrawlConfig:
     num_shards: int = 8
     fetch_concurrency: int | None = None  # None → adaptive to cluster CPUs
     filter_capacity: int = 1 << 20
-    # waves smaller than this are processed by the driver-local worker
-    # (identical code path/output): dispatching a handful of URLs to
-    # remote actors costs more than the work.  Remote workers stay warm
-    # (preloaded buckets, hot memo caches) so the bar is low.  At 100 TB
-    # waves are millions of rows and always fan out.
-    ray_wave_threshold: int = 48
 
     def fingerprint(self) -> str:
         from ..functions.hashing import xxh64
@@ -208,9 +201,8 @@ class EpochCrawler:
         self.metrics: dict = {"epochs": []}
         self._shards: list = []
         self._workers: list = []
-        self._local_worker: CrawlWorker | None = None
         self._blocklist: frozenset = frozenset()
-        self._epoch_workers_used = None
+        self._epoch_workers_used: list = []
         # fire-and-forget refs from the PREVIOUS epoch (fast-path ingest
         # + shard checkpoint): Ray actor tasks run in submission order,
         # so the next drain/admit already serializes behind them on each
@@ -224,7 +216,8 @@ class EpochCrawler:
         self._shards = make_shard_actors(self.cfg.num_shards, self.cfg.filter_capacity)
         # clamp a user-requested pool to schedulable CPUs — an oversized
         # pool of 1-CPU actors would pend forever and deadlock the
-        # warm-up ray.get (wizard Stress Test --workers=20 on a small box)
+        # warm-up ray.get (wizard Stress Test --workers=20 on a small box).
+        # 0 (no whole CPU left) still builds one zero-CPU worker.
         k = clamp_worker_count(
             self.cfg.fetch_concurrency or adaptive_worker_count(self.cfg.num_shards),
             num_shards=self.cfg.num_shards)
@@ -233,19 +226,10 @@ class EpochCrawler:
             corpus_path=self.corpus_path,
             gauntlet_kwargs=self._gauntlet_kwargs(),
             max_reqs_per_sec=self.cfg.max_reqs_per_sec,
-            budget_split=1 if self.cfg.routing == "host" else k,
+            # host routing gives each host ONE worker's bucket; bucket
+            # routing splits the budget across the pool (ADVICE r1)
+            budget_split=1 if self.cfg.routing == "host" else max(1, k),
             storage_compression=self.cfg.storage_compression,
-        )
-        self._local_worker = CrawlWorker(
-            corpus_path=self.corpus_path,
-            gauntlet_kwargs=self._gauntlet_kwargs(),
-            max_reqs_per_sec=self.cfg.max_reqs_per_sec,
-            storage_compression=self.cfg.storage_compression,
-            # host routing gives each host ONE worker's bucket (split=1,
-            # matching the remote-worker construction); bucket routing
-            # splits the budget across the pool (ADVICE r1)
-            budget_split=1 if self.cfg.routing == "host" else max(1, len(self._workers)),
-            arrow_threads=None,  # don't clamp the driver's Arrow pool
         )
 
     def _shard_call(self, method: str, *args, per_shard: list[tuple] | None = None) -> list:
@@ -302,14 +286,14 @@ class EpochCrawler:
     def run_epoch(self) -> int:
         """Process one wave; returns number of pages visited (0 → done).
 
-        The wave never lands on the driver unless it is narrow enough
-        for the driver-local worker: shard drains flow as object
-        refs into :meth:`FrontierShardState.assemble_wave` on shard 0,
-        workers self-select rows from its output object, and their
-        per-shard candidate parts flow as refs straight to the frontier
-        shards (each reads its own slice from plasma, zero-copy).  The
-        driver handles only scalars: W, candidate counts, basename
-        counts, timings."""
+        Every wave takes one path and never lands on the driver: shard
+        drains flow as object refs into
+        :meth:`FrontierShardState.assemble_wave` on shard 0, the first
+        K pool workers self-select rows from its output object, and
+        their per-shard candidate parts flow as refs straight to the
+        frontier shards (each reads its own slice from plasma,
+        zero-copy).  W decides only K.  The driver handles only
+        scalars: W, candidate counts, basename counts, timings."""
         t0 = time.perf_counter()
         want_hosts = self.cfg.routing == "host"
         part_refs = [s.drain.remote() for s in self._shards]
@@ -332,53 +316,42 @@ class EpochCrawler:
         )
         if bl != self._blocklist:  # re-broadcast only on change (rare)
             self._blocklist = bl
-            self._local_worker.set_blocklist(bl)
-            if self._workers:
-                ray.get([w.set_blocklist.remote(bl) for w in self._workers])
+            ray.get([w.set_blocklist.remote(bl) for w in self._workers])
 
         t_fetch = time.perf_counter()
         t_dispatch_wall = time.time()
-        if self._workers and W >= self.cfg.ray_wave_threshold:
-            # ramp-up/tail waves: K ≈ sqrt(W/16) balances per-actor
-            # dispatch+straggler cost (~10-15 ms) against W/K work; big
-            # waves use every worker
-            workers = self._workers[: max(1, min(len(self._workers),
-                                                 int(np.ceil(np.sqrt(W / 16)))))]
-            K = len(workers)
-            # bucket-affine routing: worker (url_key % NB) % K — each
-            # worker's corpus-bucket cache stays a fixed 1/K subset
-            # instead of every worker faulting in every bucket.
-            salt_map = None
-            if want_hosts:
-                # hot-host salting: a host holding more than 2 fair
-                # shares of the wave spreads across S workers (rate/S
-                # per bucket — SURVEY §7.5)
-                uniq, cnt = meta["hosts"]
-                fair = max(1, -(-W // K))
-                salt_map = {
-                    str(h): int(min(K, -(-c // fair)))
-                    for h, c in zip(uniq, cnt)
-                    if c > 2 * fair
-                }
-            triplets = [
-                w.process_shared.options(num_returns=3).remote(
-                    wave, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
-                    self.cfg.num_shards,
-                )
-                for i, w in enumerate(workers)
-            ]
-            parts = [t[0] for t in triplets]
-            non200_lists = ray.get([t[1] for t in triplets])
-            timings = ray.get([t[2] for t in triplets])
-            self._epoch_workers_used = list(workers)
-        else:
-            part, non200, tm = self._local_worker.process_shared(
-                ray.get(wave), 0, 1, self.num_buckets, vdir, self.cfg.routing, None,
-                self.cfg.num_shards)
-            # one object for every shard, like a remote worker's output
-            parts = [ray.put(part)]
-            non200_lists, timings = [non200], [tm]
-            self._epoch_workers_used = None
+        # K ≈ sqrt(W/16) balances per-actor dispatch+straggler cost
+        # (~10-15 ms) against W/K work: K = 1 up to 16 rows, big waves
+        # use every worker
+        workers = self._workers[: max(1, min(len(self._workers),
+                                             int(np.ceil(np.sqrt(W / 16)))))]
+        K = len(workers)
+        # bucket-affine routing: worker (url_key % NB) % K — each
+        # worker's corpus-bucket cache stays a fixed 1/K subset
+        # instead of every worker faulting in every bucket.
+        salt_map = None
+        if want_hosts:
+            # hot-host salting: a host holding more than 2 fair
+            # shares of the wave spreads across S workers (rate/S
+            # per bucket — SURVEY §7.5)
+            uniq, cnt = meta["hosts"]
+            fair = max(1, -(-W // K))
+            salt_map = {
+                str(h): int(min(K, -(-c // fair)))
+                for h, c in zip(uniq, cnt)
+                if c > 2 * fair
+            }
+        triplets = [
+            w.process_shared.options(num_returns=3).remote(
+                wave, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
+                self.cfg.num_shards,
+            )
+            for i, w in enumerate(workers)
+        ]
+        parts = [t[0] for t in triplets]
+        non200_lists = ray.get([t[1] for t in triplets])
+        timings = ray.get([t[2] for t in triplets])
+        self._epoch_workers_used = workers
         t_collect_wall = time.time()
         t_fetch = time.perf_counter() - t_fetch
 
@@ -538,10 +511,7 @@ class EpochCrawler:
     def _full_ok_candidates(self) -> pa.Table:
         """Gather this epoch's pre-dedup ok-tagged candidates, priority
         sorted (for the caps-binding exact simulation)."""
-        if self._epoch_workers_used is None:
-            parts = [self._local_worker.full_candidates()]
-        else:
-            parts = ray.get([w.full_candidates.remote() for w in self._epoch_workers_used])
+        parts = ray.get([w.full_candidates.remote() for w in self._epoch_workers_used])
         parts = [p for p in parts if p is not None and p.num_rows]
         full = pa.concat_tables(parts) if parts else _empty_cand_table()
         ok = full.filter(pc.equal(full["tag"], "ok"))
@@ -667,10 +637,11 @@ class EpochCrawler:
 
     # -- full run ------------------------------------------------------------
     def warmup(self) -> float:
-        """Readiness barrier on the worker pool (actor processes import +
-        construct their corpus reader).  Separates one-time cluster
-        spin-up from the sustained-throughput measurement — the north
-        rule's metric is *sustained* pages/s."""
+        """Readiness barrier on the shard and worker pools (actor
+        processes import, construct their corpus reader, preload their
+        buckets and run one throwaway page each).  Separates one-time
+        cluster spin-up from the sustained-throughput measurement — the
+        north rule's metric is *sustained* pages/s."""
         t0 = time.perf_counter()
         # warm the assemble path THROUGH the real kernels on every shard
         # actor: a zero-part call short-circuits before Arrow
@@ -684,20 +655,19 @@ class EpochCrawler:
         warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
         pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, True, warm)[0]
                    for s in self._shards]
-        if self._workers:
-            K = len(self._workers)
-            pending += [
-                w.preload_buckets.remote([b for b in range(self.num_buckets) if b % K == i])
-                for i, w in enumerate(self._workers)
-            ]
+        K = len(self._workers)
+        pending += [
+            w.preload_buckets.remote([b for b in range(self.num_buckets) if b % K == i])
+            for i, w in enumerate(self._workers)
+        ]
         ray.get(pending)
         # First process() call per worker pays cold costs (parquet
         # writer import, Arrow kernel modules, first plasma map) —
         # measured ~0.2 s.  Adaptive fanout touches NEW workers on every
         # ramp-up epoch, so without this warm-up each ramp epoch pays it
         # on its critical path.  One dummy wave through every worker
-        # (and the driver-local one) moves it all here; the throwaway
-        # parts dir is deleted and no shard state is touched.
+        # moves it all here; the throwaway parts dir is deleted and no
+        # shard state is touched.
         if self.seed_urls:
             import shutil
 
@@ -709,11 +679,7 @@ class EpochCrawler:
             dummy = dummy.append_column("wavepos", pa.array([0], pa.int64()))
             dummy = dummy.append_column("epoch", pa.array([0], pa.int32()))
             wdir = os.path.join(self.workdir, "warmup")
-            if self._workers:
-                ray.get([
-                    w.process.remote(dummy, wdir, i) for i, w in enumerate(self._workers)
-                ])
-            self._local_worker.process(dummy, wdir, len(self._workers))
+            ray.get([w.process.remote(dummy, wdir, i) for i, w in enumerate(self._workers)])
             shutil.rmtree(wdir, ignore_errors=True)
         dt = time.perf_counter() - t0
         self.metrics["startup_sec"] = round(dt, 4)

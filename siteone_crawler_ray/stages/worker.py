@@ -18,10 +18,12 @@ Each ``process_shared`` call handles one wave chunk end-to-end:
     → explode spans → candidate gauntlet           stages/extract.py
     → return the candidates split by frontier shard + non-200 URLs
 
-The candidate parts go to the frontier shards, each of which reads only
-its own slice; the driver gets the non-200 URL lists and timings.  Page
-bodies/spans stay in the parquet partition.  The basename blocklist is
-re-broadcast only when it changes (rare).
+Every wave, one row or millions, runs on the first K workers of the
+pool; the driver never fetches or extracts.  The candidate parts go to
+the frontier shards, each of which reads only its own slice; the driver
+gets the non-200 URL lists and timings.  Page bodies/spans stay in the
+parquet partition.  The basename blocklist is re-broadcast only when it
+changes (rare).
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ EXTRACT_COLUMNS = ["doc_id", "spans", "wavepos", "depth", "uq_id"]
 
 
 class CrawlWorker:
-    """One fused fetch→extract→gauntlet pipeline instance.
+    """One fused fetch→extract→gauntlet pipeline instance, run as a
+    Ray actor (:func:`make_crawl_workers`).
 
-    Every wave goes through :meth:`process_shared`: the driver-local
-    instance takes whole narrow waves (one worker of one), Ray actor
-    instances take their share of wide ones.  Both return the same
-    per-shard candidate parts and timing dict, which the driver hands
-    to the frontier shards unchanged."""
+    Every wave goes through :meth:`process_shared` on the first K
+    actors of the pool (K = 1 for a narrow wave, which worker 0 takes
+    whole).  Each returns its per-shard candidate parts and a timing
+    dict; the driver hands the parts to the frontier shards
+    unchanged."""
 
     def __init__(
         self,
@@ -54,19 +57,17 @@ class CrawlWorker:
         gauntlet_kwargs: dict,
         max_reqs_per_sec: float | None = None,
         budget_split: int = 1,
-        arrow_threads: int | None = 1,
         storage_compression: str = "snappy",
     ):
         # parquet codec for visited parts ("none" → uncompressed)
         self.storage_compression = (
             None if storage_compression == "none" else storage_compression
         )
-        if arrow_threads is not None:
-            # each worker actor owns ONE logical CPU; Arrow's default
-            # per-process pool is os.cpu_count() threads, so K workers
-            # spawn K×ncpu threads and thrash under concurrent waves
-            pa.set_cpu_count(arrow_threads)
-            pa.set_io_thread_count(max(2, arrow_threads))
+        # each worker actor owns ONE logical CPU; Arrow's default
+        # per-process pool is os.cpu_count() threads, so K workers
+        # spawn K×ncpu threads and thrash under concurrent waves
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
         self.fetch = FetchStage(
             corpus_path, max_reqs_per_sec, budget_split,
             seed_host=gauntlet_kwargs.get("seed_host", ""),
@@ -75,15 +76,11 @@ class CrawlWorker:
         self._last_full: pa.Table | None = None
 
     def node_id(self) -> str:
-        """Ray node this instance lives on (placement evidence for the
-        multi-node simulation — scripts/multinode_sim.py); "driver"
-        when running unwrapped."""
-        try:
-            import ray
+        """Ray node this actor lives on (placement evidence for the
+        multi-node simulation — scripts/multinode_sim.py)."""
+        import ray
 
-            return ray.get_runtime_context().get_node_id()
-        except Exception:  # noqa: BLE001 — not inside a Ray worker
-            return "driver"
+        return ray.get_runtime_context().get_node_id()
 
     def set_blocklist(self, blocklist: frozenset) -> None:
         self.gauntlet.basename_blocklist = blocklist
@@ -115,8 +112,8 @@ class CrawlWorker:
         The wave is ONE object (shard 0's assemble_wave output,
         zero-copy Arrow in the object store); each worker takes only its
         rows here, in parallel, instead of the driver cutting and
-        pickling K chunks serially.  The driver-local worker is called
-        as worker 0 of 1 and takes the whole wave.
+        pickling K chunks serially.  A narrow wave (K = 1) goes whole
+        to worker 0.
 
         routing="bucket": worker = (url_key % num_buckets) % K —
         corpus-cache affine, politeness budget split across workers.
@@ -257,11 +254,13 @@ def make_crawl_workers(num_workers: int, **kwargs):
     sizes the pool with :func:`clamp_worker_count` first: the
     reference's workers are I/O tasks that oversubscribe freely
     (crawler.rs worker loop), ours are CPU-pinned actors, and a pool
-    larger than the cluster would pend forever."""
+    larger than the cluster would pend forever.  0 (no whole CPU left
+    after the shards) gives one worker that reserves no CPU, so the
+    crawl still has a pool to run on."""
     import ray
 
-    Actor = ray.remote(num_cpus=1)(CrawlWorker)
-    return [Actor.remote(**kwargs) for _ in range(num_workers)]
+    Actor = ray.remote(num_cpus=1 if num_workers else 0)(CrawlWorker)
+    return [Actor.remote(**kwargs) for _ in range(max(1, num_workers))]
 
 
 def _worker_slots(num_shards: int) -> int:
@@ -275,8 +274,8 @@ def _worker_slots(num_shards: int) -> int:
     exactly that way — 29 workers requested, 28 schedulable, warm-up
     ray.get pending forever (reproduced by scripts/multinode_sim.py).
     One slot is kept back as driver headroom unless it is the only
-    one.  0 means no whole CPU is left after the shards: the crawl
-    then runs every wave on its driver-local worker."""
+    one.  0 means no whole CPU is left after the shards: the pool is
+    then one worker that reserves no CPU (:func:`make_crawl_workers`)."""
     import math
 
     import ray

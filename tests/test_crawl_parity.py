@@ -330,28 +330,31 @@ def test_ray_path_parity(tmp_workdir):
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
 
 
-@pytest.mark.parametrize("caps", [{"max_visited_urls": 40}, {"max_queue_length": 15}],
-                         ids=["max_visited", "max_queue"])
-@pytest.mark.parametrize("threshold", [None, 1], ids=["driver_local", "fan_out"])
-def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, threshold):
-    """Caps binding mid-wave under Ray: at the default wave threshold the
-    binding wave runs on the driver-local worker; at threshold 1 it fans
-    out, so the exact admit pulls full_candidates() from remote workers."""
-    exact_on_local = []
+@pytest.mark.parametrize("caps,wide", [
+    ({"max_queue_length": 15}, False),
+    ({"max_visited_urls": 10}, False),
+    ({"max_queue_length": 40}, True),
+    ({"max_visited_urls": 100}, True),
+], ids=["k1-max_queue", "k1-max_visited", "k2-max_queue", "k2-max_visited"])
+def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, wide):
+    """Caps binding mid-wave: the exact admit pulls full_candidates()
+    from the workers the wave ran on.  The caps are chosen so that every
+    binding wave of this graph is narrow (K = 1: worker 0 alone) or
+    every one is wide (K = 2: the whole 2-worker pool)."""
+    workers_used = []
     admit_exact = EpochCrawler._admit_exact
 
     def spy(self, wave_size):
-        exact_on_local.append(self._epoch_workers_used is None)
+        workers_used.append(len(self._epoch_workers_used))
         return admit_exact(self, wave_size)
 
     monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
-    cfg = CrawlConfig(num_shards=2, fetch_concurrency=2, **caps,
-                      **({} if threshold is None else {"ray_wave_threshold": threshold}))
+    cfg = CrawlConfig(num_shards=2, fetch_concurrency=2, **caps)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
-    assert exact_on_local, "no cap bound: the exact admit never ran"
-    assert set(exact_on_local) == {threshold is None}
+    assert workers_used, "no cap bound: the exact admit never ran"
+    assert set(workers_used) == ({2} if wide else {1})
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_workdir):
@@ -391,8 +394,7 @@ def test_deferred_manifest_snapshots_basename_counts(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2,
-                      ray_wave_threshold=1)
+    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2)
     wdir = os.path.join(tmp_workdir, "w")
     c = EpochCrawler(cp, seeds, robots, wdir, cfg)
     c.seed()
@@ -418,8 +420,7 @@ def test_ray_async_checkpoint_crash_window_resume(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2,
-                      ray_wave_threshold=1)
+    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2)
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
 
@@ -577,7 +578,6 @@ def test_host_routing_output_invariance(tmp_workdir):
     the identical visited order/seen set as bucket routing."""
     tabs = make_graph_corpus(seed=31, hosts=3, total_pages=600)
     cfg = CrawlConfig(num_shards=4, fetch_concurrency=3, routing="host",
-                      ray_wave_threshold=16,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))

@@ -31,7 +31,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 cp, workdir, seeds_json, robots_json = sys.argv[1:5]
-cfg = CrawlConfig(num_shards=4, ray_wave_threshold=1)
+cfg = CrawlConfig(num_shards=4)
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir, cfg)
 c.seed(); c.warmup()
 nodes = set(ray.get([w.node_id.remote() for w in c._workers])) | \

@@ -89,6 +89,7 @@ def test_no_whole_cpu_left_means_no_remote_workers(monkeypatch):
     )
 
     # 8 shards book 0.25 CPU of 1: a 1-CPU worker could never schedule
+    # (make_crawl_workers then builds one zero-CPU worker instead)
     _fake_nodes(monkeypatch, [1])
     assert _worker_slots(8) == 0
     assert clamp_worker_count(4, 8) == 0
@@ -145,7 +146,7 @@ DataContext.get_current().enable_progress_bars = False
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 cp, workdir, seeds_json, robots_json = sys.argv[1:5]
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir,
-                 CrawlConfig(num_shards=8, ray_wave_threshold=1))
+                 CrawlConfig(num_shards=8))
 c.seed()
 n_workers = len(c._workers)
 res = c.run()
@@ -157,10 +158,10 @@ ray.shutdown()
 """
 
 
-def test_one_cpu_cluster_crawls_on_driver_worker(tmp_workdir):
-    """8 shards leave no whole CPU on a 1-CPU cluster: the crawl must
-    create no remote workers (a pending 1-CPU actor hung warm-up) and
-    still match the oracle, every wave on the driver-local worker."""
+def test_one_cpu_cluster_crawls_on_one_zero_cpu_worker(tmp_workdir):
+    """8 shards leave no whole CPU on a 1-CPU cluster: the pool must be
+    one worker that reserves no CPU (a pending 1-CPU actor hung
+    warm-up), and the crawl, every wave on it, must match the oracle."""
     from siteone_crawler_ray.pipelines.crawl import CrawlConfig
     from siteone_crawler_ray.pipelines.oracle import run_oracle
 
@@ -176,7 +177,7 @@ def test_one_cpu_cluster_crawls_on_driver_worker(tmp_workdir):
     assert line, out.stderr[-3000:]
     got = json.loads(line[len("ONE_CPU_JSON "):])
     oracle = run_oracle(tabs["documents"], seeds, robots, CrawlConfig(num_shards=8))
-    assert got["workers"] == 0
+    assert got["workers"] == 1
     assert got["urls"] == oracle.visited_table()["url"].to_pylist()
     assert set(got["seen"]) == oracle.seen_keys
     assert len(got["urls"]) > 48
