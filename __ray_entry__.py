@@ -2147,7 +2147,7 @@ def oracle_sql() -> dict[str, str]:
         # jaccard >= 0.5 (verified at sf0.001 and sf0.01), so the output
         # equals the exhaustive exact-Jaccard pair table SQL computes.
         # Shingles here are byte==char (ASCII corpus); windows
-        # max(1, len-4) match _shingle_hashes / jaccard().
+        # max(1, len-4) match _shingle_hashes.
         "minhash_pairs": """
             WITH sh AS (
               SELECT DISTINCT doc_id, substr(text, CAST(i AS INT), 5) AS s

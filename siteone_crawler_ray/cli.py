@@ -37,8 +37,7 @@ import sys
 _WHY_AI = "AI phase (reference src/ai/) needs an external LLM endpoint"
 _WHY_BROWSER = "needs a headless Chromium (reference src/browser/)"
 _WHY_HTTP = "live-HTTP knob; corpus-mode fetches are keyed lookups"
-_WHY_CACHE = ("live-HTTP response cache (sources/http_cache.py CachedFetcher); "
-              "corpus mode does not fetch over HTTP")
+_WHY_CACHE = "live-HTTP response cache; corpus mode does not fetch over HTTP"
 _WHY_TTY = "terminal-presentation knob; no interactive TTY UI here"
 _WHY_STORE = "result storage is the workdir parquet lineage (see --workdir)"
 
@@ -101,8 +100,8 @@ INERT_OPTIONS: dict[str, tuple[str, str]] = {
         "flag", "live-HTML extraction flag (functions/html_extract.ExtractFlags"
                 ".ignore_comments); corpus spans are pre-extracted"),
     "--disable-astro-inline-modules": (
-        "flag", "Astro processor offline-transform detail "
-                "(functions/processors.py) not exposed per-run"),
+        "flag", "Astro inline-module offline transform; corpus spans carry "
+                "no JS bodies"),
     "--max-heading-level": (
         "value", "page-checks knob (functions/page_checks.seo_checks "
                  "max_heading_level) outside the CLI report flow"),

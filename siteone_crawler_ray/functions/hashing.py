@@ -140,12 +140,6 @@ def _pad_matrix(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.nd
     return mat
 
 
-def _byte_matrix(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Back-compat: gather + pad in one step (tests use this)."""
-    data, starts, lens = _gather_bytes(strings)
-    return _pad_matrix(data, starts, lens), lens
-
-
 def _vrotl(x: np.ndarray, r: int) -> np.ndarray:
     return (x << U(r)) | (x >> U(64 - r))
 

@@ -15,7 +15,7 @@ sweep (html_processor.rs:140-143, 770-779); srcset entries split on
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -38,9 +38,6 @@ _LINK_TAG_RE = re.compile(r"<link\s[^>]*?>", re.I | re.S)
 _LINK_HREF_RE = re.compile(r"""href\s*=\s*(?:"([^"]*)"|'([^']*)')""", re.I)
 _LINK_REL_RE = re.compile(r"""rel\s*=\s*["']([^"']*)["']""", re.I)
 _CSS_URL_RE = re.compile(r"""url\(\s*['"]?([^'")]+?)['"]?\s*\)""", re.I)
-_CSS_IMPORT_RE = re.compile(r"""@import\s+['"]([^'"]+)['"]""", re.I)
-_JS_QUOTED_RE = re.compile(r"""["']((?:https?:)?/[^"']*?\.(?:js|mjs))["']""", re.I)
-_JS_FROM_RE = re.compile(r"""from\s+["']([^"']+?\.(?:js|mjs))["']""", re.I)
 
 _IMG_EXT_RE = re.compile(r"\.(png|jpe?g|gif|webp|avif|svg|ico)(\?|$)", re.I)
 _FONT_EXT_RE = re.compile(r"\.(woff2?|ttf|otf|eot)(\?|$)", re.I)
@@ -139,34 +136,6 @@ def extract_urls_from_html(html: str, flags: ExtractFlags | None = None) -> list
                     add(u, UrlSource.CSS_URL)
             elif _CSS_EXT_RE.search(u) and flags.styles:
                 add(u, UrlSource.CSS_URL)
-    return found
-
-
-def extract_urls_from_css(css: str) -> list[tuple[str, int]]:
-    """url() + @import refs (css_processor.rs:17-27, 60-89)."""
-    found, seen = [], set()
-    for m in _CSS_IMPORT_RE.finditer(css):
-        u = m.group(1).strip()
-        if u not in seen:
-            seen.add(u)
-            found.append((u, UrlSource.CSS_URL))
-    for m in _CSS_URL_RE.finditer(css):
-        u = m.group(1).strip()
-        if u and u not in seen and not u.startswith("data:"):
-            seen.add(u)
-            found.append((u, UrlSource.CSS_URL))
-    return found
-
-
-def extract_urls_from_js(js: str) -> list[tuple[str, int]]:
-    """Quoted .js paths + ES-module froms (javascript_processor.rs:17-29)."""
-    found, seen = [], set()
-    for rx in (_JS_FROM_RE, _JS_QUOTED_RE):
-        for m in rx.finditer(js):
-            u = m.group(1).strip()
-            if u not in seen:
-                seen.add(u)
-                found.append((u, UrlSource.JS_URL))
     return found
 
 

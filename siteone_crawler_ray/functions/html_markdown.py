@@ -23,7 +23,6 @@ One pure function per row inside ``map_batches``."""
 from __future__ import annotations
 
 import re
-from html import unescape
 from html.parser import HTMLParser
 
 _VOID_TAGS = {"br", "hr", "img", "meta", "link", "input", "area", "base", "col",
@@ -55,8 +54,6 @@ _TRIPLE_NL_RE = re.compile(r"\n{3,}")
 _TRAIL_WS_RE = re.compile(r"[ \t]+$", re.M)
 _POST_UNESCAPE_RE = re.compile(r"\\([.\-])")
 _CODE_WRAP_RE = re.compile(r"(\\)(\s{2,})")
-
-MIN_LINKS_FOR_COLLAPSE = 8
 
 
 class _Node:
@@ -577,55 +574,6 @@ class HtmlToMarkdown:
 
     def _post_process(self, markdown: str) -> str:
         return _POST_UNESCAPE_RE.sub(r"\1", markdown).strip()
-
-
-def collapse_large_link_lists(markdown: str) -> str:
-    """Collapse >8-link list blocks into <details> accordions
-    (html_to_markdown.rs:235-300)."""
-    def is_item(line: str) -> bool:
-        t = line.lstrip()
-        return (t.startswith(("- ", "* ", "+ "))
-                or (t[:1].isdigit() and ". " in t))
-
-    def is_cont(line: str) -> bool:
-        t = line.lstrip()
-        return len(line) > len(t) and bool(t)
-
-    lines = markdown.split("\n")
-    n = len(lines)
-    out: list[str] = []
-    first = True
-    i = 0
-    while i < n:
-        if is_item(lines[i]):
-            start = i
-            while i < n:
-                if is_item(lines[i]) or is_cont(lines[i]):
-                    i += 1
-                elif not lines[i].strip():
-                    nxt = i + 1
-                    while nxt < n and not lines[nxt].strip():
-                        nxt += 1
-                    if nxt < n and is_item(lines[nxt]):
-                        i = nxt
-                    else:
-                        break
-                else:
-                    break
-            block = lines[start:i]
-            n_links = sum(1 for ln in block if "](" in ln)
-            if n_links > MIN_LINKS_FOR_COLLAPSE:
-                label = "Menu" if first else "Links"
-                first = False
-                out += ["<details>", f"<summary>{label}</summary>", ""]
-                out += block
-                out += ["", "</details>", ""]
-            else:
-                out += block
-        else:
-            out.append(lines[i])
-            i += 1
-    return "\n".join(out)
 
 
 def html_to_markdown(html: str, excluded_selectors: tuple[str, ...] = ()) -> str:

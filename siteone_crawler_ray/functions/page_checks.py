@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 
 _TITLE_RE = re.compile(r"<title[^>]*>([^<]*)</title>", re.I | re.S)
@@ -89,16 +88,6 @@ def seo_checks(html: str, max_heading_level: int = 3) -> list[tuple[str, str]]:
     # (seo_opengraph_analyzer.rs:49-53, 780-889 build_heading_tree)
     if levels and max(levels) > max_heading_level:
         out.append(("heading-depth-exceeded", "INFO"))
-    return out
-
-
-def heading_tree(html: str) -> list[tuple[int, str]]:
-    """(level, text) outline rows — build_heading_tree
-    (seo_opengraph_analyzer.rs:780-889)."""
-    out = []
-    for m in re.finditer(r"<h([1-6])[^>]*>(.*?)</h\1>", html, re.I | re.S):
-        text = re.sub(r"<[^>]+>", "", m.group(2))
-        out.append((int(m.group(1)), re.sub(r"\s+", " ", text).strip()))
     return out
 
 
@@ -222,60 +211,6 @@ def best_practice_checks(html: str, max_dom_depth: int = 32) -> list[tuple[str, 
     return out
 
 
-# header checks: (header, predicate-on-value-or-None, rule, severity)
-def security_checks(headers: dict[str, str | None]) -> list[tuple[str, str]]:
-    """Header-map checks (security_analyzer.rs:86-770 battery:
-    HSTS, CSP, X-Frame-Options, X-XSS-Protection,
-    X-Content-Type-Options, Referrer-Policy, ACAO, Cross-Origin-*,
-    Feature-/Permissions-Policy, Server, X-Powered-By, Set-Cookie)."""
-    h = {k.lower(): v for k, v in headers.items() if v}
-    out = []
-    if "strict-transport-security" not in h:
-        out.append(("missing-hsts", "WARNING"))
-    if "content-security-policy" not in h:
-        out.append(("missing-csp", "WARNING"))
-    if "x-frame-options" not in h and "content-security-policy" not in h:
-        out.append(("missing-x-frame-options", "NOTICE"))
-    if "x-xss-protection" not in h:  # :356-393
-        out.append(("missing-x-xss-protection", "INFO"))
-    if "x-content-type-options" not in h:
-        out.append(("missing-x-content-type-options", "NOTICE"))
-    if "referrer-policy" not in h:
-        out.append(("missing-referrer-policy", "INFO"))
-    # Access-Control-Allow-Origin (:223-257)
-    acao = h.get("access-control-allow-origin")
-    if acao == "*":
-        out.append(("acao-wildcard", "WARNING"))
-    elif acao and acao not in ("same-origin", "none"):
-        out.append(("acao-custom-origin", "NOTICE"))
-    # Cross-Origin-* isolation headers (:500-522)
-    for header in ("cross-origin-embedder-policy", "cross-origin-opener-policy",
-                   "cross-origin-resource-policy"):
-        if header not in h:
-            out.append((f"missing-{header}", "NOTICE"))
-    # Feature-/Permissions-Policy (:523-584)
-    if "permissions-policy" not in h:
-        if "feature-policy" in h:
-            out.append(("permissions-policy-outdated", "WARNING"))
-        else:
-            out.append(("missing-permissions-policy", "WARNING"))
-    elif "feature-policy" not in h:
-        out.append(("missing-feature-policy", "NOTICE"))
-    server = h.get("server", "")
-    if server and re.search(r"\d", server):
-        out.append(("server-version-disclosure", "NOTICE"))
-    if h.get("x-powered-by"):  # :641-673
-        out.append(("x-powered-by-disclosure", "NOTICE"))
-    cookie = h.get("set-cookie", "")
-    if cookie:
-        cl = cookie.lower()
-        if "secure" not in cl:
-            out.append(("cookie-missing-secure", "WARNING"))
-        if "httponly" not in cl:
-            out.append(("cookie-missing-httponly", "NOTICE"))
-    return out
-
-
 _FORM_HTTP_RE = re.compile(r"""<form[^>]*action=["']http://[^"']+["'][^>]*>""", re.I)
 _IFRAME_HTTP_RE = re.compile(r"""<iframe[^>]*src=["']http://[^"']+["'][^>]*>""", re.I)
 _SCRIPT_HTTP_RE = re.compile(r"""<script[^>]*src=["']http://[^"']+["']""", re.I)
@@ -342,8 +277,6 @@ def page_checks_batch(batch: pa.Table, body_col: str = "body", url_col: str = "u
 
 def findings_summary(findings_ds) -> pa.Table:
     """(category, rule, severity) → counts, combiner partial agg."""
-    import ray
-
     def partial(b: pa.Table) -> pa.Table:
         return b.group_by(["category", "rule", "severity"], use_threads=False).aggregate(
             [([], "count_all")]

@@ -18,8 +18,8 @@ engine's operators:
 The driver only ever sees stage COUNTS and the shard manifest; full
 rows move through object-store exchanges and land in the shard files
 written by the partition tasks themselves.  Gates drop by broadcast
-sorted uint64 key arrays (8 B per dropped doc — churn-sized, the same
-pattern as pipelines/continuous.py), never Python sets.
+sorted uint64 key arrays (8 B per dropped doc — churn-sized), never
+Python sets.
 
 Reference scope: the reference crawler ends at exports
 (`/root/reference/src/export/`); this composition is the SURVEY §2.11

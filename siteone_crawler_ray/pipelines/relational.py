@@ -103,32 +103,6 @@ def global_stats(sf_dir: str) -> pa.Table:
     )
 
 
-def count_by_type(sf_dir: str) -> pa.Table:
-    """count_by_status shape (combiner partial agg)."""
-    from ..functions.agg import grouped_agg
-
-    return grouped_agg(_read(sf_dir, "events", ["event_type"]), ["event_type"], [("n", None, "count")])
-
-
-def lang_counts(sf_dir: str) -> pa.Table:
-    from ..functions.agg import grouped_agg
-
-    return grouped_agg(_read(sf_dir, "documents", ["lang"]), ["lang"], [("n", None, "count")])
-
-
-def source_stats(sf_dir: str) -> pa.Table:
-    from ..functions.agg import grouped_agg
-
-    t = grouped_agg(
-        _read(sf_dir, "documents", ["source", "n_chars"]),
-        ["source"],
-        [("n", None, "count"), ("avg_chars", "n_chars", "mean")],
-    )
-    return pa.table(
-        {"source": t["source"], "n": t["n"], "avg_chars": pa.array(round_away(t["avg_chars"].to_numpy(), 6))}
-    )
-
-
 def returned_by_supplier(sf_dir: str) -> pa.Table:
     """404-table shape: filter + groupby (combiner; ~10k supplier groups
     still partial-aggregates well below block size), paired with the
@@ -761,23 +735,6 @@ def props_bucket(sf_dir: str) -> pa.Table:
 # -- documents / embeddings -------------------------------------------------
 
 
-def token_count_table(sf_dir: str) -> pa.Table:
-    from ..stages.textstats import token_counts
-
-    return _collect(
-        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(token_counts, batch_format="pyarrow")
-    )
-
-
-def quality_table(sf_dir: str) -> pa.Table:
-    from ..stages.textstats import quality_scores
-
-    t = _collect(
-        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(quality_scores, batch_format="pyarrow")
-    )
-    return t.select(["doc_id", "avg_tok_len", "punct_ratio"])
-
-
 def exact_dedup_table(sf_dir: str) -> pa.Table:
     from ..stages.dedup import exact_dedup
 
@@ -826,7 +783,7 @@ _DISTINCT_DRIVER_ROWS = 5_000_000  # deduped pairs above this hash-partition
 
 
 def user_type_stats(sf_dir: str) -> pa.Table:
-    """count_by_type + distinct users per type in one table
+    """Rows + distinct users per event type in one table
     (event_type, n, n_users) — the two per-type aggregates share a key
     AND a single pass: each block reduces to its distinct
     (event_type, user_id) pairs with their row counts (Arrow hash-agg,
@@ -902,7 +859,7 @@ def _user_type_scatter(pairs_ds, num_partitions: int | None = None) -> pa.Table:
 
 
 def docs_stats(sf_dir: str) -> pa.Table:
-    """lang_counts + source_stats as one two-key groupby
+    """Per-(source, lang) doc counts and mean length in one two-key groupby
     (source, lang, n, avg_chars)."""
     from ..functions.agg import grouped_agg
 

@@ -1,28 +1,12 @@
-"""Seed sources — url-list files and XML sitemaps.
-
-- ``--url-list`` reader (/root/reference/src/engine/crawler.rs:226-230,
-  README.md:501): plain text, ``#`` comments, blank lines skipped,
-  invalid lines warned + skipped.
-- Sitemap XML parse (/root/reference/src/content_processor/
-  xml_processor.rs:41-127): ``<urlset><loc>`` page URLs and
-  ``<sitemapindex><loc>`` nested sitemaps (only ``.xml``/``.xml.gz``
-  accepted from an index), with gzip decompression for ``.xml.gz``
-  bodies (crawler.rs:607-624).
-
-Both return plain URL lists for EpochCrawler seeding; the url-list
-reader uses ``ray.data.read_text`` so a multi-GB seed file streams in
-blocks.
+"""Seed source — the ``--url-list`` reader (reference
+src/engine/crawler.rs:226-230, README.md:501): plain text, ``#``
+comments, blank lines skipped, invalid lines warned + skipped.  Returns
+a plain URL list for EpochCrawler seeding.
 """
 
 from __future__ import annotations
 
-import gzip
-import re
-
 from ..functions import urls as U
-
-_LOC_RE = re.compile(rb"<loc>\s*([^<]+?)\s*</loc>")
-_SITEMAPINDEX_RE = re.compile(rb"<\s*sitemapindex[\s>]")
 
 
 def parse_url_list_text(text: str) -> tuple[list[str], list[str]]:
@@ -39,103 +23,3 @@ def parse_url_list_text(text: str) -> tuple[list[str], list[str]]:
         else:
             good.append(c)
     return good, bad
-
-
-def read_url_list(path: str) -> tuple[list[str], list[str]]:
-    """Distributed read of a seed-list file (streams in blocks; the
-    per-block parse is the same pure function used in tests)."""
-    import ray
-    import ray.data as rd
-
-    import pyarrow as pa
-
-    def parse(batch: pa.Table) -> pa.Table:
-        g, b = [], []
-        for line in batch["text"].to_pylist():
-            gg, bb = parse_url_list_text(line)
-            g += gg
-            b += bb
-        return pa.table({"url": pa.array(g, pa.string()), "_": pa.array([""] * len(g))}) \
-            if not b else pa.table({"url": pa.array(g + b, pa.string()),
-                                    "_": pa.array([""] * len(g) + ["bad"] * len(b))})
-
-    ds = rd.read_text(path).map_batches(parse, batch_format="pyarrow")
-    from ..functions.agg import collect_blocks
-
-    rows = pa.concat_tables(collect_blocks(ds))
-    good = [u for u, m in zip(rows["url"].to_pylist(), rows["_"].to_pylist()) if m == ""]
-    bad = [u for u, m in zip(rows["url"].to_pylist(), rows["_"].to_pylist()) if m == "bad"]
-    return good, bad
-
-
-def parse_sitemap(body: bytes, url: str = "") -> tuple[list[str], list[str]]:
-    """→ (page_urls, nested_sitemap_urls); gunzips ``.xml.gz`` bodies."""
-    if url.endswith(".gz") or body[:2] == b"\x1f\x8b":
-        body = gzip.decompress(body)
-    locs = [m.group(1).decode("utf-8", "replace") for m in _LOC_RE.finditer(body)]
-    if _SITEMAPINDEX_RE.search(body):
-        # from an index only .xml / .xml.gz children are followed
-        nested = [u for u in locs if u.endswith((".xml", ".xml.gz"))]
-        return [], nested
-    return locs, []
-
-
-def sitemap_seeds(bodies: dict[str, bytes], root: str) -> list[str]:
-    """Resolve a sitemap tree (index → leaf sitemaps) into seed URLs;
-    ``bodies`` maps sitemap URL → raw bytes (the corpus-side stand-in
-    for the robots.txt ``Sitemap:`` fetches)."""
-    seen, queue, out = set(), [root], []
-    while queue:
-        u = queue.pop(0)
-        if u in seen or u not in bodies:
-            continue
-        seen.add(u)
-        pages, nested = parse_sitemap(bodies[u], u)
-        out += pages
-        queue += nested
-    return out
-
-
-_URL_BLOCK_RE = re.compile(rb"<url>(.*?)</url>", re.DOTALL)
-_LASTMOD_RE = re.compile(rb"<lastmod>\s*([^<]+?)\s*</lastmod>")
-
-
-def parse_sitemap_entries(body: bytes, url: str = ""):
-    """→ pyarrow Table (url: string, lastmod_ts: float64 | null) — the
-    lastmod-aware sitemap parse a recrawl scheduler consumes
-    (`pipelines/freshness.apply_lastmod_boost`).  EXTENSION: the
-    reference extracts only ``<loc>``
-    (/root/reference/src/content_processor/xml_processor.rs:46-68);
-    ``<lastmod>`` is the sitemaps.org W3C-datetime field.  Index
-    sitemaps yield no page entries (follow the nested ones via
-    :func:`parse_sitemap`)."""
-    import datetime as _dt
-
-    import pyarrow as _pa
-
-    if url.endswith(".gz") or body[:2] == b"\x1f\x8b":
-        body = gzip.decompress(body)
-    if _SITEMAPINDEX_RE.search(body):
-        return _pa.table({"url": _pa.array([], _pa.string()),
-                          "lastmod_ts": _pa.array([], _pa.float64())})
-    urls, stamps = [], []
-    for m in _URL_BLOCK_RE.finditer(body):
-        block = m.group(1)
-        loc = _LOC_RE.search(block)
-        if not loc:
-            continue
-        urls.append(loc.group(1).decode("utf-8", "replace"))
-        lm = _LASTMOD_RE.search(block)
-        ts = None
-        if lm:
-            raw = lm.group(1).decode("ascii", "replace")
-            try:  # W3C datetime: date-only or full ISO-8601 (Z or offset)
-                if len(raw) == 10:
-                    ts = _dt.datetime.fromisoformat(raw + "T00:00:00+00:00").timestamp()
-                else:
-                    ts = _dt.datetime.fromisoformat(raw.replace("Z", "+00:00")).timestamp()
-            except ValueError:
-                ts = None
-        stamps.append(ts)
-    return _pa.table({"url": _pa.array(urls, _pa.string()),
-                      "lastmod_ts": _pa.array(stamps, _pa.float64())})

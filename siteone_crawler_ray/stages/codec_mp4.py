@@ -158,9 +158,6 @@ def _find(buf: bytes, start: int, end: int, kind: bytes) -> tuple[int, int] | No
     return None
 
 
-_CONTAINERS = b"moov", b"trak", b"mdia", b"minf", b"stbl"
-
-
 def decode_mp4(payload: bytes) -> dict:
     """MP4 bytes → ``{"frames": [bytes], "timestamps": [float sec],
     "sync": [bool], "duration_sec": float, "timescale": int,

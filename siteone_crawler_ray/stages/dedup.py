@@ -9,9 +9,7 @@ expressed Ray-Data-first:
 - minhash: shingle→minhash signatures fully vectorized per batch
            (``np.minimum.reduceat`` over hashed shingles) → banded LSH
            rows → ``groupby(band)`` shuffle → verified Jaccard pairs
-- simhash: 64-bit token-weight simhash per batch → 16-bit banding for
-           Hamming-distance candidates
-- ngram-Jaccard: exact verification kernel shared with minhash
+- simhash: 64-bit token-weight simhash per batch
 - embedding cosine: normalized matmul per batch against a broadcast
   matrix (small side via ``ray.put``) → near-dup pairs
 
@@ -43,8 +41,8 @@ def _shingle_hashes(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     Fully vectorized: all texts concatenate into one byte buffer and a
     degree-k polynomial hash evaluates over every window at once
     (Python substring construction was the MinHash pipeline's hottest
-    loop).  Docs shorter than k get one shingle = the whole string,
-    matching ``jaccard``'s ``max(1, len-k+1)`` window count."""
+    loop).  Docs shorter than k get one shingle = the whole string: a
+    doc has ``max(1, len-k+1)`` windows."""
     P = np.uint64(0x100000001B3)
     enc = [(t if isinstance(t, str) else str(t)).encode("utf-8", "replace") for t in texts]
     lens = np.fromiter((len(e) for e in enc), dtype=np.int64, count=len(enc))
@@ -240,10 +238,6 @@ def _dedup_pairs(parts: list[pa.Table]) -> pa.Table:
     return pa.table({"id_a": pa.array(uniq[:, 0]), "id_b": pa.array(uniq[:, 1])})
 
 
-def add_content_hash(batch: pa.Table, column: str = "text") -> pa.Table:
-    return batch.append_column("content_hash", pa.array(xxh64_strings(batch[column]), pa.uint64()))
-
-
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     """→ Dataset of surviving ids (min id per identical text).
 
@@ -328,14 +322,6 @@ def lsh_band_rows(sig_batch: pa.Table, *, id_col="doc_id", num_perm=64, bands=16
             band_hash[bnd * n : (bnd + 1) * n] = h
     return pa.table({"band_id": pa.array(band_id), "band_hash": pa.array(band_hash, pa.uint64()),
                      id_col: pa.array(out_ids)})
-
-
-def jaccard(a: str, b: str, k: int = 5) -> float:
-    sa = {a[i : i + k] for i in range(max(1, len(a) - k + 1))}
-    sb = {b[i : i + k] for i in range(max(1, len(b) - k + 1))}
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / max(1, len(sa | sb))
 
 
 def minhash_dedup_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=64,
@@ -534,80 +520,6 @@ def _hamming64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _POP8[v].sum(axis=1)
 
 
-def simhash_dedup_pairs(ds, *, id_col="doc_id", text_col="text", max_hamming=3,
-                        max_bucket=200) -> pa.Table:
-    """SimHash near-dup: 4×16-bit band grouping (any identical band →
-    candidate) then exact Hamming verification.
-
-    Scale shape mirrors minhash: signatures are a map_batches stage,
-    banding emits (band_key, id, simhash) rows, a hash-partitioned
-    exchange pairs each band bucket shard-locally, and Hamming
-    verification is vectorized per partition (the signatures ride along
-    with the band rows, so no broadcast index is needed)."""
-    sims = ds.map_batches(
-        lambda b: simhash_batch(b, id_col=id_col, text_col=text_col), batch_format="pyarrow"
-    )
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        sh = batch["simhash"].to_numpy(zero_copy_only=False)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        n = len(sh)
-        keys = np.empty(4 * n, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for band in range(4):
-                chunk = (sh >> np.uint64(16 * band)) & np.uint64(0xFFFF)
-                # pack band id above the 16 chunk bits → distinct bands
-                # never collide in one bucket
-                keys[band * n : (band + 1) * n] = (np.uint64(band) << np.uint64(16)) | chunk
-        return pa.table({
-            "band_key": pa.array(keys, pa.uint64()),
-            id_col: pa.array(np.tile(ids, 4)),
-            "simhash": pa.array(np.tile(sh, 4), pa.uint64()),
-        })
-
-    def bucket_pairs(sub: pa.Table) -> pa.Table:
-        bk = sub["band_key"].to_numpy(zero_copy_only=False)
-        ids = sub[id_col].to_numpy(zero_copy_only=False)
-        sh = sub["simhash"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bk))
-        bk, ids, sh = bk[order], ids[order], sh[order]
-        starts = np.nonzero(np.concatenate([[True], bk[1:] != bk[:-1]]))[0]
-        ends = np.append(starts[1:], len(bk))
-        pa_, pb_, ha_, hb_ = [], [], [], []
-        for s, e in zip(starts, ends):
-            if 1 < e - s <= max_bucket:
-                iu, ju = np.triu_indices(e - s, k=1)
-                pa_.append(ids[s:e][iu])
-                pb_.append(ids[s:e][ju])
-                ha_.append(sh[s:e][iu])
-                hb_.append(sh[s:e][ju])
-        if not pa_:
-            return None
-        ia, ib = np.concatenate(pa_), np.concatenate(pb_)
-        d = _hamming64(np.concatenate(ha_), np.concatenate(hb_))
-        keep = d <= max_hamming
-        lo = np.minimum(ia[keep], ib[keep])
-        hi = np.maximum(ia[keep], ib[keep])
-        return pa.table({"id_a": pa.array(lo), "id_b": pa.array(hi),
-                         "hamming": pa.array(d[keep], pa.int64())})
-
-    parts = _partitioned_exchange(
-        sims.map_batches(band_rows, batch_format="pyarrow"), "band_key", bucket_pairs
-    )
-    if not parts:
-        return pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-                         "hamming": pa.array([], pa.int64())})
-    t = pa.concat_tables(parts)
-    a = t["id_a"].to_numpy(zero_copy_only=False)
-    b = t["id_b"].to_numpy(zero_copy_only=False)
-    key = np.stack([a, b], axis=1)
-    uniq, idx = np.unique(key, axis=0, return_index=True)
-    out = t.take(pa.array(np.sort(idx)))
-    import pyarrow.compute as pc
-
-    return out.take(pc.sort_indices(out, sort_keys=[("id_a", "ascending"), ("id_b", "ascending")]))
-
-
 def embedding_dup_pairs(ds, *, id_col="vec_id", vec_col="embedding", threshold=0.95) -> pa.Table:
     """Embedding near-dup: EXACT cosine ≥ threshold pairs via a
     block-cross-join — each (block_i, block_j) tile is one Ray task
@@ -690,7 +602,7 @@ def semantic_dedup(ds, *, id_col="vec_id", vec_col="embedding",
       and assignment is ONE cosine-argmax pass (the k-means E-step with
       fixed seeds; ties broken toward the smallest centroid id).  Pass
       ``centroids`` (a (k, dim) matrix — e.g.
-      ``similarity.kmeans_distributed``'s full-corpus Lloyd output) to
+      ``similarity.kmeans_centroids``' Lloyd output) to
       run the paper's learned-centroid form instead: cluster ids become
       centroid indices 0..k-1, every other stage is unchanged
       (``test_semantic_dedup_with_kmeans_centroids``);

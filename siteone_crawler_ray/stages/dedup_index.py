@@ -115,29 +115,20 @@ class MinHashIndex:
     @staticmethod
     def _read_part(root: str, part: int, columns=None,
                    exclude_epoch: int | None = None) -> pa.Table | None:
-        """Read one partition directory.  Tolerates a concurrent
-        compaction (a listed epoch file may vanish before the read —
-        its rows are inside compact.parquet, so re-list and retry).
-        ``exclude_epoch`` skips that epoch's files — the query side of
-        an in-flight ingest must not see the ingest's own partial
-        writes, or a crashed-and-resumed cycle would classify the
-        increment against itself."""
+        """Read one partition directory.  ``exclude_epoch`` skips that
+        epoch's files — the query side of an in-flight ingest must not
+        see the ingest's own partial writes, or a crashed-and-resumed
+        cycle would classify the increment against itself."""
         d = os.path.join(root, _FMT.format(part))
-        for _ in range(5):
-            if not os.path.isdir(d):
-                return None
-            files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-            if exclude_epoch is not None:
-                files = [f for f in files if f != f"epoch-{exclude_epoch}.parquet"]
-            if not files:
-                return None
-            try:
-                return pa.concat_tables(
-                    [pq.read_table(os.path.join(d, f), columns=columns)
-                     for f in files])
-            except FileNotFoundError:
-                continue  # compaction removed a listed file; re-list
-        raise RuntimeError(f"partition {d} kept changing under the reader")
+        if not os.path.isdir(d):
+            return None
+        files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+        if exclude_epoch is not None:
+            files = [f for f in files if f != f"epoch-{exclude_epoch}.parquet"]
+        if not files:
+            return None
+        return pa.concat_tables(
+            [pq.read_table(os.path.join(d, f), columns=columns) for f in files])
 
     # ---- add an increment --------------------------------------------
 
@@ -305,43 +296,3 @@ def _empty_pairs() -> pa.Table:
     return pa.table({"new_id": pa.array([], pa.int64()),
                      "old_id": pa.array([], pa.int64()),
                      "est_jaccard": pa.array([], pa.float64())})
-
-
-def compact_index(index: "MinHashIndex") -> dict:
-    """Merge each partition's accumulated ``epoch-*`` files into one
-    ``compact.parquet`` — many small epoch files cost the query's
-    pruned read latency; a standing index compacts on a cadence.
-
-    Runs as one Ray task per partition (embarrassingly parallel, no
-    exchange).  Crash-safe ordering: write ``compact`` atomically
-    FIRST, then delete the epoch files it absorbed — a crash between
-    the two steps leaves duplicate rows, which band candidates and
-    signature lookups tolerate (duplicates produce the same pairs) and
-    the next compaction removes."""
-    import ray
-
-    @ray.remote
-    def one(root: str, part: int) -> int:
-        d = os.path.join(root, _FMT.format(part))
-        if not os.path.isdir(d):
-            return 0
-        files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-        if len(files) <= 1:
-            return 0
-        merged = pa.concat_tables(
-            [pq.read_table(os.path.join(d, f)) for f in files])
-        tmp = os.path.join(d, f".compact.tmp-{os.getpid()}")
-        pq.write_table(merged, tmp)
-        os.replace(tmp, os.path.join(d, "compact.parquet"))
-        for f in files:
-            if f != "compact.parquet":
-                os.remove(os.path.join(d, f))
-        return len(files)
-
-    jobs = [one.remote(os.path.join(index.dir, "bands"), p)
-            for p in range(index.band_parts)]
-    jobs += [one.remote(os.path.join(index.dir, "sigs"), p)
-             for p in range(index.sig_parts)]
-    merged = ray.get(jobs)
-    return {"partitions_compacted": sum(1 for m in merged if m),
-            "files_absorbed": int(sum(merged))}

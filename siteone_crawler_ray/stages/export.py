@@ -15,13 +15,10 @@ transforms.  All pure per-row ``map_batches`` functions.
 from __future__ import annotations
 
 import re
-from urllib.parse import urlsplit
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from ..functions.hashing import xxh64
 
 
 def spans_to_markdown(batch: pa.Table) -> pa.Table:
@@ -143,30 +140,6 @@ def aggregate_markdown(
     # the reference applies the removal to the COMBINED document
     # (markdown_site_aggregator.rs:110-112)
     return remove_links_and_images(combined) if remove_links_images else combined
-
-
-def offline_path_for(url: str, lowercase: bool = True) -> str:
-    """One URL → relative export path (offline_url_converter.rs:104-520):
-    <host>/<path>[_q<hash8>][.html|index.html]."""
-    s = urlsplit(url)
-    host = s.hostname or "unknown"
-    path = s.path or "/"
-    if lowercase:
-        path = path.lower()
-    qsuffix = f"_q{xxh64(s.query) & 0xFFFFFFFF:08x}" if s.query else ""
-    if path.endswith("/"):
-        return f"{host}{path}index{qsuffix}.html"
-    last = path.rsplit("/", 1)[-1]
-    if "." in last:
-        stem, ext = path.rsplit(".", 1)
-        return f"{host}{stem}{qsuffix}.{ext}"
-    return f"{host}{path}{qsuffix}.html"
-
-
-def add_offline_paths(batch: pa.Table) -> pa.Table:
-    urls = batch["url"].to_numpy(zero_copy_only=False)
-    paths = np.array([offline_path_for(u) for u in urls], dtype=object)
-    return batch.append_column("offline_path", pa.array(paths, pa.string()))
 
 
 class UrlTransforms:

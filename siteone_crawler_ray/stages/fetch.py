@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import urls as U
-from ..functions.hashing import uq_ids, xxh64_strings
+from ..functions.hashing import uq_ids
 from ..sources.corpus import CorpusReader
 from ..types import EXTENSION_CONTENT_TYPE, ContentType
 from .extract import extract_title_extras
@@ -90,10 +90,6 @@ def synthetic_cache_control(url_key: int, ctype: int) -> str:
     if r == 2:
         return "private, max-age=0"
     return ""
-
-
-def synthetic_request_time(url_key: int) -> float:
-    return (url_key % 10000) / 1e5
 
 
 # -- vectorized header synthesis (element-wise identical to the scalar
@@ -153,18 +149,6 @@ def _is_external_vec(hosts: np.ndarray, seed_host: str) -> np.ndarray:
     return ext[inv]
 
 
-def synthetic_asset_size(url_key: int) -> int:
-    return int(url_key % 50000)
-
-
-def doc_size(spans_row) -> int:
-    """Σ max(1, len(text)+len(media_ref)) over spans — the corpus page's
-    'body size' (mirrors offset construction in sources/corpus.py).
-    Null fields count 0 bytes, matching the vectorized kernel."""
-    return sum(max(1, len(s["text"] or "") + len(s["media_ref"] or ""))
-               for s in spans_row)
-
-
 class TokenBucket:
     __slots__ = ("rate", "capacity", "tokens", "last")
 
@@ -209,32 +193,55 @@ class FetchStage:
         # §7.5 hot-host budget split); set per epoch by the driver
         self.salt_map: dict[str, int] = {}
 
-    def _politeness(self, hosts: np.ndarray) -> None:
-        if self.rate is None:
-            return
-        uniq, counts = np.unique(hosts, return_counts=True)
-        for h, c in zip(uniq, counts):
-            s = self.salt_map.get(h, 1)
-            rate = self.rate / s
-            b = self.buckets.get(h)
-            if b is None or abs(b.rate - rate) > 1e-12:
-                # carry accrued tokens across a rate change (salt-map
-                # flips) — a fresh full bucket would grant the host a
-                # burst above the politeness cap (ADVICE r1)
-                nb = TokenBucket(rate, max(1.0, rate))
-                if b is not None:
-                    now = time.monotonic()
-                    nb.tokens = min(nb.capacity,
-                                    b.tokens + (now - b.last) * b.rate)
-                    nb.last = now
-                b = self.buckets[h] = nb
-            b.acquire(float(c))
+    def _bucket(self, host: str) -> TokenBucket:
+        rate = self.rate / self.salt_map.get(host, 1)
+        b = self.buckets.get(host)
+        if b is None or abs(b.rate - rate) > 1e-12:
+            # carry accrued tokens across a rate change (salt-map
+            # flips) — a fresh full bucket would grant the host a
+            # burst above the politeness cap (ADVICE r1)
+            nb = TokenBucket(rate, max(1.0, rate))
+            if b is not None:
+                now = time.monotonic()
+                nb.tokens = min(nb.capacity,
+                                b.tokens + (now - b.last) * b.rate)
+                nb.last = now
+            b = self.buckets[host] = nb
+        return b
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """Fetch ``batch`` in politeness slices: slice j holds each host's
+        rows with running index in [j·cap, (j+1)·cap), cap its bucket's
+        capacity, and is looked up right after the grant of its per-host
+        counts.  No grant exceeds a bucket's capacity, so a host never
+        sees more than rate + capacity requests in a second (one acquire
+        for a whole batch granted them as one burst after the wait).
+        The output is in batch row order."""
+        if self.rate is None or not batch.num_rows:
+            return self._fetch(batch)
+        hosts = batch["host"].to_numpy(zero_copy_only=False)
+        uniq, inv, counts = np.unique(hosts, return_inverse=True, return_counts=True)
+        buckets = [self._bucket(h) for h in uniq]
+        cap = np.array([max(1, int(b.capacity)) for b in buckets])
+        by_host = np.argsort(inv, kind="stable")
+        run = np.empty(len(inv), dtype=np.int64)
+        run[by_host] = np.arange(len(inv)) - np.repeat(np.cumsum(counts) - counts, counts)
+        slice_of = run // cap[inv]
+        parts, rows = [], []
+        for j in range(int(slice_of.max()) + 1):
+            idx = np.nonzero(slice_of == j)[0]
+            for h, c in zip(*np.unique(inv[idx], return_counts=True)):
+                buckets[h].acquire(float(c))
+            parts.append(self._fetch(batch if len(idx) == len(inv) else batch.take(idx)))
+            rows.append(idx)
+        if len(parts) == 1:
+            return parts[0]
+        return pa.concat_tables(parts).take(np.argsort(np.concatenate(rows)))
+
+    def _fetch(self, batch: pa.Table) -> pa.Table:
         urls_np = batch["url"].to_numpy(zero_copy_only=False)
         keys = batch["url_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
         hosts = batch["host"].to_numpy(zero_copy_only=False)
-        self._politeness(hosts)
 
         found, rows = self.corpus.lookup(urls_np, keys)
         n = len(urls_np)

@@ -20,10 +20,7 @@ MP4 + AVI containers (``codec_mp4.decode_mp4``: full stbl
 sample-table walk; ``codec_avi.decode_avi``: RIFF movi/idx1 walk;
 frame payloads stay opaque) — and raises ``NotImplementedError`` for
 the rest (lossy VP8, AVIF, MP3 sample decode, H.264 frame decode),
-whose codec libraries (PIL/ffmpeg) are NOT in this container.  MP3
-still gets a real CONTAINER walk: ``codec_mp3.probe_mp3`` frame-syncs
-the whole stream for exact duration/bitrate/VBR metadata without
-decoding samples.
+whose codec libraries (PIL/ffmpeg) are NOT in this container.
 ``decoder="fake"`` (the default for arbitrary payloads) derives
 deterministic metadata from the payload hash so the Ray-side plumbing
 — schema, batch sizing for wide binary rows, actor signature,
@@ -43,15 +40,6 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import xxh64_strings
-
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.string()),
-        ("kind", pa.string()),  # image | audio | video
-        ("payload", pa.binary()),
-        ("mime", pa.string()),
-    ]
-)
 
 
 def synthesize_media_table(n: int = 64, seed: int = 5) -> pa.Table:
@@ -1674,51 +1662,6 @@ class AudioFrameSampleStage:
                 "media_id": batch["media_id"],
                 "duration_sec": pa.array(np.round(durs, 6)),
                 "frame_energy": pa.array(energies, pa.list_(pa.float64())),
-            }
-        )
-
-
-class ImageResizeStage:
-    """Actor stage: (payload, target size) → resized payload + output
-    dims.  ``decoder='real'`` area-average-resizes any decodable image
-    (BMP / PNG / baseline JPEG via :func:`decode_image`) to the target
-    and emits raw channel-interleaved bytes (undecodable formats
-    raise); fake truncates/pads the payload to the target pixel budget
-    so the wide-binary output layout is exercised."""
-
-    def __init__(self, decoder: str = "fake", target: tuple[int, int] = (224, 224)):
-        self.decoder = decoder
-        self.target = target
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tw, th = self.target
-        if self.decoder == "real":
-            payloads = batch["payload"].to_numpy(zero_copy_only=False)
-            out = []
-            for p in payloads:
-                px = decode_image(p).astype(np.float64)
-                h, w = px.shape[0], px.shape[1]
-                # area-average pooling over floor-boundary cells
-                ys = (np.arange(th + 1) * h) // th
-                xs = (np.arange(tw + 1) * w) // tw
-                col = np.add.reduceat(px, xs[:-1], axis=1) / np.maximum(np.diff(xs), 1)[None, :, None]
-                cell = np.add.reduceat(col, ys[:-1], axis=0) / np.maximum(np.diff(ys), 1)[:, None, None]
-                out.append(np.clip(np.rint(cell), 0, 255).astype(np.uint8).tobytes())
-            return pa.table({
-                "media_id": batch["media_id"],
-                "width": pa.array(np.full(len(out), tw, np.int32)),
-                "height": pa.array(np.full(len(out), th, np.int32)),
-                "payload": pa.array(out, pa.binary()),
-            })
-        budget = tw * th // 256
-        payloads = batch["payload"].to_numpy(zero_copy_only=False)
-        out = [p[:budget].ljust(budget, b"\0") for p in payloads]
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "width": pa.array(np.full(len(out), tw, np.int32)),
-                "height": pa.array(np.full(len(out), th, np.int32)),
-                "payload": pa.array(out, pa.binary()),
             }
         )
 

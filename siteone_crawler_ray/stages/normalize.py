@@ -70,18 +70,3 @@ def normalize_array(
     if lowercase:
         s = pc.utf8_lower(s)
     return s
-
-
-def normalize_text(
-    ds,
-    text_col: str = "text",
-    out_col: str = "norm_text",
-    **kw,
-):
-    """Dataset → Dataset with ``out_col`` added (original column kept so
-    downstream stages can diff/score the change)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.append_column(out_col, normalize_array(batch[text_col], **kw))
-
-    return ds.map_batches(fn, batch_format="pyarrow")

@@ -149,33 +149,6 @@ def weighted_sample(ds, n: int, weight_col: str, key_col: str = "doc_id",
     return t.take(pa.array(np.sort(keep))).drop_columns(["_skey"])
 
 
-def temperature_rates(group_counts: dict[str, int], tau: float = 0.7,
-                      floor_pct: int = 1) -> dict[str, int]:
-    """Temperature-reweighted keep-rates for ``mixture_sample``: the
-    multilingual/multi-domain sampling rule (sample group g with
-    probability ∝ count_g^tau, i.e. keep-rate ∝ count_g^(tau-1)) used
-    to damp head domains and lift tail ones.  tau=1 keeps natural
-    proportions (all rates 100); tau→0 approaches uniform-per-group.
-
-    Returns integer percents normalized so the LARGEST rate is 100
-    (pure subsampling — no group is upsampled; rates never fall below
-    ``floor_pct`` so no group is silently dropped).  The counts dict is
-    one tiny groupby-count of the corpus; composition is
-    ``mixture_sample(ds, temperature_rates(counts, tau))``."""
-    if not group_counts:
-        return {}
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
-    weights = {g: float(c) ** (tau - 1.0) if c > 0 else 0.0
-               for g, c in group_counts.items()}
-    top = max(weights.values())
-    if top <= 0.0:
-        return {g: 0 for g in group_counts}
-    return {g: max(floor_pct, min(100, round(100.0 * w / top)))
-            if w > 0.0 else 0
-            for g, w in weights.items()}
-
-
 # ---------------------------------------------------------------- quotas
 
 
@@ -643,68 +616,11 @@ def pack_sequences(ds, group_col: str = "source", order_col: str = "doc_id",
         merged, [(group_col, "ascending"), ("bin", "ascending")]))
 
 
-def stratified_sample(ds, key_col: str = "doc_id", group_col: str = "source",
-                      rates: dict | None = None, default_pct: int = 100):
-    """Per-group deterministic sampling — compatibility name for
-    ``mixture_sample`` with its original defaults (no salt, unknown
-    groups kept at ``default_pct=100``).  Keep-sets are unchanged: the
-    unsalted mixture hash is the exact rule this function always used."""
-    return mixture_sample(ds, rates or {}, key_col=key_col,
-                          group_col=group_col, default_pct=default_pct,
-                          salt=0)
-
-
-def epoch_shuffle(ds, num_shards: int, seed: int = 0, key_col: str = "doc_id",
-                  hasher=xxh64_strings) -> pa.Table:
-    """Deterministic global training shuffle: every row gets
-    ``hkey = hash(f"{key}:{seed}")``; shard = ``hkey % num_shards``;
-    within-shard order = ``(hkey, key)``.  Changing ``seed`` reshuffles
-    every epoch reproducibly — the property a resumable 100-TB training
-    run needs (restart mid-epoch, land on the identical permutation).
-
-    Exchange shape: ONE hash scatter (each row crosses the wire once,
-    partition == shard by construction) then a partition-LOCAL sort —
-    never a global sort.  Returns (key, shard, pos); a production sink
-    would write one parquet directory per shard instead of returning.
-
-    ``hasher`` defaults to vectorized xxh64; the driver slot passes
-    ``md5_u64_strings`` so DuckDB recomputes the identical permutation
-    (functions/hashing.md5_u64 documents the SQL spelling)."""
-    from .dedup import _partitioned_exchange
-
-    S = int(num_shards)
-
-    def key_batch(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col]
-        ks = pc.cast(keys, pa.string())
-        salted = pc.binary_join_element_wise(ks, f":{seed}", "")
-        h = hasher(salted)
-        return pa.table({key_col: keys, "hkey": pa.array(h, pa.uint64())})
-
-    def order_shard(t: pa.Table) -> pa.Table:
-        h = t["hkey"].to_numpy(zero_copy_only=False)
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        o = np.lexsort((k, h))
-        return pa.table({
-            key_col: pa.array(k[o]),
-            "shard": pa.array(np.full(len(o), -1, np.int64)
-                              if not len(o) else
-                              (h[o].view(np.uint64) % np.uint64(S)).astype(np.int64)),
-            "pos": pa.array(np.arange(len(o), dtype=np.int64)),
-        })
-
-    keyed = ds.map_batches(key_batch, batch_format="pyarrow")
-    parts = _partitioned_exchange(keyed, "hkey", order_shard, num_partitions=S)
-    if not parts:
-        return pa.table({key_col: pa.array([], pa.int64()),
-                         "shard": pa.array([], pa.int64()),
-                         "pos": pa.array([], pa.int64())})
-    return pa.concat_tables(parts)
-
-
 def epoch_shuffle_write(ds, out_dir: str, num_shards: int, seed: int = 0,
                         key_col: str = "doc_id", hasher=xxh64_strings) -> pa.Table:
-    """The production sink for :func:`epoch_shuffle`: FULL rows land in
+    """Seeded deterministic shuffle into ``num_shards`` shards: a row's
+    shard is ``hasher(key:seed) % num_shards`` and each shard is ordered
+    by (hash, key).  FULL rows land in
     ``out_dir/shard=NNNNN/part.parquet`` in shuffled order, written by
     the partition task itself — nothing row-sized ever reaches the
     driver; only a (shard, rows, path, skipped) manifest does.

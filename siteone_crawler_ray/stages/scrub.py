@@ -58,10 +58,3 @@ def scrub_kernel(batch: pa.Table, patterns=None, text_col: str = "text") -> pa.T
         counts[i] = n
     return batch.append_column("scrubbed", pa.array(out, pa.string())).append_column(
         "n_matches", pa.array(counts))
-
-
-def redact(ds, patterns=None, text_col: str = "text"):
-    """Streaming Dataset→Dataset redaction (feeds write_parquet or the
-    downstream tokenizer directly; no materialization)."""
-    return ds.map_batches(
-        lambda b: scrub_kernel(b, patterns, text_col), batch_format="pyarrow")

@@ -3,10 +3,15 @@
 - ``knn_bruteforce``: exact cosine top-k — per-batch numpy matmul
   against a broadcast query matrix (``ray.put`` once, read per actor),
   per-batch partial top-k, tiny driver merge.  The baseline.
-- ``knn_ivf``: IVF-style scale path — deterministic k-means (few Lloyd
-  iterations, seeded init) builds ``nlist`` centroids; vectors are
-  assigned to cells in one map_batches pass; queries probe only the
-  ``nprobe`` nearest cells.  Approximate; recall measured in tests.
+- ``knn_lsh_bucketed``: random-hyperplane LSH candidates, exact
+  rerank; ``knn_lsh`` is its single-table reference.
+- ``ivf_build_index`` / ``ivf_query_index``: IVF scale path —
+  deterministic k-means (few Lloyd iterations on a uniform sample)
+  builds ``nlist`` centroids; vectors are written cell-partitioned and
+  queries read only the ``nprobe`` nearest cells.  Approximate; recall
+  measured in tests.
+- ``knn_join``: big×big approximate top-k over IVF-cell
+  co-partitioning.
 """
 
 from __future__ import annotations
@@ -68,218 +73,6 @@ def knn_bruteforce(ds, query_vecs: np.ndarray, k: int = 10,
         rows["query_idx"].append(np.full(len(order), qi, dtype=np.int32))
         rows[id_col].append(ids[sel][order])
         rows["cosine"].append(np.round(cos[sel][order], 6))
-        rows["rank"].append(np.arange(1, len(order) + 1, dtype=np.int32))
-    return pa.table({c: pa.array(np.concatenate(v)) for c, v in rows.items()})
-
-
-def quantize_embeddings(ds, id_col: str = "vec_id",
-                        vec_col: str = "embedding"):
-    """Scalar int8 quantization: per-vector symmetric scale
-    ``s = max(|x|)/127``, codes ``q = round(x/s)`` (clipped to ±127) —
-    the standard 4× memory cut for a 100-TB ANN index (float32 →
-    int8 + one float scale per vector; dot products run in int arithm.
-    and rescale by ``s_a·s_b``).  Streaming map_batches: emits
-    ``(id, scale, q:list<int8>)`` blocks, no shuffle, no
-    materialization.  ``dequantize_matrix``/``quantized_cosine`` below
-    are the exact inverse/consumer kernels the tests pin down."""
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        m = _as_matrix(batch[vec_col])
-        amax = np.abs(m).max(axis=1)
-        scale = np.where(amax > 0, amax / 127.0, 1.0)
-        q = np.clip(np.round(m / scale[:, None]), -127, 127).astype(np.int8)
-        return pa.table({
-            id_col: batch[id_col],
-            "scale": pa.array(scale, pa.float64()),
-            "q": pa.array(list(q), pa.list_(pa.int8())),
-        })
-
-    return ds.map_batches(kernel, batch_format="pyarrow")
-
-
-def dequantize_matrix(t: pa.Table) -> np.ndarray:
-    """(scale, q) → float matrix (exact inverse of the stored codes)."""
-    q = np.vstack(t["q"].to_numpy(zero_copy_only=False)).astype(np.float64)
-    return q * t["scale"].to_numpy(zero_copy_only=False)[:, None]
-
-
-def quantized_cosine(qa: np.ndarray, sa: float, qb: np.ndarray, sb: float) -> float:
-    """Cosine from int8 codes: integer dot products rescaled by the two
-    scales — the arithmetic an int8 ANN serving path runs."""
-    dot = float(np.dot(qa.astype(np.int32), qb.astype(np.int32))) * sa * sb
-    na = float(np.dot(qa.astype(np.int32), qa.astype(np.int32))) ** 0.5 * sa
-    nb = float(np.dot(qb.astype(np.int32), qb.astype(np.int32))) ** 0.5 * sb
-    return dot / max(na * nb, 1e-12)
-
-
-def pq_train(mat: np.ndarray, m: int = 8, ksub: int = 16, iters: int = 8,
-             seed: int = 3) -> np.ndarray:
-    """Product-quantization codebooks (Jégou et al. 2011): split the
-    dim into ``m`` subspaces and k-means each to ``ksub`` centroids →
-    (m, ksub, dim/m) float64.  Deterministic: subspace k-means reuses
-    the content-derived seeding of ``kmeans_centroids``."""
-    n, dim = mat.shape
-    if dim % m:
-        raise ValueError(f"dim {dim} not divisible by m={m}")
-    dsub = dim // m
-    return np.stack([
-        kmeans_centroids(np.ascontiguousarray(mat[:, j * dsub:(j + 1) * dsub]),
-                         ksub, iters=iters, seed=seed + j)
-        for j in range(m)
-    ])
-
-
-def pq_encode(mat: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
-    """(n, dim) → (n, m) uint8 codes: per-subspace nearest centroid.
-    16× memory cut at m=8/ksub=16 over float32·64-dim (8 B vs 256 B)."""
-    m, ksub, dsub = codebooks.shape
-    codes = np.empty((mat.shape[0], m), dtype=np.uint8)
-    for j in range(m):
-        sub = mat[:, j * dsub:(j + 1) * dsub]
-        # ||x - c||² = ||x||² - 2x·c + ||c||²; ||x||² constant per row
-        d = -2.0 * sub @ codebooks[j].T + (codebooks[j] ** 2).sum(axis=1)
-        codes[:, j] = np.argmin(d, axis=1)
-    return codes
-
-
-def pq_adc_table(query: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
-    """Asymmetric-distance lookup table: (m, ksub) of squared L2 between
-    the query's subvectors and every centroid — one table per query,
-    then each database vector scores as m uint8-indexed lookups."""
-    m, ksub, dsub = codebooks.shape
-    return np.stack([
-        ((codebooks[j] - query[j * dsub:(j + 1) * dsub]) ** 2).sum(axis=1)
-        for j in range(m)
-    ])
-
-
-def knn_pq(ds, query_vecs: np.ndarray, k: int = 10, *, m: int = 16,
-           ksub: int = 256, train_n: int = 4096, seed: int = 3,
-           id_col: str = "vec_id", vec_col: str = "embedding") -> pa.Table:
-    """PQ brute-force top-k: vectors L2-normalized (so squared L2 is
-    rank-equivalent to cosine), codebooks trained on a distributed
-    content-derived sample and broadcast once (``ray.put``); each block
-    encodes to (n, m) uint8 and scores queries through the ADC tables —
-    the 16-64× memory path for an exhaustive scan at 100 TB.  Per-block
-    partial top-k → tiny driver merge, same shape as knn_bruteforce.
-    → (query_idx, vec_id, adc, rank); recall vs exact is pytest-pinned."""
-    import ray
-
-    sample = _normalize(sample_vectors(ds, vec_col=vec_col, n=train_n, seed=seed))
-    # fix the row ORDER before k-means: the sample SET is partition-
-    # independent but its order is not, and float centroid sums would
-    # otherwise differ at the ulp level and flip code assignments
-    sample = sample[np.lexsort(sample.T[::-1])]
-    codebooks = pq_train(sample, m=m, ksub=ksub, seed=seed)
-    q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
-    luts = np.stack([pq_adc_table(qi, codebooks) for qi in q])  # (nq, m, ksub)
-    cb_ref, lut_ref = ray.put(codebooks), ray.put(luts)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cb, lt = ray.get(cb_ref), ray.get(lut_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        codes = pq_encode(_normalize(_as_matrix(batch[vec_col])), cb)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(lt.shape[0]):
-            # ADC score: sum of per-subspace LUT entries at the codes
-            s = lt[qi][np.arange(codes.shape[1]), codes].sum(axis=1)
-            kk = min(k, len(ids))
-            idx = np.argpartition(s, kk - 1)[:kk]
-            out_q.append(np.full(kk, qi, dtype=np.int32))
-            out_id.append(ids[idx])
-            out_s.append(s[idx])
-        return pa.table({
-            "query_idx": pa.array(np.concatenate(out_q)),
-            id_col: pa.array(np.concatenate(out_id)),
-            "adc": pa.array(np.concatenate(out_s)),
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    t = pa.concat_tables(_collect_blocks(parts))
-    qs = t["query_idx"].to_numpy(zero_copy_only=False)
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    s = t["adc"].to_numpy(zero_copy_only=False)
-    rows = {"query_idx": [], id_col: [], "adc": [], "rank": []}
-    for qi in np.unique(qs):
-        sel = qs == qi
-        order = np.lexsort((ids[sel], s[sel]))[:k]
-        rows["query_idx"].append(np.full(len(order), qi, dtype=np.int32))
-        rows[id_col].append(ids[sel][order])
-        rows["adc"].append(np.round(s[sel][order], 6))
-        rows["rank"].append(np.arange(1, len(order) + 1, dtype=np.int32))
-    return pa.table({c: pa.array(np.concatenate(v)) for c, v in rows.items()})
-
-
-def knn_ivf_pq(ds, query_vecs: np.ndarray, k: int = 10, *, nlist: int = 16,
-               nprobe: int = 4, m: int = 16, ksub: int = 256,
-               train_n: int = 4096, seed: int = 3,
-               id_col: str = "vec_id", vec_col: str = "embedding") -> pa.Table:
-    """IVF-PQ with RESIDUAL encoding (Jégou et al. 2011 §IV) — the
-    composition the big ANN systems deploy: coarse centroids define
-    cells, each vector stores only the uint8 PQ codes of its residual
-    ``x − c(cell)``, and a query probes ``nprobe`` cells scoring
-    ``‖(q − c) − r̂‖²`` through per-(query, cell) ADC tables.  Residual
-    encoding restores the within-cell discrimination plain PQ loses
-    (the cell centroid absorbs the coarse offset), at the same 16×
-    memory cut.  Same distributed shape as knn_pq: one broadcast of
-    (centroids, codebooks, LUTs), per-block encode + partial top-k,
-    tiny driver merge."""
-    import ray
-
-    sample = _normalize(sample_vectors(ds, vec_col=vec_col, n=train_n, seed=seed))
-    sample = sample[np.lexsort(sample.T[::-1])]  # layout-invariant k-means
-    cent = kmeans_centroids(sample, nlist, seed=seed)
-    res = sample - cent[np.argmax(sample @ cent.T, axis=1)]
-    codebooks = pq_train(res, m=m, ksub=ksub, seed=seed)
-
-    q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
-    probes = np.argsort(-(q @ cent.T), axis=1)[:, :nprobe]  # (nq, nprobe)
-    luts = np.stack([
-        np.stack([pq_adc_table(q[qi] - cent[c], codebooks)
-                  for c in probes[qi]])
-        for qi in range(len(q))
-    ])  # (nq, nprobe, m, ksub)
-    bref = ray.put((cent, codebooks, probes, luts))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents, cb, prb, lt = ray.get(bref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        mat = _normalize(_as_matrix(batch[vec_col]))
-        assign = np.argmax(mat @ cents.T, axis=1)
-        codes = pq_encode(mat - cents[assign], cb)
-        nsub = codes.shape[1]
-        out_q, out_id, out_s = [], [], []
-        for qi in range(lt.shape[0]):
-            for j, cell in enumerate(prb[qi]):
-                mask = assign == cell
-                if not mask.any():
-                    continue
-                s = lt[qi, j][np.arange(nsub), codes[mask]].sum(axis=1)
-                kk = min(k, len(s))
-                idx = np.argpartition(s, kk - 1)[:kk]
-                out_q.append(np.full(kk, qi, dtype=np.int32))
-                out_id.append(ids[mask][idx])
-                out_s.append(s[idx])
-        if not out_q:
-            return pa.table({"query_idx": pa.array([], pa.int32()),
-                             id_col: pa.array([], pa.int64()),
-                             "adc": pa.array([], pa.float64())})
-        return pa.table({"query_idx": pa.array(np.concatenate(out_q)),
-                         id_col: pa.array(np.concatenate(out_id)),
-                         "adc": pa.array(np.concatenate(out_s))})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    t = pa.concat_tables(_collect_blocks(parts))
-    qs = t["query_idx"].to_numpy(zero_copy_only=False)
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    s = t["adc"].to_numpy(zero_copy_only=False)
-    rows = {"query_idx": [], id_col: [], "adc": [], "rank": []}
-    for qi in np.unique(qs):
-        sel = qs == qi
-        order = np.lexsort((ids[sel], s[sel]))[:k]
-        rows["query_idx"].append(np.full(len(order), qi, dtype=np.int32))
-        rows[id_col].append(ids[sel][order])
-        rows["adc"].append(np.round(s[sel][order], 6))
         rows["rank"].append(np.arange(1, len(order) + 1, dtype=np.int32))
     return pa.table({c: pa.array(np.concatenate(v)) for c, v in rows.items()})
 
@@ -354,63 +147,6 @@ def kmeans_centroids(mat: np.ndarray, nlist: int, iters: int = 5, seed: int = 3)
                 if n > 1e-12:
                     cent[c] = v / n
     return cent
-
-
-def knn_ivf(ds, query_vecs: np.ndarray, k: int = 10, nlist: int = 16, nprobe: int = 4,
-            id_col: str = "vec_id", vec_col: str = "embedding", seed: int = 3,
-            train_sample: int = 4096) -> pa.Table:
-    """IVF approximate top-k: probe the nprobe nearest centroid cells.
-
-    Centroids are trained on a deterministic UNIFORM distributed sample
-    (:func:`sample_vectors` — not the first blocks, which are biased on
-    topic-sorted input); assignment + probing are map_batches passes.
-    At 100 TB the cell assignment becomes the partition key of the
-    stored index."""
-    import ray
-
-    smat = _normalize(sample_vectors(ds, vec_col, n=train_sample, seed=seed))
-    cent = kmeans_centroids(smat, nlist, seed=seed)
-    q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
-    probe_cells = np.argsort(-(q @ cent.T), axis=1)[:, :nprobe]  # (nq, nprobe)
-    cref = ray.put((cent, q, probe_cells))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents, qm, probes = ray.get(cref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        m = _normalize(_as_matrix(batch[vec_col]))
-        assign = np.argmax(m @ cents.T, axis=1)
-        out_q, out_id, out_c = [], [], []
-        for qi in range(len(qm)):
-            mask = np.isin(assign, probes[qi])
-            if not mask.any():
-                continue
-            cos = m[mask] @ qm[qi]
-            kk = min(k, len(cos))
-            idx = np.argpartition(-cos, kk - 1)[:kk]
-            out_q.append(np.full(kk, qi, dtype=np.int32))
-            out_id.append(ids[mask][idx])
-            out_c.append(cos[idx])
-        if not out_q:
-            return pa.table({"query_idx": pa.array([], pa.int32()), id_col: pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        return pa.table({"query_idx": pa.array(np.concatenate(out_q)),
-                         id_col: pa.array(np.concatenate(out_id)),
-                         "cosine": pa.array(np.concatenate(out_c))})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    t = pa.concat_tables(_collect_blocks(parts))
-    qs = t["query_idx"].to_numpy(zero_copy_only=False)
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    cos = t["cosine"].to_numpy(zero_copy_only=False)
-    rows = {"query_idx": [], id_col: [], "cosine": [], "rank": []}
-    for qi in np.unique(qs):
-        sel = qs == qi
-        order = np.lexsort((ids[sel], -cos[sel]))[:k]
-        rows["query_idx"].append(np.full(len(order), qi, dtype=np.int32))
-        rows[id_col].append(ids[sel][order])
-        rows["cosine"].append(np.round(cos[sel][order], 6))
-        rows["rank"].append(np.arange(1, len(order) + 1, dtype=np.int32))
-    return pa.table({c: pa.array(np.concatenate(v)) for c, v in rows.items()})
 
 
 def _lsh_planes(ntables: int, nbits: int, dim: int, seed: int) -> np.ndarray:
@@ -707,129 +443,6 @@ def ivf_query_index(index_path: str, query_vecs: np.ndarray, k: int = 10, *,
                          "cosine": pa.array([], pa.float64()), "rank": pa.array([], pa.int32())})
     sub = rd.read_parquet(paths, columns=[id_col, vec_col])
     return knn_bruteforce(sub, query_vecs, k, id_col=id_col, vec_col=vec_col)
-
-
-# ---- full-corpus distributed k-means (Lloyd) --------------------------------
-#
-# kmeans_centroids trains on a uniform SAMPLE (the standard IVF recipe);
-# this is the scale path when the clustering itself is the product
-# (SemDeDup cluster maps, corpus topic bucketing): every Lloyd
-# iteration streams the WHOLE corpus once — per block, assign rows to
-# the broadcast centroids and emit (k, dim) partial sums + (k,) counts;
-# partials tree-merge with fan-in 8 and the driver renormalizes.
-# Per-iteration communication is O(k·dim · blocks/8), independent of
-# corpus rows — the same data-parallel shape as stages/classifier.py.
-
-
-def _kmeans_partial(mat: np.ndarray, cent: np.ndarray):
-    """(sums[k,dim], counts[k], sim_sum) for one normalized block."""
-    sims = mat @ cent.T
-    assign = np.argmax(sims, axis=1)
-    k, dim = cent.shape
-    sums = np.zeros((k, dim), dtype=np.float64)
-    np.add.at(sums, assign, mat)
-    counts = np.bincount(assign, minlength=k).astype(np.int64)
-    return sums, counts, float(sims[np.arange(len(mat)), assign].sum())
-
-
-def _kmeans_update(cent: np.ndarray, sums: np.ndarray,
-                   counts: np.ndarray) -> np.ndarray:
-    """Spherical update; empty clusters keep their previous centroid
-    (same rule as kmeans_centroids)."""
-    out = cent.copy()
-    norms = np.linalg.norm(sums, axis=1)
-    live = (counts > 0) & (norms > 1e-12)
-    out[live] = sums[live] / norms[live, None]
-    return out
-
-
-def kmeans_distributed(ds, k: int, iters: int = 10,
-                       vec_col: str = "embedding", seed: int = 3,
-                       init_sample: int = 4096):
-    """Full-corpus spherical Lloyd's over a Dataset of vectors.
-
-    Returns (centroids[k,dim], objective-per-row history).  Init is the
-    same seeded choice as :func:`kmeans_centroids` over a distributed
-    uniform sample, so small-data results line up with the sample path.
-    Vector blocks are normalized ONCE and pinned in the object store;
-    each iteration ships only the (k, dim) centroid matrix."""
-    import ray
-
-    from ..functions.agg import block_refs
-
-    smat = _normalize(sample_vectors(ds, vec_col, n=init_sample, seed=seed))
-    rng = np.random.default_rng(seed)
-    init = rng.choice(len(smat), size=min(k, len(smat)), replace=False)
-    cent = smat[np.sort(init)].copy()
-
-    @ray.remote
-    def featurize(block):
-        if block is None or block.num_rows == 0:
-            return None
-        return _normalize(_as_matrix(block[vec_col]))
-
-    @ray.remote
-    def partial(mat, c):
-        if mat is None:
-            return None
-        return _kmeans_partial(mat, c)
-
-    @ray.remote
-    def merge(*parts):
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            return None
-        s, n, o = parts[0]
-        s = s.copy()
-        n = n.copy()
-        for ss, nn, oo in parts[1:]:
-            s += ss
-            n += nn
-            o += oo
-        return s, n, o
-
-    mats = [featurize.remote(r) for r in block_refs(ds)]
-    history: list[float] = []
-    for _ in range(iters):
-        c_ref = ray.put(cent)
-        level = [partial.remote(m, c_ref) for m in mats]
-        while len(level) > 1:
-            level = [merge.remote(*level[i:i + 8]) for i in range(0, len(level), 8)]
-        got = ray.get(level[0])
-        if got is None:
-            break
-        sums, counts, obj = got
-        history.append(obj / max(int(counts.sum()), 1))
-        cent = _kmeans_update(cent, sums, counts)
-    return cent, history
-
-
-def kmeans_distributed_local(tables, k: int, iters: int = 10,
-                             vec_col: str = "embedding", seed: int = 3,
-                             init_sample: int = 4096):
-    """Single-process twin of :func:`kmeans_distributed` — identical
-    per-block partial math summed in a plain loop (pytest pin)."""
-    import ray.data as rd
-
-    ds = rd.from_arrow(tables)
-    smat = _normalize(sample_vectors(ds, vec_col, n=init_sample, seed=seed))
-    rng = np.random.default_rng(seed)
-    init = rng.choice(len(smat), size=min(k, len(smat)), replace=False)
-    cent = smat[np.sort(init)].copy()
-    mats = [_normalize(_as_matrix(t[vec_col])) for t in tables if t.num_rows]
-    history: list[float] = []
-    for _ in range(iters):
-        sums = np.zeros_like(cent)
-        counts = np.zeros(len(cent), dtype=np.int64)
-        obj = 0.0
-        for mat in mats:
-            s, n, o = _kmeans_partial(mat, cent)
-            sums += s
-            counts += n
-            obj += o
-        history.append(obj / max(int(counts.sum()), 1))
-        cent = _kmeans_update(cent, sums, counts)
-    return cent, history
 
 
 # ------------------------------------------------------------- kNN join

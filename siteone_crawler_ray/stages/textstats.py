@@ -9,8 +9,6 @@ documented here where they are not (fingerprint, langid).
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -24,22 +22,12 @@ STOPWORDS = {
     "fr": {"le", "la", "de", "et", "un", "est", "pour", "que", "dans"},
 }
 
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
-
 
 def token_counts(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Whitespace token count: n_tokens = count(' ')+1 (SQL-matchable:
     len(string_split(text, ' ')))."""
     n = pc.add(pc.count_substring(batch[text_col], " "), 1)
     return pa.table({"doc_id": batch["doc_id"], "n_tokens": n.cast(pa.int64())})
-
-
-def bpe_ish_token_counts(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """BPE-ish regex token count (words + punctuation as separate tokens)
-    — the tokenizer-approximation counter; compiled regex, per-row findall."""
-    texts = batch[text_col].to_numpy(zero_copy_only=False)
-    counts = np.fromiter((len(_WORD_RE.findall(t)) for t in texts), dtype=np.int64, count=len(texts))
-    return pa.table({"doc_id": batch["doc_id"], "n_bpe_tokens": pa.array(counts)})
 
 
 def unigram_model(ds, text_col: str = "text",

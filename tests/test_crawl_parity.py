@@ -573,6 +573,53 @@ def test_politeness_token_bucket_rate():
     assert time.monotonic() - t0 >= 0.4
 
 
+def test_fetch_slices_batch_to_bucket_capacity(tmp_path, monkeypatch):
+    """A batch of ~3× a host's rate is looked up in slices of at most the
+    bucket capacity, each after its own grant: no 1 s window of corpus
+    lookups holds more than rate + capacity of the host's rows, and the
+    output equals the unthrottled fetch of the same batch."""
+    import time
+    from urllib.parse import urlsplit
+
+    import numpy as np
+
+    from siteone_crawler_ray.functions.hashing import xxh64_strings
+    from siteone_crawler_ray.sources.corpus import CorpusReader
+    from siteone_crawler_ray.stages.fetch import FetchStage
+
+    tabs = make_graph_corpus(seed=5, hosts=1, total_pages=200)
+    cp = str(tmp_path / "corpus")
+    write_corpus(tabs["documents"], cp, num_buckets=4)
+    rate = 50.0
+    urls = tabs["documents"]["doc_id"].to_pylist()[:140]
+    urls += [u + "missing.png" for u in urls[:10]]  # corpus misses ride along
+    n = len(urls)
+    batch = pa.table({
+        "seq": pa.array(np.arange(n)), "wavepos": pa.array(np.arange(n)),
+        "epoch": pa.array(np.zeros(n, np.int32)), "url": pa.array(urls),
+        "url_key": pa.array(xxh64_strings(np.array(urls, dtype=object))),
+        "host": pa.array([urlsplit(u).hostname for u in urls]),
+        "depth": pa.array(np.ones(n, np.int32)), "source_uq_id": pa.array(["s"] * n),
+        "source_attr": pa.array(np.zeros(n, np.int8)),
+    })
+    assert len(set(batch["host"].to_pylist())) == 1
+
+    calls = []
+    lookup = CorpusReader.lookup
+
+    def timed(self, urls, keys=None):
+        calls.append((time.monotonic(), len(urls)))
+        return lookup(self, urls, keys)
+
+    monkeypatch.setattr(CorpusReader, "lookup", timed)
+    got = FetchStage(cp, max_reqs_per_sec=rate)(batch)
+    assert sum(c for _, c in calls) == n
+    for t0, _ in calls:
+        in_window = sum(c for t, c in calls if t0 <= t < t0 + 1.0)
+        assert in_window <= rate + rate, calls  # rate + capacity (= rate)
+    assert got.equals(FetchStage(cp)(batch))
+
+
 def test_host_routing_output_invariance(tmp_workdir):
     """routing='host' (politeness-exact, salted hot hosts) must produce
     the identical visited order/seen set as bucket routing."""

@@ -111,31 +111,6 @@ def test_index_is_incremental_and_idempotent(ray_session, tmp_path):
     assert 100 in set(q2["old_id"].to_pylist())
 
 
-def test_compaction_preserves_queries(ray_session, tmp_path):
-    """Compacting epoch files changes the layout, never the answers."""
-    import ray.data as rd
-
-    from siteone_crawler_ray.stages.dedup_index import MinHashIndex, compact_index
-
-    (a_ids, a_texts), (b_ids, b_texts) = _mk_corpora()
-    ix = MinHashIndex(str(tmp_path / "ix"), num_perm=32, bands=8,
-                      band_parts=4, sig_parts=4)
-    ix.add(rd.from_arrow(_docs(a_ids, a_texts)), epoch=0)
-    ix.add(rd.from_arrow(_docs(b_ids, b_texts)), epoch=1)
-    probe = _docs([900, 901], [b_texts[-2], a_texts[0]])
-    before = ix.query(rd.from_arrow(probe), threshold=0.5)
-
-    m = compact_index(ix)
-    assert m["partitions_compacted"] > 0 and m["files_absorbed"] > 0
-    after = ix.query(rd.from_arrow(probe), threshold=0.5)
-    assert after.equals(before)
-    # compacting a compacted index is a no-op
-    assert compact_index(ix)["files_absorbed"] == 0
-    # and the index remains extendable afterwards
-    ix.add(rd.from_arrow(_docs([777], ["totally fresh words only"])), epoch=2)
-    assert ix.query(rd.from_arrow(probe), threshold=0.5).equals(before)
-
-
 def test_index_add_survives_worker_death(ray_session, tmp_path):
     """A writer task hard-killed mid-add is retried; atomic rename +
     pid-suffixed tmp files mean the healed index answers exactly like

@@ -10,11 +10,10 @@ import pytest
 
 from siteone_crawler_ray.functions.cache import add_cache_columns, parse_cache_control
 from siteone_crawler_ray.pipelines import scoring as SC
-from siteone_crawler_ray.sources.seeds import parse_sitemap, parse_url_list_text, sitemap_seeds
+from siteone_crawler_ray.sources.seeds import parse_url_list_text
 from siteone_crawler_ray.stages.export import (
     UrlTransforms,
     aggregate_markdown,
-    offline_path_for,
     spans_to_markdown,
 )
 from siteone_crawler_ray.types import CacheFlag
@@ -94,16 +93,6 @@ def test_spans_to_markdown_and_aggregate():
     assert "<!-- https://a.test/x -->" in agg
 
 
-def test_offline_path_rules():
-    assert offline_path_for("https://w.test/") == "w.test/index.html"
-    assert offline_path_for("https://w.test/a/b/") == "w.test/a/b/index.html"
-    assert offline_path_for("https://w.test/a/p.png") == "w.test/a/p.png"
-    assert offline_path_for("https://w.test/page") == "w.test/page.html"
-    q1 = offline_path_for("https://w.test/p?a=1")
-    q2 = offline_path_for("https://w.test/p?a=2")
-    assert q1 != q2 and q1.startswith("w.test/p_q") and q1.endswith(".html")
-
-
 def test_url_transforms():
     tr = UrlTransforms(("old.test -> new.test", r"regex:/v(\d+)/ -> /ver\1/"))
     batch = pa.table({"url": ["https://old.test/v2/a", "https://keep.test/x"]})
@@ -146,26 +135,6 @@ def test_parse_url_list_text():
     )
     assert good == ["https://a.test/x", "https://b.test/y?q=1"]
     assert bad == ["not a url"]
-
-
-def test_sitemap_parse_and_tree():
-    leaf = b'<?xml version="1.0"?><urlset><url><loc>https://s.test/a</loc></url><url><loc> https://s.test/b </loc></url></urlset>'
-    idx = (
-        b'<?xml version="1.0"?><sitemapindex>'
-        b"<sitemap><loc>https://s.test/leaf.xml</loc></sitemap>"
-        b"<sitemap><loc>https://s.test/skip.txt</loc></sitemap>"
-        b"</sitemapindex>"
-    )
-    pages, nested = parse_sitemap(idx)
-    assert pages == [] and nested == ["https://s.test/leaf.xml"]
-    # gzip round-trip (crawler.rs:607-624)
-    pages, nested = parse_sitemap(gzip.compress(leaf), url="https://s.test/leaf.xml.gz")
-    assert pages == ["https://s.test/a", "https://s.test/b"]
-    out = sitemap_seeds(
-        {"https://s.test/root.xml": idx, "https://s.test/leaf.xml": leaf},
-        "https://s.test/root.xml",
-    )
-    assert out == ["https://s.test/a", "https://s.test/b"]
 
 
 # -- redirect + header battery over a real crawl ------------------------------

@@ -1,6 +1,5 @@
-"""Live-HTML/CSS/JS extraction battery — edge cases ported from the
-reference's inline tests (html_processor.rs:962-1233,
-css_processor.rs, javascript_processor.rs)."""
+"""Live-HTML extraction battery — edge cases ported from the
+reference's inline tests (html_processor.rs:962-1233)."""
 
 from __future__ import annotations
 
@@ -8,9 +7,7 @@ import pyarrow as pa
 
 from siteone_crawler_ray.functions.html_extract import (
     ExtractFlags,
-    extract_urls_from_css,
     extract_urls_from_html,
-    extract_urls_from_js,
     html_extract_batch,
     spans_to_html,
 )
@@ -91,20 +88,6 @@ def test_per_document_dedup_first_wins():
     html = '<a href="/x">1</a><img src="/x"><a href="/x">2</a>'
     found = extract_urls_from_html(html)
     assert found == [("/x", UrlSource.A_HREF)]
-
-
-def test_css_processor():
-    css = "@import 'base.css'; .x{background:url(img/a.png)} .y{src:url('data:image/png;base64,AA')}"
-    found = extract_urls_from_css(css)
-    assert ("base.css", UrlSource.CSS_URL) in found
-    assert ("img/a.png", UrlSource.CSS_URL) in found
-    assert not any(u.startswith("data:") for u, _ in found)
-
-
-def test_js_processor():
-    js = 'import x from "./mod.js"; const a = "/assets/app.js"; fetch("https://c.test/x.mjs")'
-    found = urls(extract_urls_from_js(js))
-    assert "./mod.js" in found and "/assets/app.js" in found and "https://c.test/x.mjs" in found
 
 
 def test_batch_stage_and_span_roundtrip():

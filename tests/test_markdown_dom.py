@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from siteone_crawler_ray.functions.html_markdown import (
     HtmlToMarkdown,
-    collapse_large_link_lists,
     html_to_markdown,
 )
 
@@ -115,18 +114,6 @@ def test_link_aria_label_and_title():
     assert "[Label here](/x)" in md
     md = html_to_markdown('<a href="/x" title="Tip">Text</a>')
     assert '[Text](/x "Tip")' in md
-
-
-def test_collapse_large_link_lists_accordion():
-    lines = "\n".join(f"- [L{i}](/l{i})" for i in range(10))
-    out = collapse_large_link_lists(lines)
-    assert "<details>" in out and "<summary>Menu</summary>" in out
-    # second list gets "Links"
-    two = collapse_large_link_lists(lines + "\n\ntext\n\n" + lines)
-    assert "<summary>Links</summary>" in two
-    # small lists untouched
-    small = "\n".join(f"- [L{i}](/l{i})" for i in range(3))
-    assert "<details>" not in collapse_large_link_lists(small)
 
 
 def test_heading_strips_markdown_chars_and_escape_roundtrip():

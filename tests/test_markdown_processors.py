@@ -1,14 +1,8 @@
-"""HTML→Markdown converter + content-processor registry."""
+"""HTML→Markdown converter."""
 
 from __future__ import annotations
 
 from siteone_crawler_ray.functions.html_markdown import html_to_markdown
-from siteone_crawler_ray.functions.processors import (
-    Processor,
-    ProcessorRegistry,
-    nextjs_chunk_urls,
-)
-from siteone_crawler_ray.types import ContentType, UrlSource
 
 
 def test_markdown_headings_links_images():
@@ -42,53 +36,3 @@ def test_markdown_aria_hidden_and_comments_stripped():
     html = "<span aria-hidden=\"true\">hidden</span><!-- c -->visible"
     md = html_to_markdown(html)
     assert "hidden" not in md and "visible" in md
-
-
-def test_processor_registry_builtin_routing():
-    reg = ProcessorRegistry.with_builtins()
-    html_found = reg.extract(ContentType.HTML, '<a href="/x">a</a>')
-    assert ("/x", UrlSource.A_HREF) in html_found
-    css_found = reg.extract(ContentType.STYLESHEET, ".a{background:url(/b.png)}")
-    assert ("/b.png", UrlSource.CSS_URL) in css_found
-    js_found = reg.extract(ContentType.SCRIPT, 'import m from "./m.js"')
-    assert ("./m.js", UrlSource.JS_URL) in js_found
-    xml_found = reg.extract(ContentType.XML, "<urlset><loc>https://s.test/p</loc></urlset>")
-    assert ("https://s.test/p", UrlSource.SITEMAP) in xml_found
-    assert reg.extract(ContentType.IMAGE, "anything") == []
-
-
-def test_processor_registry_custom_extension():
-    reg = ProcessorRegistry.with_builtins()
-    reg.register(Processor("nextjs", (ContentType.SCRIPT,),
-                           lambda b: nextjs_chunk_urls(b)))
-    js = 'chunks={1:"app",2:"vendor"};hashes={1:"deadbeef01",2:"cafebabe02"}'
-    found = reg.extract(ContentType.SCRIPT, js)
-    urls = {u for u, _ in found}
-    assert "/_next/static/chunks/app.deadbeef01.js" in urls
-    assert "/_next/static/chunks/vendor.cafebabe02.js" in urls
-
-
-def test_nextjs_chunk_reconstruction_partial():
-    # name without matching hash is not emitted
-    js = 'a={1:"app"};b={2:"cafebabe02"}'
-    assert nextjs_chunk_urls(js) == []
-
-
-def test_astro_processor_extraction_and_offline():
-    # astro_processor.rs:20-30 component/renderer URLs; :130-135 module fallback
-    reg = ProcessorRegistry.with_builtins()
-    body = '<astro-island component-url="/c.js" renderer-url="/r.js">astro</astro-island>'
-    found = reg.extract(ContentType.HTML, body)
-    assert ("/c.js", UrlSource.JS_URL) in found and ("/r.js", UrlSource.JS_URL) in found
-    # guard: no 'astro' marker → no astro extraction
-    assert reg.extract(ContentType.HTML, '<x component-url="/c.js">') == []
-    off = reg.apply_offline(ContentType.HTML,
-                            '<p>astro</p><script type="module" src="/m.js"></script>')
-    assert off == '<p>astro</p><script src="/m.js"></script>'
-
-
-def test_svelte_processor_offline_strip():
-    # svelte_processor.rs:15,48-53: opening <svelte:*> tags stripped
-    reg = ProcessorRegistry.with_builtins()
-    out = reg.apply_offline(ContentType.HTML, "<svelte:options tag='x'><p>keep</p>")
-    assert "<svelte:" not in out and "<p>keep</p>" in out

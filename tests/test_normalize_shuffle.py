@@ -1,5 +1,5 @@
 """Unicode normalization (stages/normalize.py) and the deterministic
-epoch shuffle (stages/sampling.epoch_shuffle).
+epoch shuffle (stages/sampling.epoch_shuffle_write).
 
 The driver slot exercises normalization only on deterministically
 dirtied ASCII; the fixtures here hit the unicode corners — NFD accents,
@@ -10,7 +10,6 @@ references (CPython's unicodedata and DuckDB's utf8proc).
 import unicodedata
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 
 SF = "/root/testdata/sf0.001"
@@ -72,79 +71,63 @@ def test_normalize_nfkc_and_lowercase():
     assert got[1].startswith("fine")  # ligature folded
 
 
-def test_normalize_text_dataset_stage(ray_session):
-    import ray.data as rd
-
-    from siteone_crawler_ray.stages.normalize import normalize_text
-
-    ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(len(DIRTY))),
-                                 "text": pa.array(DIRTY)}))
-    out = _concat(normalize_text(ds))
-    assert out.column_names == ["doc_id", "text", "norm_text"]
-    assert out.num_rows == len(DIRTY)
-
-
-def _concat(ds) -> pa.Table:
-    from siteone_crawler_ray.functions.agg import collect_blocks
-
-    return pa.concat_tables(collect_blocks(ds))
-
-
-def test_epoch_shuffle_matches_duckdb(ray_session):
-    """Shard assignment AND within-shard order match the SQL
+def test_epoch_shuffle_matches_duckdb(ray_session, tmp_path):
+    """The shard files' assignment AND within-shard order match the SQL
     restatement of the same md5-derived permutation, for two shard
     counts and two seeds."""
+    import os
+
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from siteone_crawler_ray.functions.hashing import md5_u64_strings
-    from siteone_crawler_ray.stages.sampling import epoch_shuffle
+    from siteone_crawler_ray.stages.sampling import epoch_shuffle_write
 
     ds = lambda: rd.read_parquet(f"{SF}/documents.parquet",  # noqa: E731
                                  columns=["doc_id"], override_num_blocks=4)
     for S, seed in ((4, 7), (3, 11)):
-        t = (epoch_shuffle(ds(), num_shards=S, seed=seed,
-                           hasher=md5_u64_strings)
-             .sort_by([("shard", "ascending"), ("pos", "ascending")]))
-        o = duckdb.sql(f"""
-            SELECT doc_id, CAST(hkey % {S} AS BIGINT) AS shard,
-                   CAST(row_number() OVER (PARTITION BY hkey % {S}
-                        ORDER BY hkey, doc_id) - 1 AS BIGINT) AS pos
+        out = str(tmp_path / f"s{S}-{seed}")
+        epoch_shuffle_write(ds(), out, num_shards=S, seed=seed,
+                            hasher=md5_u64_strings)
+        got = [(s, d) for s in range(S)
+               for d in pq.read_table(os.path.join(out, f"shard={s:05d}", "part.parquet"))
+               ["doc_id"].to_pylist()]
+        want = duckdb.sql(f"""
+            SELECT CAST(hkey % {S} AS BIGINT) AS shard, doc_id
             FROM (SELECT doc_id,
                     CAST(CONCAT('0x', SUBSTR(md5(CONCAT(
                         CAST(doc_id AS VARCHAR), ':', '{seed}')), 1, 16))
                       AS UBIGINT) AS hkey
                   FROM read_parquet('{SF}/documents.parquet'))
-            ORDER BY shard, pos""").arrow()
-        assert t.equals(o.cast(t.schema)), f"S={S} seed={seed}"
+            ORDER BY shard, hkey, doc_id""").fetchall()
+        assert got == want, f"S={S} seed={seed}"
 
 
-def test_epoch_shuffle_is_a_permutation_and_seed_sensitive(ray_session):
-    """Every doc appears exactly once; positions are dense per shard;
-    a different seed yields a different permutation (xxh64 fast path)."""
+def test_epoch_shuffle_is_a_permutation_and_seed_sensitive(ray_session, tmp_path):
+    """Every doc lands in exactly one shard file; a different seed
+    yields a different permutation (xxh64 fast path)."""
+    import os
+
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from siteone_crawler_ray.stages.sampling import epoch_shuffle
+    from siteone_crawler_ray.stages.sampling import epoch_shuffle_write
 
     ds = lambda: rd.read_parquet(f"{SF}/documents.parquet",  # noqa: E731
                                  columns=["doc_id"], override_num_blocks=4)
-    a = epoch_shuffle(ds(), num_shards=4, seed=0)
-    b = epoch_shuffle(ds(), num_shards=4, seed=1)
+
+    def shards(seed):
+        out = str(tmp_path / f"seed{seed}")
+        epoch_shuffle_write(ds(), out, num_shards=4, seed=seed)
+        return [pq.read_table(os.path.join(out, f"shard={s:05d}", "part.parquet"))
+                ["doc_id"].to_pylist() for s in range(4)]
+
+    a, b = shards(0), shards(1)
     n = ds().count()
-    assert a.num_rows == b.num_rows == n
-    assert len(np.unique(a["doc_id"].to_numpy(zero_copy_only=False))) == n
     for t in (a, b):
-        for s in range(4):
-            pos = t.filter(pa.array(
-                t["shard"].to_numpy(zero_copy_only=False) == s))["pos"]
-            p = np.sort(pos.to_numpy(zero_copy_only=False))
-            assert (p == np.arange(len(p))).all()
-    key_a = {(i, s, p) for i, s, p in zip(a["doc_id"].to_pylist(),
-                                          a["shard"].to_pylist(),
-                                          a["pos"].to_pylist())}
-    key_b = {(i, s, p) for i, s, p in zip(b["doc_id"].to_pylist(),
-                                          b["shard"].to_pylist(),
-                                          b["pos"].to_pylist())}
-    assert key_a != key_b
+        ids = [d for shard in t for d in shard]
+        assert len(ids) == n and len(set(ids)) == n
+    assert a != b
 
 
 def test_epoch_shuffle_write_is_resumable(ray_session, tmp_path):
@@ -155,7 +138,7 @@ def test_epoch_shuffle_write_is_resumable(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from siteone_crawler_ray.stages.sampling import epoch_shuffle, epoch_shuffle_write
+    from siteone_crawler_ray.stages.sampling import epoch_shuffle_write
 
     ds = lambda: rd.read_parquet(f"{SF}/documents.parquet",  # noqa: E731
                                  columns=["doc_id", "text"],
@@ -165,15 +148,9 @@ def test_epoch_shuffle_write_is_resumable(ray_session, tmp_path):
     assert m1.num_rows == 4 and not any(m1["skipped"].to_pylist())
     assert sum(m1["rows"].to_pylist()) == ds().count()
 
-    # order inside each shard == the slim operator's (hkey, key) order
-    slim = epoch_shuffle(ds(), num_shards=4, seed=3)
+    # full rows: every column lands (order is test_epoch_shuffle_matches_duckdb's)
     for s in range(4):
-        want = slim.filter(pa.array(
-            slim["shard"].to_numpy(zero_copy_only=False) == s)) \
-            .sort_by("pos")["doc_id"].to_pylist()
-        got = pq.read_table(os.path.join(out, f"shard={s:05d}",
-                                         "part.parquet"))
-        assert got["doc_id"].to_pylist() == want
+        got = pq.read_table(os.path.join(out, f"shard={s:05d}", "part.parquet"))
         assert got.column_names == ["doc_id", "text"]
 
     m2 = epoch_shuffle_write(ds(), out, num_shards=4, seed=3)

@@ -8,7 +8,6 @@ from siteone_crawler_ray.functions.page_checks import (
     accessibility_checks,
     findings_summary,
     page_checks_batch,
-    security_checks,
     seo_checks,
 )
 
@@ -73,51 +72,6 @@ def test_accessibility_unnamed_interactive_and_idrefs():
     ok_ref = ("<html lang='x'><main><p id='hint'>h</p>"
               "<input type='text' aria-label='q' aria-describedby='hint'></main></html>")
     assert "dangling-idref" not in rules(accessibility_checks(ok_ref))
-
-
-def test_security_checks():
-    good = {
-        "strict-transport-security": "max-age=63072000",
-        "content-security-policy": "default-src 'self'",
-        "x-xss-protection": "1; mode=block",
-        "x-content-type-options": "nosniff",
-        "referrer-policy": "no-referrer",
-        "cross-origin-embedder-policy": "require-corp",
-        "cross-origin-opener-policy": "same-origin",
-        "cross-origin-resource-policy": "same-origin",
-        "permissions-policy": "geolocation=()",
-        "feature-policy": "geolocation 'none'",
-        "server": "nginx",
-        "set-cookie": "sid=1; Secure; HttpOnly",
-    }
-    assert security_checks(good) == []
-    bad = {"server": "nginx/1.18.0", "set-cookie": "sid=1"}
-    r = rules(security_checks(bad))
-    assert {"missing-hsts", "missing-csp", "missing-x-frame-options",
-            "missing-x-xss-protection",
-            "missing-x-content-type-options", "missing-referrer-policy",
-            "missing-cross-origin-embedder-policy",
-            "missing-cross-origin-opener-policy",
-            "missing-cross-origin-resource-policy",
-            "missing-permissions-policy",
-            "server-version-disclosure", "cookie-missing-secure",
-            "cookie-missing-httponly"} == r
-
-
-def test_security_acao_and_policy_variants():
-    # ACAO wildcard / custom origin (security_analyzer.rs:223-257)
-    assert ("acao-wildcard", "WARNING") in security_checks(
-        {"access-control-allow-origin": "*"})
-    assert "acao-custom-origin" in rules(security_checks(
-        {"access-control-allow-origin": "https://app.example"}))
-    assert "acao-wildcard" not in rules(security_checks(
-        {"access-control-allow-origin": "same-origin"}))
-    # Feature-Policy present but Permissions-Policy absent → upgrade advice
-    assert "permissions-policy-outdated" in rules(security_checks(
-        {"feature-policy": "geolocation 'none'"}))
-    # X-Powered-By disclosure (:641-673)
-    assert "x-powered-by-disclosure" in rules(security_checks(
-        {"x-powered-by": "PHP/8.1"}))
 
 
 def test_security_html_mixed_content():

@@ -113,30 +113,6 @@ def test_weighted_sample_without_replacement():
     assert len(weighted_sample(ds(4), 1000, "w", salt=5)) == n_rows
 
 
-def test_temperature_rates_rule():
-    """p ∝ count^(tau-1), largest group pinned to 100%, floor respected,
-    tau=1 → natural proportions, tau→0 → per-group-uniform ordering."""
-    from siteone_crawler_ray.stages.sampling import temperature_rates
-
-    counts = {"head": 100_000, "mid": 10_000, "tail": 100}
-    r = temperature_rates(counts, tau=0.7)
-    # smaller groups get HIGHER keep-rates; tail is the max → 100
-    assert r["tail"] == 100 and r["tail"] > r["mid"] > r["head"]
-    # exact rule: rate_g = 100 * (c_g/c_min)^(tau-1) for the subsampling
-    # normalization (max weight belongs to the smallest group)
-    assert r["mid"] == round(100 * (10_000 / 100) ** (0.7 - 1.0))
-    assert r["head"] == round(100 * (100_000 / 100) ** (0.7 - 1.0))
-    assert temperature_rates(counts, tau=1.0) == {g: 100 for g in counts}
-    # floor keeps extreme heads alive
-    assert temperature_rates({"a": 10**9, "b": 1}, tau=0.0,
-                             floor_pct=2)["a"] == 2
-    # zero-count and empty-dict edges
-    assert temperature_rates({"a": 0, "b": 5}, tau=0.5) == {"a": 0, "b": 100}
-    assert temperature_rates({}) == {}
-    with pytest.raises(ValueError):
-        temperature_rates(counts, tau=1.5)
-
-
 # ------------------------------------------------------------------ quotas
 
 
@@ -292,15 +268,6 @@ def test_scrub_kernel_pii_presets():
     assert out["n_matches"].to_pylist() == [1, 1, 2, 0, 2]
 
 
-def test_redact_streams():
-    from siteone_crawler_ray.stages.scrub import redact
-
-    out = redact(_docs_ds(ROWS).repartition(4)).to_pandas()
-    assert len(out) == len(ROWS)
-    assert (out["n_matches"] == 0).all()  # synthetic corpus has no PII
-    assert (out["scrubbed"] == out["text"]).all()
-
-
 # ---------------------------------------------------------- decontamination
 
 
@@ -399,10 +366,10 @@ def test_pack_sequences_partition_independent():
 
 
 def test_stratified_sample_rates_per_group():
-    from siteone_crawler_ray.stages.sampling import hash_sample_mask, stratified_sample
+    from siteone_crawler_ray.stages.sampling import hash_sample_mask, mixture_sample
 
-    out = stratified_sample(
-        _docs_ds(ROWS).repartition(5), rates={"s0": 0, "s1": 50}, default_pct=100
+    out = mixture_sample(
+        _docs_ds(ROWS).repartition(5), {"s0": 0, "s1": 50}, default_pct=100, salt=0
     ).to_pandas().sort_values("doc_id")
     ids = np.array([r[0] for r in ROWS]); grp = np.array([r[1] for r in ROWS])
     m50 = hash_sample_mask(ids.astype(np.int64), 50)

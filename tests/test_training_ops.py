@@ -38,25 +38,15 @@ def test_minhash_near_dup_pairs():
     assert all(3 not in p for p in pairs)
 
 
-def test_simhash_pairs():
-    from siteone_crawler_ray.stages.dedup import simhash_dedup_pairs
-
-    words = ["w%02d" % i for i in range(60)]
-    base = " ".join(words)
-    edit1 = " ".join(words[:-1] + ["zzz"])  # hamming 2 from base
-    other = " ".join("q%02d" % i for i in range(60))  # hamming ~35
-    ds = _docs_ds([(1, base), (2, edit1), (3, other)])
-    t = simhash_dedup_pairs(ds, max_hamming=6)
-    pairs = set(zip(t["id_a"].to_pylist(), t["id_b"].to_pylist()))
-    assert (1, 2) in pairs
-    assert all(3 not in p for p in pairs)
-
-
-def test_embedding_dup_and_knn():
+def test_embedding_dup_and_knn(tmp_path):
     import ray.data as rd
 
     from siteone_crawler_ray.stages.dedup import embedding_dup_pairs
-    from siteone_crawler_ray.stages.similarity import knn_bruteforce, knn_ivf
+    from siteone_crawler_ray.stages.similarity import (
+        ivf_build_index,
+        ivf_query_index,
+        knn_bruteforce,
+    )
 
     rng = np.random.default_rng(0)
     vecs = rng.normal(size=(50, 16))
@@ -78,7 +68,8 @@ def test_embedding_dup_and_knn():
     assert out["vec_id"].to_pylist() == list(want)
 
     # IVF with full probe == exact
-    ivf = knn_ivf(ds, vecs[3], k=5, nlist=4, nprobe=4)
+    ivf_build_index(ds, str(tmp_path / "ivf"), nlist=4)
+    ivf = ivf_query_index(str(tmp_path / "ivf"), vecs[3], k=5, nprobe=4)
     assert ivf["vec_id"].to_pylist() == out["vec_id"].to_pylist()
 
 
@@ -204,7 +195,6 @@ def test_real_codecs_roundtrip():
     from siteone_crawler_ray.stages.multimodal import (
         AudioFrameSampleStage,
         ImageDecodeStage,
-        ImageResizeStage,
         decode_bmp,
         decode_wav,
         encode_bmp,
@@ -234,34 +224,21 @@ def test_real_codecs_roundtrip():
         i = int(mid[1:])
         assert abs(d - (400 + (i % 7) * 100) / 8000.0) < 1e-9
         assert round(fe[0]) == 1000 + 10 * i  # constant-amplitude square wave
-    # real resize: constant image stays constant at any target size
-    rout = ImageResizeStage(decoder="real", target=(8, 8))(img.slice(0, 2))
-    for mid, payload in zip(rout["media_id"].to_pylist(), rout["payload"].to_pylist()):
-        i = int(mid[1:])
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        assert arr.shape == (8 * 8 * 3,) and (arr == (i * 7) % 256).all()
 
 
-def test_image_resize_and_video_frames(ray_session):
+def test_video_frames_pipeline(ray_session):
     import ray.data as rd
 
     from siteone_crawler_ray.stages.multimodal import (
-        ImageResizeStage,
         VideoFrameSampleStage,
         decode_pipeline,
         synthesize_media_table,
     )
 
     t = synthesize_media_table(48)
-    rs = decode_pipeline(rd.from_arrow(t), "image", ImageResizeStage, concurrency=2).take_all()
-    assert rs and all(r["width"] == 224 and len(r["payload"]) == 224 * 224 // 256 for r in rs)
     vf = decode_pipeline(rd.from_arrow(t), "video", VideoFrameSampleStage, concurrency=2).take_all()
     assert vf and all(len(r["frame"]) <= 256 for r in vf)
     assert {r["frame_index"] for r in vf} <= {0, 1, 2}
-    import pytest
-
-    with pytest.raises(Exception):
-        ImageResizeStage(decoder="real")(t)
 
 
 def test_knn_lsh_bucketed_matches_broadcast(ray_session):
@@ -309,7 +286,7 @@ def test_knn_lsh_recall_vs_bruteforce(ray_session):
     assert cos == sorted(cos, reverse=True)
 
 
-def test_ivf_sample_unbiased_on_sorted_input(ray_session):
+def test_ivf_sample_unbiased_on_sorted_input(ray_session, tmp_path):
     """IVF centroid training must use a uniform distributed sample, not
     the first blocks: on topic-sorted input, ``limit(n)`` sees only the
     first cluster, the centroids collapse, and nprobe recall craters.
@@ -319,9 +296,10 @@ def test_ivf_sample_unbiased_on_sorted_input(ray_session):
 
     from siteone_crawler_ray.stages.similarity import (
         _normalize,
+        ivf_build_index,
+        ivf_query_index,
         kmeans_centroids,
         knn_bruteforce,
-        knn_ivf,
         sample_vectors,
     )
 
@@ -367,10 +345,11 @@ def test_ivf_sample_unbiased_on_sorted_input(ray_session):
     assert mean_recall(cent_samp, nprobe=1) >= 0.8
     assert mean_recall(cent_samp, nprobe=2) >= 0.9
 
-    # the full knn_ivf path (which now trains on sample_vectors) matches
+    # the partitioned IVF index (which trains on sample_vectors) matches
     q = queries[9]  # a cluster-3 query — worst case for the old sample
     exact = set(knn_bruteforce(ds, q, k=10)["vec_id"].to_pylist())
-    approx = set(knn_ivf(ds, q, k=10, nlist=8, nprobe=2, train_sample=256)["vec_id"].to_pylist())
+    ivf_build_index(ds, str(tmp_path / "ivf"), nlist=8)
+    approx = set(ivf_query_index(str(tmp_path / "ivf"), q, k=10, nprobe=2)["vec_id"].to_pylist())
     assert len(exact & approx) >= 9
 
     # determinism across calls (content-hash priorities, no RNG state)
@@ -379,7 +358,7 @@ def test_ivf_sample_unbiased_on_sorted_input(ray_session):
 
 def test_exchange_scatter_path_identical(ray_session, monkeypatch):
     """Forcing the row-moves-once scatter exchange (the multi-node
-    scale path) must give byte-identical minhash/simhash results to the
+    scale path) must give byte-identical minhash results to the
     broadcast-filter path used for small tables."""
     import ray.data as rd
 
@@ -394,12 +373,9 @@ def test_exchange_scatter_path_identical(ray_session, monkeypatch):
     ds = rd.from_arrow([t.slice(i, 8) for i in range(0, 40, 8)])
 
     broad_mh = dd.minhash_dedup_pairs(ds, threshold=0.5)
-    broad_sh = dd.simhash_dedup_pairs(ds, max_hamming=8)
     monkeypatch.setattr(dd, "_SCATTER_THRESHOLD_ROWS", 0)
     scat_mh = dd.minhash_dedup_pairs(ds, threshold=0.5)
-    scat_sh = dd.simhash_dedup_pairs(ds, max_hamming=8)
     assert broad_mh.equals(scat_mh)
-    assert broad_sh.equals(scat_sh)
     assert broad_mh.num_rows > 0  # the comparison is non-trivial
 
 
@@ -417,16 +393,6 @@ def test_exact_dedup_scale_fallback(ray_session, monkeypatch):
     monkeypatch.setattr(dd, "_EXACT_DRIVER_COMBINE_ROWS", 0)
     got = sorted(dd.exact_dedup(ds).to_pandas()["doc_id"])
     assert got == want == list(range(60))
-
-
-def test_exact_jaccard_kernel():
-    from siteone_crawler_ray.stages.dedup import jaccard
-
-    assert jaccard("abcdef", "abcdef") == 1.0
-    assert jaccard("abcdef", "uvwxyz") == 0.0
-    mid = jaccard("the quick brown fox", "the quick brown cat")
-    assert 0.0 < mid < 1.0
-    assert jaccard("", "") == 1.0  # both empty → identical
 
 
 def test_ivf_partitioned_index(ray_session, tmp_path):
@@ -1409,98 +1375,6 @@ def test_avi_codec_roundtrips_and_gates():
         decode_video(b"\x1aE\xdf\xa3webm")  # EBML/MKV stays gated
 
 
-def test_mp3_probe_walks_frames_and_gates():
-    """MPEG-audio frame-sync probe: exact per-frame duration over the
-    full walk, ID3v2/v1 skip, structural + Xing VBR detection, layer
-    I/II/III tables, resync past leading garbage, stop at trailing
-    garbage; non-MPEG payloads raise."""
-    from siteone_crawler_ray.stages.codec_mp3 import probe_mp3, synthesize_mp3
-
-    p = probe_mp3(synthesize_mp3(38))
-    assert p["n_frames"] == 38 and p["sample_rate"] == 44100
-    assert abs(p["duration_sec"] - 38 * 1152 / 44100) < 1e-9
-    assert p["bitrate"] == 128000 and not p["vbr"] and p["layer"] == 3
-
-    p = probe_mp3(synthesize_mp3(10, id3v2_bytes=500, id3v1=True))
-    assert p["n_frames"] == 10 and p["id3v2"]
-
-    p = probe_mp3(synthesize_mp3(9, vbr_alternate_kbps=192))
-    assert p["vbr"] and p["n_frames"] == 9 and p["bitrate"] == 128000
-    assert probe_mp3(synthesize_mp3(5, xing=True))["has_xing"]
-
-    p = probe_mp3(synthesize_mp3(7, layer=2, bitrate_kbps=192,
-                                 sample_rate=48000))
-    assert p["layer"] == 2 and abs(p["duration_sec"] - 7 * 1152 / 48000) < 1e-9
-    p = probe_mp3(synthesize_mp3(7, layer=1, bitrate_kbps=192,
-                                 sample_rate=32000))
-    assert p["layer"] == 1 and abs(p["duration_sec"] - 7 * 384 / 32000) < 1e-9
-
-    raw = synthesize_mp3(6)
-    assert probe_mp3(b"\x01\x02garbage" + raw)["n_frames"] == 6
-    assert probe_mp3(raw + b"\x00\x00\x00junk")["n_frames"] == 6
-
-    for bad in (b"", b"not audio at all",
-                b"ID3\x04\x00\x00\x00\x00\x00\x05hello"):
-        with pytest.raises(NotImplementedError):
-            probe_mp3(bad)
-
-
-def test_ogg_probe_walks_pages_and_gates():
-    """Ogg page walk (RFC 3533): lacing/packet accounting incl. a
-    hand-built page-spanning continued packet, per-stream granule
-    durations for Opus (pre-skip, RFC 7845) and Vorbis, CRC
-    verification, truncation/trailing-garbage tolerance; non-Ogg
-    payloads and CRC corruption raise."""
-    import struct
-
-    from siteone_crawler_ray.stages.codec_ogg import (
-        _ogg_crc, probe_ogg, synthesize_ogg)
-
-    p = probe_ogg(synthesize_ogg(25))
-    assert p["codec"] == "opus" and p["sample_rate"] == 48000
-    assert abs(p["duration_sec"] - 25 * 960 / 48000) < 1e-9
-    assert p["n_packets"] == 26 and p["eos"]  # 25 audio + BOS id
-
-    p = probe_ogg(synthesize_ogg(11, codec="vorbis", sample_rate=44100,
-                                 samples_per_packet=1024))
-    assert p["codec"] == "vorbis"
-    assert abs(p["duration_sec"] - 11 * 1024 / 44100) < 1e-9
-
-    assert probe_ogg(synthesize_ogg(3, packet_bytes=700))["n_packets"] == 4
-
-    raw = synthesize_ogg(8)
-    assert probe_ogg(raw + b"junk!")["n_pages"] == probe_ogg(raw)["n_pages"]
-    assert probe_ogg(raw[:-50])["n_pages"] == probe_ogg(raw)["n_pages"] - 1
-
-    # hand-built continued packet: 300 bytes spanning two pages
-    def page(htype, granule, serial, seq, lacing, body):
-        hdr = (b"OggS" + bytes([0, htype])
-               + struct.pack("<qII", granule, serial, seq)
-               + b"\x00\x00\x00\x00" + bytes([len(lacing)]))
-        raw = bytearray(hdr + bytes(lacing) + body)
-        raw[22:26] = struct.pack("<I", _ogg_crc(bytes(raw)))
-        return bytes(raw)
-
-    bos = (b"OpusHead" + bytes([1, 2]) + struct.pack("<H", 0)
-           + struct.pack("<I", 48000) + b"\x00\x00\x00")
-    q, r = divmod(len(bos), 255)
-    stream = page(0x02, 0, 7, 0, b"\xff" * q + bytes([r]), bos)
-    big = bytes(range(256)) + bytes(44)  # 300 bytes
-    stream += page(0x00, -1, 7, 1, b"\xff", big[:255])  # no packet ends
-    stream += page(0x05, 960, 7, 2, bytes([45]), big[255:])  # cont.+EOS
-    p = probe_ogg(stream)
-    assert p["n_pages"] == 3 and p["n_packets"] == 2  # BOS + the big one
-    assert abs(p["duration_sec"] - 960 / 48000) < 1e-9
-
-    bad = bytearray(synthesize_ogg(4))
-    bad[60] ^= 0xFF
-    with pytest.raises(NotImplementedError):
-        probe_ogg(bytes(bad))
-    for b in (b"", b"RIFF\x00\x00\x00\x00WAVE", b"OggX0000"):
-        with pytest.raises(NotImplementedError):
-            probe_ogg(b)
-
-
 def test_mkv_probe_walks_ebml_and_gates():
     """Matroska/WebM EBML walk: varint IDs/sizes incl. unknown-size
     Segment, DocType, TimecodeScale + float Duration (with last-block
@@ -1652,45 +1526,6 @@ def test_dsir_select_prefers_target_like_docs(tmp_path):
     assert out.num_rows == 8
 
 
-def test_bpe_training_matches_paper_example():
-    """Sennrich et al. 2016 fig.1 corpus: first merges pick the most
-    frequent pairs with deterministic tie-breaks."""
-    from siteone_crawler_ray.stages.tokenize import EOW, train_bpe
-
-    wf = pa.table({"word": pa.array(["low", "lower", "newest", "widest"]),
-                   "n": pa.array([5, 2, 6, 3], pa.int64())})
-    merges = train_bpe(wf, 4)
-    # 'es' appears 9x (newest+widest) — the unambiguous first merge;
-    # then ('es','t') 9x, then ('est', EOW) 9x, then ('l','o') 7x
-    assert merges[0] == ("e", "s")
-    assert merges[1] == ("es", "t")
-    assert merges[2] == ("est", EOW)
-    assert merges[3] == ("l", "o")
-
-
-def test_bpe_encode_round_trip_and_counts():
-    from siteone_crawler_ray.stages.tokenize import (
-        EOW, encode_word, train_and_count, train_bpe, word_frequencies)
-
-    rows = [(0, "low low low low low lower lower"),
-            (1, "newest newest newest newest newest newest"),
-            (2, "widest widest widest")]
-    merges, counts = train_and_count(lambda: _docs_ds(rows), num_merges=10)
-    ranks = {p: i for i, p in enumerate(merges)}
-    got = dict(zip(counts["doc_id"].to_pylist(), counts["n_bpe_tokens"].to_pylist()))
-    for d, text in rows:
-        # scalar recount: sum of per-word encode lengths
-        expect = sum(len(encode_word(w, ranks)) for w in text.split(" "))
-        assert got[d] == expect
-        # round-trip: concatenated tokens reconstruct word+EOW exactly
-        for w in text.split(" "):
-            assert "".join(encode_word(w, ranks)) == w + EOW
-
-    # determinism: retraining from the same distributed word count
-    wf = word_frequencies(_docs_ds(rows))
-    assert train_bpe(wf, 10) == merges
-
-
 def test_bm25_block_partials_match_single_block():
     """Per-block top-k partial merge == single-block answer."""
     import ray.data as rd
@@ -1708,65 +1543,21 @@ def test_bm25_block_partials_match_single_block():
     assert one.to_pydict() == many.to_pydict()
 
 
-def test_kmeans_distributed_matches_local_twin(ray_session):
-    """Full-corpus Lloyd's: distributed tree-merged partials == the
-    single-process twin, objective is non-decreasing, and the
-    centroids stay unit-norm."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from siteone_crawler_ray.stages.similarity import (
-        kmeans_distributed, kmeans_distributed_local)
-
-    t = pq.read_table("/root/testdata/sf0.001/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    nb = 6
-    step = -(-t.num_rows // nb)
-    blocks = [t.slice(i * step, step) for i in range(nb)]
-    ds = rd.from_arrow(blocks)
-
-    cent_d, hist_d = kmeans_distributed(ds, k=8, iters=6)
-    cent_l, hist_l = kmeans_distributed_local(blocks, k=8, iters=6)
-    np.testing.assert_allclose(cent_d, cent_l, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(hist_d, hist_l, rtol=0, atol=1e-9)
-    assert len(hist_d) == 6
-    # spherical k-means objective (mean best-cosine) must not decrease
-    assert all(b >= a - 1e-12 for a, b in zip(hist_d, hist_d[1:]))
-    np.testing.assert_allclose(np.linalg.norm(cent_d, axis=1), 1.0, atol=1e-9)
-
-
-def test_kmeans_distributed_keeps_empty_clusters(ray_session):
-    """k > distinct directions: surplus centroids keep their init value
-    instead of collapsing to NaN."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from siteone_crawler_ray.stages.similarity import kmeans_distributed
-
-    rng = np.random.default_rng(5)
-    base = rng.normal(size=(2, 16))
-    vecs = np.repeat(base, 40, axis=0) + rng.normal(scale=1e-3, size=(80, 16))
-    t = pa.table({"vec_id": pa.array(np.arange(80)),
-                  "embedding": pa.array(list(vecs.astype(np.float32)),
-                                        pa.list_(pa.float32()))})
-    cent, hist = kmeans_distributed(rd.from_arrow(t), k=8, iters=4,
-                                    init_sample=64)
-    assert np.isfinite(cent).all()
-    np.testing.assert_allclose(np.linalg.norm(cent, axis=1), 1.0, atol=1e-9)
-
-
 def test_semantic_dedup_with_kmeans_centroids(ray_session):
-    """The paper's learned-centroid form: kmeans_distributed centroids
-    plug into semantic_dedup; output matches an all-local numpy
-    reference (argmax assign -> per-cluster lower-triangular count)."""
+    """The paper's learned-centroid form: k-means centroids trained on
+    a distributed sample plug into semantic_dedup; output matches an
+    all-local numpy reference (argmax assign -> per-cluster
+    lower-triangular count)."""
     import numpy as np
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from siteone_crawler_ray.stages.dedup import semantic_dedup
-    from siteone_crawler_ray.stages.similarity import kmeans_distributed
+    from siteone_crawler_ray.stages.similarity import (
+        _normalize,
+        kmeans_centroids,
+        sample_vectors,
+    )
 
     t = pq.read_table("/root/testdata/sf0.001/embeddings.parquet",
                       columns=["vec_id", "embedding"])
@@ -1775,7 +1566,7 @@ def test_semantic_dedup_with_kmeans_centroids(ray_session):
     blocks = [t.slice(i * step, step) for i in range(nb)]
     ds = rd.from_arrow(blocks)
 
-    cent, _ = kmeans_distributed(ds, k=6, iters=4)
+    cent = kmeans_centroids(_normalize(sample_vectors(ds, n=256)), nlist=6, iters=4)
     out = semantic_dedup(rd.from_arrow(blocks), threshold=0.8,
                          centroids=cent, num_partitions=3)
 
