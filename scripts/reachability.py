@@ -16,9 +16,12 @@ Entry points are every non-test ``.py`` file outside the package
    followed; the package uses none.
 
 Prints each unreached module and name with its line count and exits 1
-if one is missing from ``KEEP`` (or a ``KEEP`` entry is reached or gone).
-``KEEP`` maps a name to the test that uses it as a reference for
-reached code.
+if one is missing from ``KEEP`` or ``DEFERRED`` (or an entry there is
+reached or gone).  ``KEEP`` maps a name to the test that uses it as a
+reference for reached code.  ``DEFERRED`` maps unreached code that still
+carries its own tests to those tests: it is queued for deletion (a
+change removes only a few tests at a time), and the table may only
+shrink.  An entry that names a module keeps the whole module.
 
     python3 scripts/reachability.py [--verbose]
 """
@@ -58,6 +61,19 @@ KEEP = {
         "tests/test_sampling.py (unfused reference for ngram_and_bm25)",
     "stages.sketch.hll_merge":
         "tests/test_sketch.py (merge law of the grouped HLL)",
+}
+
+# Unreached, with tests of their own; queued for deletion with those tests.
+DEFERRED = {
+    "sources.http_cache": "tests/test_http_cache.py",
+    "stages.phash.hamming_neardup_pairs": "tests/test_phash.py",
+    "stages.phash.image_neardup_pairs": "tests/test_phash.py",
+    "stages.sketch.KLLSketch": "tests/test_sketch.py",
+    "stages.sketch.approx_quantiles": "tests/test_sketch.py",
+    "stages.sketch.approx_quantiles_by": "tests/test_sketch.py",
+    "functions.urls.depth_of": "tests/test_urls.py::test_depth_and_basename",
+    "pipelines.wizard.serve_offer_target":
+        "tests/test_wizard.py::test_find_export_dirs_and_serve_offer",
 }
 
 
@@ -213,7 +229,11 @@ def scan(keep=()) -> dict[str, int]:
             roots.append(_Unit([ast.parse(f.read(), path)], None, mods))
     for q in keep:
         mod, _, name = q.rpartition(".")
-        src = f"import {PKG}.{q}" if q in mods else f"from {PKG}.{mod} import {name}"
+        if q in mods:
+            body = sorted(n for n, es in defs.items() if any(e[0] == q for e in es))
+            src = f"from {PKG}.{q} import {', '.join(body)}" if body else f"import {PKG}.{q}"
+        else:
+            src = f"from {PKG}.{mod} import {name}"
         roots.append(_Unit([ast.parse(src)], None, mods))
     seen_mods, reached = _closure(defs, module_units, roots)
     out = {m: module_lines[m] for m in mods if m not in seen_mods}
@@ -225,8 +245,9 @@ def scan(keep=()) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
+    allowed = {**KEEP, **DEFERRED}
     unreached = scan()
-    missing = scan(KEEP)
+    missing = scan(allowed)
     bad = 0
     for name in sorted(unreached):
         what = f"{name} ({unreached[name]} lines)"
@@ -234,12 +255,13 @@ def main(argv: list[str]) -> int:
             bad += 1
             print(f"UNREACHED {what}")
         elif "--verbose" in argv:
-            print(f"kept      {what}: {KEEP.get(name, 'used by a KEEP entry')}")
-    for name in sorted(set(KEEP) - set(unreached)):
+            print(f"kept      {what}: {allowed.get(name, 'used by a kept entry')}")
+    for name in sorted(set(allowed) - set(unreached)):
         bad += 1
         print(f"STALE KEEP {name}: reached from an entry point, or gone")
     kept = sum(n for k, n in unreached.items() if k not in missing)
-    print(f"{bad} problem(s); {len(KEEP)} KEEP entries cover {kept} unreached lines")
+    print(f"{bad} problem(s); {len(KEEP)} KEEP and {len(DEFERRED)} DEFERRED entries "
+          f"cover {kept} unreached lines")
     return 1 if bad else 0
 
 

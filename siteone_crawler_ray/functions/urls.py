@@ -568,6 +568,11 @@ def is_xml_url(url: str) -> bool:
     return p.endswith(".xml") or p.endswith(".xml.gz")
 
 
+def depth_of(path: str) -> int:
+    """parsed_url.rs get_depth — '/' → 0, '/a/' → 1, '/a/b' → 2."""
+    return len([s for s in path.split("/") if s])
+
+
 def basename_of(url: str) -> str | None:
     """parsed_url.rs:465-482 — key of the non-200-responses guard."""
     # fast path: fragment-free http(s) URL → path/query by string

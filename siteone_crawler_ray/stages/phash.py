@@ -1,8 +1,8 @@
 """Perceptual image hashing — the image-level near-dup family.
 
 Large-scale multimodal curation dedups images the way text pipelines
-dedup documents, by a 64-bit perceptual fingerprint per image.  Two
-public constructions are implemented:
+dedup documents: a 64-bit perceptual fingerprint per image, then a
+banded Hamming join.  Two public constructions are implemented:
 
 - **pHash** (Zauner 2010, "Implementation and Benchmarking of
   Perceptual Image Hash Functions"): luma → 32×32 box-filter
@@ -21,6 +21,13 @@ are embedded below (and re-emitted by :func:`phash_cos_sql_values` for
 the SQL side) — no libm call can perturb a bit on either side.
 Magnitudes stay well inside int64: ``|D| ≤ 32²·255·2^28 < 2^46``.
 
+The near-dup join mirrors the SimHash shape (stages/dedup.py):
+signatures are a ``map_batches`` stage, banding emits
+(band_key, id, hash) rows — 8 bands × 8 bits, so any pair within
+Hamming distance 7 shares at least one full band by pigeonhole — a
+hash-partitioned exchange pairs each band bucket shard-locally, and
+exact Hamming verification is vectorized per partition.
+
 Reference scope note: the reference engine (janreges/siteone-crawler)
 has no image-dedup surface; this extends the engine per SURVEY.md
 §2.11 (LLM-data additions) on top of the pure-Python codecs in
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # round(cos(pi*(2x+1)*u/64) * 2^14) for u in 0..7, x in 0..31 —
 # literal so Python and SQL share the exact table (see module doc).
@@ -161,6 +169,87 @@ class ImagePHashStage:
                                  payload_col=self.payload_col)
 
 
+def hamming_neardup_pairs(ds, *, id_col: str = "media_id",
+                          hash_col: str = "phash", max_hamming: int = 7,
+                          max_bucket: int = 200) -> pa.Table:
+    """Banded Hamming near-dup join over a uint64 hash column:
+    8 bands × 8 bits (pigeonhole-complete for distance ≤ 7), band rows
+    through one hash-partitioned exchange, per-bucket pair generation
+    and vectorized exact-Hamming verification partition-locally, then
+    a driver-side dedup of the (small) verified pair set — the same
+    scale shape as stages/dedup.simhash_dedup_pairs.
+
+    ``max_bucket`` caps degenerate buckets (e.g. thousands of identical
+    flat-color thumbnails): buckets past the cap are skipped, exactly
+    like the SimHash and MinHash caps, because at that multiplicity the
+    pairs are better produced by exact-hash grouping."""
+    from .dedup import _hamming64, _partitioned_exchange
+
+    if not 0 <= max_hamming <= 7:
+        raise ValueError("8x8 banding guarantees recall only for max_hamming <= 7")
+
+    def band_rows(batch: pa.Table) -> pa.Table:
+        hs = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        n = len(hs)
+        keys = np.empty(8 * n, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            for band in range(8):
+                chunk = (hs >> np.uint64(8 * band)) & np.uint64(0xFF)
+                keys[band * n:(band + 1) * n] = (np.uint64(band) << np.uint64(8)) | chunk
+        return pa.table({
+            "band_key": pa.array(keys, pa.uint64()),
+            id_col: pa.array(np.tile(ids, 8)),
+            hash_col: pa.array(np.tile(hs, 8), pa.uint64()),
+        })
+
+    def bucket_pairs(sub: pa.Table) -> pa.Table | None:
+        bk = sub["band_key"].to_numpy(zero_copy_only=False)
+        ids = sub[id_col].to_numpy(zero_copy_only=False)
+        hs = sub[hash_col].to_numpy(zero_copy_only=False)
+        order = np.lexsort((ids, bk))
+        bk, ids, hs = bk[order], ids[order], hs[order]
+        starts = np.nonzero(np.concatenate([[True], bk[1:] != bk[:-1]]))[0]
+        ends = np.append(starts[1:], len(bk))
+        ia, ib, ha, hb = [], [], [], []
+        for s, e in zip(starts, ends):
+            if 1 < e - s <= max_bucket:
+                iu, ju = np.triu_indices(e - s, k=1)
+                ia.append(ids[s:e][iu])
+                ib.append(ids[s:e][ju])
+                ha.append(hs[s:e][iu])
+                hb.append(hs[s:e][ju])
+        if not ia:
+            return None
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        d = _hamming64(np.concatenate(ha).astype(np.uint64),
+                       np.concatenate(hb).astype(np.uint64))
+        keep = d <= max_hamming
+        lo = np.minimum(ia[keep], ib[keep])
+        hi = np.maximum(ia[keep], ib[keep])
+        return pa.table({"id_a": pa.array(lo), "id_b": pa.array(hi),
+                         "hamming": pa.array(d[keep], pa.int64())})
+
+    parts = _partitioned_exchange(
+        ds.map_batches(band_rows, batch_format="pyarrow"), "band_key", bucket_pairs
+    )
+    empty = pa.table({"id_a": pa.array([], pa.string()),
+                      "id_b": pa.array([], pa.string()),
+                      "hamming": pa.array([], pa.int64())})
+    if not parts:
+        return empty
+    t = pa.concat_tables(parts)
+    # first occurrence per (id_a, id_b) pair, grouped on the columns
+    # themselves: a joined-string key aliases ("ab", "c") with ("a", "bc")
+    first = (t.select(["id_a", "id_b"])
+             .append_column("i", pa.array(np.arange(t.num_rows)))
+             .group_by(["id_a", "id_b"], use_threads=False)
+             .aggregate([("i", "min")]))
+    out = t.take(pa.array(np.sort(first["i_min"].to_numpy())))
+    return out.take(pc.sort_indices(out, sort_keys=[("id_a", "ascending"),
+                                                    ("id_b", "ascending")]))
+
+
 def synthesize_phash_media_table(n: int = 24) -> pa.Table:
     """Deterministic pHash corpus with REAL lossless container payloads
     and a closed-form arithmetic oracle: image ``i`` is the 32×32 gray
@@ -209,3 +298,18 @@ def synthesize_phash_media_table(n: int = 24) -> pa.Table:
         "payload": pa.array(payloads, pa.binary()),
         "mime": pa.array(mimes, pa.string()),
     })
+
+
+def image_neardup_pairs(ds, *, id_col: str = "media_id",
+                        payload_col: str = "payload", max_hamming: int = 7,
+                        concurrency: int = 4) -> pa.Table:
+    """End-to-end image near-dup: decode+pHash actor pool → banded
+    Hamming join.  Composition helper for pipelines; the two stages are
+    independently tested."""
+    hashed = ds.map_batches(
+        ImagePHashStage, batch_format="pyarrow",
+        fn_constructor_kwargs={"id_col": id_col, "payload_col": payload_col},
+        concurrency=concurrency,
+    )
+    return hamming_neardup_pairs(hashed, id_col=id_col, hash_col="phash",
+                                 max_hamming=max_hamming)

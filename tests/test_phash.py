@@ -1,15 +1,20 @@
 """Perceptual image hashing (stages/phash.py): kernel exactness,
-container invariance, JPEG robustness."""
+container invariance, JPEG robustness, banded-join recall, partition
+independence."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray.data as rd
 
 from siteone_crawler_ray.stages.dedup import _hamming64
 from siteone_crawler_ray.stages.multimodal import encode_bmp, encode_jpeg, encode_png
 from siteone_crawler_ray.stages.phash import (
+    ImagePHashStage,
     box32,
     dhash64,
+    hamming_neardup_pairs,
+    image_neardup_pairs,
     image_phash_batch,
     luma,
     phash64,
@@ -112,6 +117,77 @@ def test_phash_sensitive_to_content():
     assert ph[0] != ph[1]
 
 
+def _planted_hashes(n=300, seed=4):
+    """Random hashes plus planted ≤7-bit-flip neighbors."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2**63, n).astype(np.uint64)
+    ids = [f"h{i:04d}" for i in range(n)]
+    hs = list(base)
+    for i in range(0, n, 10):  # every 10th gets a planted neighbor
+        flips = rng.choice(64, size=rng.integers(1, 8), replace=False)
+        v = base[i]
+        for f in flips:
+            v = v ^ (np.uint64(1) << np.uint64(f))
+        ids.append(f"h{i:04d}_dup")
+        hs.append(v)
+    return ids, np.array(hs, np.uint64)
+
+
+def _brute_pairs(ids, hs, max_hamming):
+    out = set()
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if _hamming64(hs[i:i + 1], hs[j:j + 1])[0] <= max_hamming:
+                a, b = sorted((ids[i], ids[j]))
+                out.add((a, b))
+    return out
+
+
+@pytest.mark.parametrize("nblocks", [1, 4])
+def test_hamming_neardup_recall_and_partition_independence(ray_session, nblocks):
+    ids, hs = _planted_hashes()
+    t = pa.table({"media_id": pa.array(ids), "phash": pa.array(hs, pa.uint64())})
+    step = -(-t.num_rows // nblocks)
+    ds = rd.from_arrow([t.slice(i, step) for i in range(0, t.num_rows, step)])
+    got = hamming_neardup_pairs(ds, max_hamming=7)
+    got_pairs = set(zip(got["id_a"].to_pylist(), got["id_b"].to_pylist()))
+    assert got_pairs == _brute_pairs(ids, hs, 7)
+    # reported distances are the exact Hamming distances
+    ga = np.array([ids.index(a) for a in got["id_a"].to_pylist()])
+    gb = np.array([ids.index(b) for b in got["id_b"].to_pylist()])
+    np.testing.assert_array_equal(
+        got["hamming"].to_numpy(), _hamming64(hs[ga], hs[gb]))
+
+
+def test_hamming_neardup_rejects_wide_radius():
+    with pytest.raises(ValueError):
+        hamming_neardup_pairs(None, max_hamming=8)
+
+
+def test_image_neardup_end_to_end(ray_session):
+    """Full pipeline: near-identical images pair up, distinct don't."""
+    rng = np.random.default_rng(7)
+    imgs, ids = [], []
+    for i in range(6):
+        # wrapping gradients so each family has a distinct rich spectrum
+        g = _gradient(48, 64, a=11 + 6 * i, b=7 + 4 * i, c=10 * i)
+        rgb = np.repeat(g[:, :, None], 3, axis=2)
+        ids.append(f"img{i}")
+        imgs.append(encode_png(rgb))
+        # a +1-brightness twin: perceptually identical
+        ids.append(f"img{i}_dup")
+        imgs.append(encode_png(np.clip(rgb.astype(np.int16) + 1, 0, 255).astype(np.uint8)))
+    t = pa.table({"media_id": pa.array(ids), "payload": pa.array(imgs, pa.binary())})
+    ds = rd.from_arrow([t.slice(i, 3) for i in range(0, t.num_rows, 3)])
+    pairs = image_neardup_pairs(ds, max_hamming=7, concurrency=2)
+    got = set(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()))
+    for i in range(6):
+        assert (f"img{i}", f"img{i}_dup") in got, (i, got)
+    # no cross-family pair: different gradients are far apart
+    for a, b in got:
+        assert a.split("_")[0] == b.split("_")[0]
+
+
 def test_phash_dhash_known_values_stable():
     """Pin the exact hash of one fixed input so any kernel change that
     would break the SQL oracle fails here first."""
@@ -141,3 +217,17 @@ def test_phash_dhash_known_values_stable():
     rich = _gradient(32, 32, a=11, b=7, c=10).astype(np.int64)
     assert phash64(rich) == np.uint64(0xAC502DEA8DB8D2A7)
     assert dhash64(rich) == np.uint64(0x614386848C9898B0)
+
+
+def test_hamming_neardup_pairs_dedup_keys_on_the_pair(ray_session):
+    """Pair dedup keys on the (id_a, id_b) pair itself: pairs whose ids
+    concatenate to the same string, with or without a NUL between
+    them, stay distinct pairs."""
+    ids = ["x\x00y", "z", "x", "y\x00z", "ab", "c", "a", "bc"]
+    # one hash per pair, >= 32 bits apart across pairs
+    hs = [0, 0, 2**64 - 1, 2**64 - 1, 2**32 - 1, 2**32 - 1, 2**64 - 2**32, 2**64 - 2**32]
+    t = pa.table({"media_id": pa.array(ids), "phash": pa.array(hs, pa.uint64())})
+    got = hamming_neardup_pairs(rd.from_arrow([t.slice(i, 2) for i in range(0, 8, 2)]))
+    assert list(zip(got["id_a"].to_pylist(), got["id_b"].to_pylist())) == [
+        ("a", "bc"), ("ab", "c"), ("x", "y\x00z"), ("x\x00y", "z")]
+    assert got["hamming"].to_pylist() == [0, 0, 0, 0]

@@ -163,6 +163,71 @@ def test_tree_merge_paths_agree(monkeypatch):
     np.testing.assert_array_equal(sk.approx_group_counts(ds(), "k", q), plain_cms)
 
 
+def test_kll_exact_below_k():
+    import numpy as np
+
+    from siteone_crawler_ray.stages.sketch import KLLSketch
+
+    vals = np.arange(150, dtype=np.float64)
+    s = KLLSketch(k=200).update(vals)
+    # no compaction has happened: quantiles are exact order statistics
+    for q in (0.0, 0.25, 0.5, 0.9, 1.0):
+        assert s.quantile(q) in vals
+        assert abs(s.quantile(q) - np.quantile(vals, q)) <= 1.0
+
+
+def test_kll_error_bound_and_merge_equivalence():
+    import numpy as np
+
+    from siteone_crawler_ray.stages.sketch import KLLSketch
+
+    rng = np.random.default_rng(7)
+    data = rng.standard_normal(100_000)
+    whole = KLLSketch(k=200).update(data)
+    # merged from 20 partials over the same data
+    parts = [KLLSketch(k=200).update(c) for c in np.array_split(data, 20)]
+    merged = parts[0]
+    for p in parts[1:]:
+        merged.merge(p)
+    srt = np.sort(data)
+    for sk in (whole, merged):
+        assert sk.n == len(data)
+        for q in (0.01, 0.1, 0.5, 0.9, 0.99):
+            est = sk.quantile(q)
+            # observed rank error ≤ 2% of n at k=200
+            rank = np.searchsorted(srt, est)
+            assert abs(rank - q * len(data)) <= 0.02 * len(data), (q, est)
+
+
+def test_kll_serialize_round_trip():
+    import numpy as np
+
+    from siteone_crawler_ray.stages.sketch import KLLSketch
+
+    s = KLLSketch(k=50).update(np.random.default_rng(3).uniform(size=5000))
+    t = KLLSketch.deserialize(s.serialize())
+    assert t.n == s.n
+    for q in (0.1, 0.5, 0.9):
+        assert t.quantile(q) == s.quantile(q)
+
+
+def test_approx_quantiles_distributed(ray_session):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from siteone_crawler_ray.stages.sketch import approx_quantiles
+
+    rng = np.random.default_rng(11)
+    vals = rng.exponential(10.0, 40_000)
+    tabs = [pa.table({"v": pa.array(c)}) for c in np.array_split(vals, 8)]
+    est = approx_quantiles(rd.from_arrow(tabs), "v", [0.5, 0.95])
+    srt = np.sort(vals)
+    for q, e in zip([0.5, 0.95], est):
+        rank = np.searchsorted(srt, e)
+        assert abs(rank - q * len(vals)) <= 0.02 * len(vals), (q, e)
+
+
 # ------------------------------------------------------------ grouped HLL
 
 
@@ -255,3 +320,57 @@ def test_grouped_oracle_sql_matches_engine(tmp_path):
     # far inside the round(,3) the driver slot applies
     np.testing.assert_allclose(
         [a for _, a in ora], eng["approx_distinct"].to_pylist(), rtol=1e-12)
+
+
+def test_approx_quantiles_by_grouped(monkeypatch):
+    import ray.data as rd
+
+    from siteone_crawler_ray.stages import sketch
+    from siteone_crawler_ray.stages.sketch import KLLSketch
+
+    rng = np.random.default_rng(23)
+    n = 30_000
+    groups = np.array(["a", "bb", "c"])[rng.integers(0, 3, n)]
+    vals = np.where(groups == "a", rng.normal(100, 10, n),
+                    np.where(groups == "bb", rng.exponential(50, n),
+                             rng.uniform(0, 1000, n)))
+    t = pa.table({"g": groups, "v": vals})
+    ds = rd.from_arrow(t)
+    qs = [0.1, 0.5, 0.9]
+    got = sketch.approx_quantiles_by(ds, "g", "v", qs)
+    assert got["g"].to_pylist() == ["a"] * 3 + ["bb"] * 3 + ["c"] * 3
+    assert got["q"].to_pylist() == qs * 3
+
+    # rank-error bound per group: estimated quantile's true rank within
+    # 2% of the target (the same bound the global KLL pytest pins)
+    for g, q, v in zip(got["g"].to_pylist(), got["q"].to_pylist(),
+                       got["value"].to_pylist()):
+        gv = np.sort(vals[groups == g])
+        rank = np.searchsorted(gv, v) / len(gv)
+        assert abs(rank - q) <= 0.02, (g, q, rank)
+
+    # single-process twin on the same blocks must agree exactly: merge
+    # each group's per-block sketches in the same canonical byte order
+    import ray
+
+    from siteone_crawler_ray.functions.agg import block_refs
+
+    blocks = ray.get(block_refs(ds))
+    for g, q, v in zip(got["g"].to_pylist(), got["q"].to_pylist(),
+                       got["value"].to_pylist()):
+        payloads = []
+        for b in blocks:
+            bg = b["g"].to_numpy(zero_copy_only=False).astype(str)
+            bv = b["v"].to_numpy(zero_copy_only=False)
+            if (bg == g).any():
+                payloads.append(KLLSketch(sketch.KLL_K).update(bv[bg == g]).serialize())
+        payloads.sort(key=lambda a: a.tobytes())
+        s = KLLSketch.deserialize(payloads[0])
+        for p in payloads[1:]:
+            s.merge(KLLSketch.deserialize(p))
+        assert s.quantile(q) == v, (g, q)
+
+    # forced scatter merge path: identical output
+    monkeypatch.setattr(sketch, "_GROUPED_HLL_DRIVER_ROWS", 0)
+    scattered = sketch.approx_quantiles_by(rd.from_arrow(t), "g", "v", qs)
+    assert scattered.equals(got)

@@ -7,6 +7,7 @@ from siteone_crawler_ray.functions.urls import (
     basename_of,
     canonicalize,
     compile_wildcard_domain,
+    depth_of,
     domain_2nd_level,
     extension_of,
     filter_query_params,
@@ -83,8 +84,12 @@ def test_query_param_filter():
     assert canonicalize("p?a=1&b=2", BASE, keep_query_params=("b",)) == "https://example.com/dir/p?b=2"
 
 
-def test_basename():
-    # parsed_url.rs test_get_base_name
+def test_depth_and_basename():
+    # parsed_url.rs test_depth / test_get_base_name
+    assert depth_of("/") == 0
+    assert depth_of("/about") == 1
+    assert depth_of("/about/") == 1
+    assert depth_of("/about/me") == 2
     assert basename_of("https://example.com/foo/bar") == "bar"
     assert basename_of("https://example.com/") is None
     assert basename_of("https://example.com/foo/") == "foo"

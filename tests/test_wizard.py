@@ -14,7 +14,7 @@ from siteone_crawler_ray.pipelines.wizard import (
     PRESETS, FormSetting, WizardCancelled, WizardState, apply_form_to_state,
     argv_to_cli_args, build_form_settings, find_export_dirs, parse_max_urls,
     parse_rps, parse_timeout, resolve_export_path, run_wizard_scripted,
-    snap_max_urls, snap_rps, snap_timeout, snap_workers,
+    serve_offer_target, snap_max_urls, snap_rps, snap_timeout, snap_workers,
     summary_lines)
 from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
 
@@ -207,7 +207,7 @@ def test_resolve_export_path():
         == "./tmp/m-unknown/"
 
 
-def test_find_export_dirs(tmp_path):
+def test_find_export_dirs_and_serve_offer(tmp_path):
     base = str(tmp_path)
     os.makedirs(os.path.join(base, "tmp", "offline-a.com-20260101"))
     os.makedirs(os.path.join(base, "tmp", "offline-b.com-20260301"))
@@ -219,6 +219,12 @@ def test_find_export_dirs(tmp_path):
     assert find_export_dirs("markdown", base)[0].name == \
         "markdown-a.com-20260201"
     assert find_export_dirs("offline", str(tmp_path / "empty")) == []
+
+    assert serve_offer_target(["x", "--offline-export-dir='./tmp/o/'"]) == \
+        ("./tmp/o/", "offline")
+    assert serve_offer_target(["x", "--markdown-export-dir=./tmp/m/"]) == \
+        ("./tmp/m/", "markdown")
+    assert serve_offer_target(["x", "--url='u'"]) is None
 
 
 # ---- scripted driver ----
