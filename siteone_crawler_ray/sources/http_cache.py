@@ -1,6 +1,6 @@
 """HTTP disk cache — the reference's response cache re-expressed.
 
-Re-derivation of /root/reference/src/engine/http_client.rs:111-409
+Re-derivation of the reference engine's src/engine/http_client.rs:111-409
 (--http-cache-dir / --http-cache-ttl / --http-cache-compression):
 
 - key: ``{host}-{port}/{md5[:2]}/{md5}{.ext}`` where md5 hashes the
