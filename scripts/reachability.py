@@ -70,10 +70,6 @@ DEFERRED = {
     "stages.phash.image_neardup_pairs": "tests/test_phash.py",
     "stages.sketch.KLLSketch": "tests/test_sketch.py",
     "stages.sketch.approx_quantiles": "tests/test_sketch.py",
-    "stages.sketch.approx_quantiles_by": "tests/test_sketch.py",
-    "functions.urls.depth_of": "tests/test_urls.py::test_depth_and_basename",
-    "pipelines.wizard.serve_offer_target":
-        "tests/test_wizard.py::test_find_export_dirs_and_serve_offer",
 }
 
 

@@ -118,21 +118,21 @@ def ngram_and_bm25(sf_dir: str, k: int = 20) -> pa.Table:
 
     Fused scan: the bigram partial and the BM25 corpus-stats partial
     are both stateless per-block reductions over the same ``text``
-    column, so they ride ONE ``map_batches`` pass (tagged rows, split
-    remotely — the ngram side never lands on the driver), and the BM25
-    scoring pass is the only other read: 2 corpus scans total instead
-    of the naive 3.  At 100-TB corpus size that is a third of this
-    composite's I/O.
+    column, so they ride ONE ``map_batches`` pass (tagged rows), and
+    the BM25 scoring pass is the only other read: 2 corpus scans total
+    instead of the naive 3.  At 100-TB corpus size that is a third of
+    this composite's I/O.  The tagged partials combine through
+    ``dedup._combine`` keyed on xxh64(ngram): the stats rows all carry
+    key 0, so on the scatter path they ride whole to one partition,
+    which passes them through.
     """
     import numpy as np
-    import ray
 
+    from ..stages.dedup import _combine, _refs_and_bytes
     from ..stages.retrieval import bm25_topk, stats_from_rows, stats_partial_rows
-    from ..stages.sampling import (_DRIVER_COMBINE_ROWS, ngram_combine,
-                                   ngram_partial_table)
+    from ..stages.sampling import ngram_partial_table, ngram_sum_topk
 
     terms = sorted({t for q in BM25_QUERIES for t in q.split(" ")})
-    n_stat_rows = len(terms) + 2
 
     def fused_partial(b: pa.Table) -> pa.Table:
         ng = ngram_partial_table(b, 2)          # (ngram, n, __gkey)
@@ -148,36 +148,24 @@ def ngram_and_bm25(sf_dir: str, k: int = 20) -> pa.Table:
             "w": pa.array([0] * ng.num_rows + [1] * st.num_rows, pa.int8()),
         })
 
-    def split_table(t: pa.Table):
-        m = pc.equal(t["w"], 0)
-        return (t.filter(m).drop_columns(["w"]),
-                t.filter(pc.invert(m)).select(["ngram", "n"])
-                 .rename_columns(["name", "n"]))
+    def top_and_stats(t: pa.Table) -> pa.Table:
+        # (ngram, n, w): the top-50 of the bigram rows, stats rows as-is
+        is_ng = pc.equal(t["w"], 0)
+        top = ngram_sum_topk(t.filter(is_ng), 50)
+        return pa.concat_tables([
+            top.append_column("w", pa.array(np.zeros(top.num_rows, np.int8))),
+            t.filter(pc.invert(is_ng)).select(["ngram", "n", "w"])])
 
-    bundles = list(
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(fused_partial, batch_format="pyarrow")
-        .iter_internal_ref_bundles())
-    refs = [r for bu in bundles for r in bu.block_refs]
-    counts = [bu.num_rows() for bu in bundles]
-    ngram_total = (None if any(c is None for c in counts)
-                   else sum(counts) - n_stat_rows * len(refs))
-    if ngram_total is not None and ngram_total <= _DRIVER_COMBINE_ROWS:
-        # partials are driver-combine-sized anyway: one ray.get, split
-        # locally — no extra task wave
-        splits = [split_table(t) for t in ray.get(refs)]
-        ng_parts = [s[0] for s in splits]
-        stat_parts = [s[1] for s in splits]
-    else:
-        # scale regime: split remotely so the ngram side (unbounded
-        # vocabulary) never lands on the driver; only the tiny stats
-        # side is ray.get — (len(terms)+2) rows per block
-        split_remote = ray.remote(num_returns=2)(split_table)
-        pairs = [split_remote.remote(r) for r in refs]
-        ng_parts = [p[0] for p in pairs]
-        stat_parts = ray.get([p[1] for p in pairs])
-    stats = stats_from_rows(stat_parts, terms)
-    top = ngram_combine(ng_parts, ngram_total, k=50)
+    refs, nbytes = _refs_and_bytes(
+        _read(sf_dir, "documents", ["text"]).map_batches(fused_partial, batch_format="pyarrow"))
+    empty = pa.table({"ngram": pa.array([], pa.string()), "n": pa.array([], pa.int64()),
+                      "w": pa.array([], pa.int8())})
+    merged = top_and_stats(pa.concat_tables(
+        [empty, *_combine(refs, nbytes, "__gkey", top_and_stats)]))
+    is_ng = pc.equal(merged["w"], 0)
+    top = merged.filter(is_ng)
+    stats = stats_from_rows([merged.filter(pc.invert(is_ng)).rename_columns(["name", "n", "w"])],
+                            terms)
     nt = top.num_rows
     a = pa.table({
         "method": pa.array(["top50"] * nt, pa.string()),

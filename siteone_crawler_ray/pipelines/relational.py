@@ -319,9 +319,6 @@ def supplier_part_stats(sf_dir: str) -> pa.Table:
                      "sum_qty": pa.array(round_away(t["sum_qty"].to_numpy(), 2))})
 
 
-_P90_DRIVER_ROWS = 5_000_000  # events above this hash-partition on type
-
-
 def _grouped_p90(t: pa.Table) -> pa.Table:
     """Exact nearest-rank p90 per event_type over one table — the
     kernel shared by the driver path and every exchange partition."""
@@ -346,11 +343,12 @@ def p90_by_type(sf_dir: str) -> pa.Table:
 
     Exact percentiles need every value of a group together; with a
     handful of groups the cheapest exchange is collecting the two
-    pruned columns and a numpy grouped sort on the driver.  Above
-    ``_P90_DRIVER_ROWS`` the coded scale path (:func:`_p90_scatter`)
-    hash-partitions rows on xxh64(event_type) — a group lives whole in
-    one partition, so the identical kernel is exact per partition
-    (``test_p90_scatter_path_matches``).  When approximate is enough,
+    pruned columns and a numpy grouped sort on the driver.  Beyond the
+    byte budget ``dedup._combine`` hash-partitions the rows on
+    xxh64(event_type) instead — a group lives whole in one partition,
+    so the identical kernel is exact per partition
+    (``test_p90_by_type_scatter_path_matches``).  Skew note: a hot
+    group bounds one partition's size.  When approximate is enough,
     ``stages/sketch.kll_quantiles`` is the no-co-location alternative.
 
     The slot also carries ``approx_users`` — the grouped-HLL distinct
@@ -358,13 +356,18 @@ def p90_by_type(sf_dir: str) -> pa.Table:
     register-merge answer to COUNT(DISTINCT) GROUP BY, where no user_id
     ever crosses the wire (the DuckDB oracle re-derives the registers
     float-exactly via hll_grouped_oracle_sql)."""
+    from ..functions.hashing import xxh64_strings
+    from ..stages.dedup import _combine, _refs_and_bytes
     from ..stages.sketch import approx_distinct_by
 
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-    if ds.count() > _P90_DRIVER_ROWS:
-        p90t = _p90_scatter(sf_dir)
-    else:
-        p90t = _grouped_p90(_collect(ds))
+    def add_key(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "type_key", pa.array(xxh64_strings(batch["event_type"]), pa.uint64()))
+
+    refs, nbytes = _refs_and_bytes(_read(sf_dir, "events", ["event_type", "value"]))
+    p90t = pa.concat_tables([
+        pa.table({"event_type": pa.array([], pa.string()), "p90": pa.array([], pa.float64())}),
+        *_combine(refs, nbytes, "type_key", _grouped_p90, pre=add_key)])
     hll = approx_distinct_by(
         _read(sf_dir, "events", ["event_type", "user_id"]),
         "event_type", "user_id", p=12)
@@ -376,29 +379,6 @@ def p90_by_type(sf_dir: str) -> pa.Table:
             np.round(joined["approx_distinct"].to_numpy(zero_copy_only=False), 3)),
     })
     return out.take(pc.sort_indices(out, [("event_type", "ascending")]))
-
-
-def _p90_scatter(sf_dir: str, num_partitions: int | None = None) -> pa.Table:
-    """Coded scale path for exact grouped percentiles: derive a uint64
-    type key, exchange rows once on key%P, run the grouped-sort kernel
-    per partition.  Skew note: exact per-group rank inherently
-    co-locates each group; a hot group bounds one partition's size
-    (the sketch path trades exactness for skew-freedom)."""
-    from ..functions.hashing import xxh64_strings
-    from ..stages.dedup import _auto_partitions, _partitioned_exchange
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "type_key", pa.array(xxh64_strings(batch["event_type"]), pa.uint64()))
-
-    ds = _read(sf_dir, "events", ["event_type", "value"]).map_batches(
-        add_key, batch_format="pyarrow")
-    P = num_partitions if num_partitions is not None else _auto_partitions()
-    out = _partitioned_exchange(ds, "type_key", _grouped_p90, num_partitions=P)
-    if not out:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "p90": pa.array([], pa.float64())})
-    return pa.concat_tables(out)
 
 
 # -- join / lookup shapes ----------------------------------------------------
@@ -632,9 +612,6 @@ def hourly_window(sf_dir: str) -> pa.Table:
     )
 
 
-_SESSION_DRIVER_ROWS = 5_000_000  # events above this hash-partition on user
-
-
 def _session_kernel(uid: np.ndarray, ts: np.ndarray, gap_us: int) -> pa.Table:
     """Gap sessionization over raw (user_id, ts_us) arrays — fully
     vectorized (the per-user session_no is a maximum.accumulate reset
@@ -674,35 +651,21 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     """Session-window shape (gap-based sessionization): per-user event
     sessions split at >gap inactivity; returns per-session event count
     and duration.  At sf scale a driver-side pass over the pruned 2
-    columns is cheapest; above ``_SESSION_DRIVER_ROWS`` the events
-    hash-partition on user_id (rows cross the wire once, a user lives
-    in exactly one partition) and :func:`_session_kernel` runs
-    unchanged per partition (``test_session_scatter_path_matches``)."""
+    columns is cheapest; beyond the byte budget ``dedup._combine``
+    hash-partitions the events on user_id (rows cross the wire once, a
+    user lives in exactly one partition) and :func:`_session_kernel`
+    runs unchanged per partition (``test_session_windows_scatter_path_matches``)."""
+    from ..stages.dedup import _combine, _refs_and_bytes
+
     gap_us = gap_minutes * 60 * 1_000_000
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    if ds.count() > _SESSION_DRIVER_ROWS:
-        return _session_scatter(sf_dir, gap_us)
-    t = _collect(ds)
-    uid = t["user_id"].to_numpy(zero_copy_only=False)
-    ts = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-    return _session_kernel(uid, ts, gap_us)
-
-
-def _session_scatter(sf_dir: str, gap_us: int, num_partitions: int | None = None) -> pa.Table:
-    """The coded scale path: events scatter on user_id%P, partition p
-    sessionizes its own users with the identical kernel."""
-    from ..functions.agg import block_refs
-    from ..stages.dedup import _auto_partitions, _scatter_exchange
-
-    P = num_partitions if num_partitions is not None else _auto_partitions()
-    refs = block_refs(_read(sf_dir, "events", ["user_id", "ts"]))
 
     def sessionize(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         return _session_kernel(uid, ts, gap_us)
 
-    out = _scatter_exchange([(refs, "user_id")], sessionize, P)
+    refs, nbytes = _refs_and_bytes(_read(sf_dir, "events", ["user_id", "ts"]))
+    out = _combine(refs, nbytes, "user_id", sessionize)
     if not out:
         return pa.table({"user_id": pa.array([], pa.int64()),
                          "session_no": pa.array([], pa.int64()),
@@ -779,72 +742,38 @@ def embedding_dup_pairs_table(sf_dir: str, threshold: float = 0.45) -> pa.Table:
 # -- merged query surfaces (one queries() slot, several operators) ----------
 
 
-_DISTINCT_DRIVER_ROWS = 5_000_000  # deduped pairs above this hash-partition
-
-
 def user_type_stats(sf_dir: str) -> pa.Table:
     """Rows + distinct users per event type in one table
     (event_type, n, n_users) — the two per-type aggregates share a key
     AND a single pass: each block reduces to its distinct
     (event_type, user_id) pairs with their row counts (Arrow hash-agg,
-    no unicode sorts), the residue re-aggregates on the driver.  Scale
-    path: hash-partition the pair residue by user_id (pairs are the
-    dataset's distinct-pair cardinality, not its row count)."""
+    no unicode sorts), and ``dedup._combine`` re-aggregates the residue
+    — on the driver, or beyond the byte budget per partition of one
+    user_id exchange (pairs are the dataset's distinct-pair cardinality,
+    not its row count).  A (type, user) pair lands whole in one
+    partition, so the per-partition (n, n_users) are exact and the
+    driver sums #types×P tiny rows
+    (``test_user_type_stats_scatter_path_matches``)."""
+    from ..stages.dedup import _combine, _refs_and_bytes
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["event_type", "user_id"], use_threads=False).aggregate(
             [([], "count_all")])
         return g.rename_columns(["event_type", "user_id", "rows"])
 
-    import pyarrow.parquet as pq
-
-    pairs_ds = _read(sf_dir, "events", ["event_type", "user_id"]).map_batches(
-        pair_partial, batch_format="pyarrow")
-    # the pair residue is driver-combined below the threshold (gate =
-    # parquet metadata rows, an upper bound on distinct pairs), else it
-    # exchanges once on user_id — a (type, user) pair lands whole in one
-    # partition, so the per-partition (n, n_users) partials are exact
-    # and the driver sums #types×P tiny rows
-    # (test_user_type_stats_scatter_path_matches)
-    if pq.read_metadata(os.path.join(sf_dir, "events.parquet")).num_rows \
-            > _DISTINCT_DRIVER_ROWS:
-        return _user_type_scatter(pairs_ds)
-    residue = _collect(pairs_ds)
-    pairs = residue.group_by(["event_type", "user_id"], use_threads=False).aggregate(
-        [("rows", "sum")])
-    out = pairs.group_by(["event_type"], use_threads=False).aggregate(
-        [("rows_sum", "sum"), ([], "count_all")])
-    out = out.rename_columns(["event_type", "n", "n_users"])
-    idx = pc.sort_indices(out, [("event_type", "ascending")])
-    return pa.table(
-        {
-            "event_type": out["event_type"].take(idx),
-            "n": out["n"].take(idx).cast(pa.int64()),
-            "n_users": out["n_users"].take(idx).cast(pa.int64()),
-        }
-    )
-
-
-def _user_type_scatter(pairs_ds, num_partitions: int | None = None) -> pa.Table:
-    """Coded scale path for the merged (n, n_users)-per-type surface:
-    one user_id exchange of the block-level pair partials, exact
-    per-partition partials, tiny driver sum."""
-    from ..stages.dedup import _auto_partitions, _partitioned_exchange
-
-    def part(t: pa.Table) -> pa.Table:
+    def per_type(t: pa.Table) -> pa.Table:
         g = t.group_by(["event_type", "user_id"], use_threads=False).aggregate(
             [("rows", "sum")])
         out = g.group_by(["event_type"], use_threads=False).aggregate(
             [("rows_sum", "sum"), ([], "count_all")])
         return out.rename_columns(["event_type", "n", "n_users"])
 
-    P = num_partitions if num_partitions is not None else _auto_partitions()
-    parts = _partitioned_exchange(pairs_ds, "user_id", part, num_partitions=P)
-    if not parts:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64()),
-                         "n_users": pa.array([], pa.int64())})
-    merged = pa.concat_tables(parts)
+    refs, nbytes = _refs_and_bytes(_read(sf_dir, "events", ["event_type", "user_id"])
+                                   .map_batches(pair_partial, batch_format="pyarrow"))
+    merged = pa.concat_tables([
+        pa.table({"event_type": pa.array([], pa.string()), "n": pa.array([], pa.int64()),
+                  "n_users": pa.array([], pa.int64())}),
+        *_combine(refs, nbytes, "user_id", per_type)])
     out = merged.group_by(["event_type"], use_threads=False).aggregate(
         [("n", "sum"), ("n_users", "sum")])
     out = out.rename_columns(["event_type", "n", "n_users"])

@@ -424,17 +424,6 @@ def find_export_dirs(kind: str, base: str = ".") -> list[ExportDir]:
     return sorted(out, key=lambda d: d.name, reverse=True)
 
 
-def serve_offer_target(crawl_argv: list[str]) -> tuple[str, str] | None:
-    """(dir, kind) for the post-export "serve it now?" offer, or None if
-    the command exports nothing (mod.rs:27-38)."""
-    for arg in crawl_argv:
-        for prefix, kind in (("--offline-export-dir=", "offline"),
-                             ("--markdown-export-dir=", "markdown")):
-            if arg.startswith(prefix):
-                return arg[len(prefix):].strip("'"), kind
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Scripted driver — the answers document replaces the keystroke loop.
 # ---------------------------------------------------------------------------

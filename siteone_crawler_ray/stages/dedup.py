@@ -74,23 +74,20 @@ def _shingle_hashes(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     return (np.concatenate(hashes) if hashes else np.empty(0, np.uint64)), offsets
 
 
-# Above this many exchanged rows the broadcast-filter exchange (every
-# partition task pulls every block) switches to the scatter exchange
-# (every row moves exactly once).  On one node the broadcast reads are
-# zero-copy plasma and faster for the small band/skip tables this is
-# used on; on a multi-node cluster the broadcast path is up-to-P×
-# network amplification of the exchanged table, so large tables must
-# take the scatter path.  Tests monkeypatch this to force either path.
-_SCATTER_THRESHOLD_ROWS = 4_000_000
+# The one size rule for every gather-or-scatter choice: partials (or an
+# exchanged table) of at most this many Arrow bytes gather into one
+# process — the driver combine, the broadcast-filter exchange, the local
+# star rounds; anything larger or of unknown size takes the keyed scatter
+# exchange, where each row moves once and no process holds more than its
+# partition.  Sizes come from block metadata or from tiny remote size
+# tasks.  Tests monkeypatch it to 0 to force every scale path.
+_DRIVER_COMBINE_BYTES = 64 << 20
 
-# exact_dedup: residue row count above which the min-per-hash combine
-# runs as a key-partitioned exchange instead of one driver-side agg.
-_EXACT_DRIVER_COMBINE_ROWS = 4_000_000
 
-# duplicated_window_counts: per-doc partial row count above which the
-# final combine chains a second key exchange on doc_id instead of a
-# driver-side group_by (same rationale as _EXACT_DRIVER_COMBINE_ROWS).
-_WINDOW_DRIVER_COMBINE_ROWS = 4_000_000
+def _fits(nbytes: int | None) -> bool:
+    """True when ``nbytes`` (None = unknown, counted as large) may
+    gather into one process."""
+    return nbytes is not None and nbytes <= _DRIVER_COMBINE_BYTES
 
 
 def _auto_partitions(num_rows: int | None = None, *, rows_per_partition: int = 250_000,
@@ -182,29 +179,79 @@ def _scatter_exchange(inputs, fn, num_partitions: int, return_refs: bool = False
     return [t for t in out if t is not None and t.num_rows]
 
 
+def _refs_and_bytes(ds) -> tuple[list, int | None]:
+    """Execute ``ds`` once → (its block refs, their summed Arrow bytes
+    from block metadata; None when any block's size is unknown)."""
+    refs, nbytes = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        refs += bundle.block_refs
+        sizes = [m.size_bytes for m in bundle.metadata]
+        nbytes = None if nbytes is None or None in sizes else nbytes + sum(sizes)
+    return refs, nbytes
+
+
+def _ref_bytes(refs) -> int:
+    """Summed Arrow bytes of tables (or ``None``s) behind object refs
+    that carry no block metadata, e.g. an exchange's ``return_refs``
+    outputs: one zero-CPU size task per ref, only ints return."""
+    import ray
+
+    size = ray.remote(num_cpus=0)(lambda t: 0 if t is None else t.nbytes)
+    return sum(ray.get([size.remote(r) for r in refs]))
+
+
+def _scatter_partitions(nbytes: int | None) -> int:
+    """Default fan-out: every CPU gets a partition, and no partition
+    gathers more than the budget."""
+    p = _auto_partitions()
+    if nbytes and _DRIVER_COMBINE_BYTES:
+        p = max(p, -(-nbytes // _DRIVER_COMBINE_BYTES))
+    return p
+
+
+def _combine(refs, nbytes: int | None, key_col: str, kernel, pre=None,
+             num_partitions: int | None = None) -> list[pa.Table]:
+    """Combine partial tables behind ``refs`` with ``kernel`` → its
+    non-empty outputs.  Partials that fit the budget (``nbytes``, see
+    :func:`_fits`) concatenate on the driver and ``kernel`` runs once;
+    larger ones go through :func:`_scatter_exchange` keyed on
+    ``key_col``, so ``kernel`` must be exact on any key-complete subset
+    and the caller merges the per-partition outputs.  ``pre(block)``
+    runs on the scatter path only, before keying (it derives
+    ``key_col`` when the kernel needs no key)."""
+    import ray
+
+    if _fits(nbytes):
+        parts = [t for t in ray.get(list(refs)) if t is not None and t.num_rows]
+        out = kernel(pa.concat_tables(parts, promote_options="permissive")) if parts else None
+        return [out] if out is not None and out.num_rows else []
+    inp = (refs, key_col) if pre is None else (refs, key_col, lambda b, _: pre(b), None)
+    if num_partitions is None:
+        num_partitions = _scatter_partitions(nbytes)
+    return _scatter_exchange([inp], kernel, num_partitions)
+
+
 def _partitioned_exchange(ds, key_col: str, fn, num_partitions: int | None = None,
                           return_refs: bool = False) -> list:
     """Hash-partitioned all-to-all without driver materialization.
 
-    Small exchanged tables (≤ ``_SCATTER_THRESHOLD_ROWS``): the
-    Dataset's blocks stay in the object store; ``num_partitions`` tasks
-    each pull the blocks (shared-memory reads node-locally), filter to
-    ``key % P == p`` and apply ``fn`` to their partition.  Large tables
-    switch to :func:`_scatter_exchange`, where each row moves exactly
-    once.  Rows with an identical key always land in the same
+    Exchanged tables that fit the budget (:func:`_fits`): the Dataset's
+    blocks stay in the object store; ``num_partitions`` tasks each pull
+    every block (shared-memory reads node-locally), filter to
+    ``key % P == p`` and apply ``fn`` to their partition.  Larger
+    tables switch to :func:`_scatter_exchange`, where each row moves
+    exactly once: on a multi-node cluster the broadcast reads are up to
+    P× network amplification of the exchanged table.  Rows with an identical key always land in the same
     partition, so a per-bucket ``fn`` (pairing, grouping) is exact.
     Equivalent to ``ds.groupby(key % P).map_groups(fn)`` without the
     sort-based shuffle.  ``return_refs=True`` leaves the per-partition
     outputs as object refs for chaining a second exchange."""
     import ray
 
-    bundles = list(ds.iter_internal_ref_bundles())
-    refs = [r for b in bundles for r in b.block_refs]
-    counts = [b.num_rows() for b in bundles]
-    total = None if any(c is None for c in counts) else sum(counts)
+    refs, nbytes = _refs_and_bytes(ds)
     if num_partitions is None:
-        num_partitions = _auto_partitions(total)
-    if total is None or total > _SCATTER_THRESHOLD_ROWS:
+        num_partitions = _scatter_partitions(nbytes)
+    if not _fits(nbytes):
         return _scatter_exchange([(refs, key_col)], fn, num_partitions, return_refs=return_refs)
 
     @ray.remote
@@ -253,30 +300,20 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
         return pa.table({"content_hash": pa.array(hs, pa.int64()),
                          id_col: pa.array(ids[order][first])})
 
-    import ray
     import ray.data as rd
 
     # partial per-block dedup leaves ≤ one row per distinct text per
-    # block.  A small residue combines with one tiny driver-side hash
-    # agg; above _EXACT_DRIVER_COMBINE_ROWS (at 10⁹ distinct hashes the
-    # residue IS the dataset) the combine runs as a key-partitioned
-    # exchange — min-per-hash is exact because identical hashes land in
-    # one partition — and the result stays distributed.
+    # block.  A residue that fits the budget combines with one tiny
+    # driver-side hash agg; above it (at 10⁹ distinct hashes the residue
+    # IS the dataset) the combine runs as a key-partitioned exchange —
+    # min-per-hash is exact because identical hashes land in one
+    # partition — and the result stays distributed.
     def combine(tbl: pa.Table) -> pa.Table:
         merged = tbl.group_by("content_hash", use_threads=False).aggregate([(id_col, "min")])
         return merged.select([f"{id_col}_min"]).rename_columns([id_col])
 
-    residue = ds.map_batches(partial, batch_format="pyarrow")
-    bundles = list(residue.iter_internal_ref_bundles())
-    counts = [b.num_rows() for b in bundles]
-    refs = [r for b in bundles for r in b.block_refs]
-    total = None if any(c is None for c in counts) else sum(counts)
-    if total is not None and total <= _EXACT_DRIVER_COMBINE_ROWS:
-        parts = [t for t in ray.get(refs) if t.num_rows]
-        if not parts:
-            return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64())}))
-        return rd.from_arrow(combine(pa.concat_tables(parts)))
-    out = _scatter_exchange([(refs, "content_hash")], combine, _auto_partitions(total))
+    refs, nbytes = _refs_and_bytes(ds.map_batches(partial, batch_format="pyarrow"))
+    out = _combine(refs, nbytes, "content_hash", combine)
     if not out:
         return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64())}))
     return rd.from_arrow(out)
@@ -700,12 +737,10 @@ def semantic_dedup(ds, *, id_col="vec_id", vec_col="embedding",
 # literature): every round is one hash-partitioned exchange over the
 # edge list keyed on the grouping node, converging in O(log² n) rounds
 # with NO per-node label table and no driver-side graph.  The same
-# numpy kernel drives both the driver-local fast path (small pair sets)
-# and the distributed path (edge refs stay in the object store; the
-# driver sees only a per-round set fingerprint scalar).
-
-_CC_DRIVER_ROWS = 1_000_000  # pairs above this run the distributed rounds
-
+# numpy kernel drives both the driver-local fast path (a pair table that
+# fits _DRIVER_COMBINE_BYTES) and the distributed path (edge refs stay in
+# the object store; the driver sees only a per-round set fingerprint
+# scalar).
 
 def _star_round(u: np.ndarray, v: np.ndarray, small: bool) -> tuple[np.ndarray, np.ndarray]:
     """One large-star (small=False) or small-star (small=True) round on
@@ -753,15 +788,12 @@ def _edge_fingerprint(u: np.ndarray, v: np.ndarray) -> int:
 
 
 def connected_components(pairs: pa.Table, *, id_a="id_a", id_b="id_b",
-                         use_ray: bool | None = None, num_partitions: int = 32,
-                         max_rounds: int = 64) -> pa.Table:
+                         num_partitions: int = 32, max_rounds: int = 64) -> pa.Table:
     """(id_a, id_b) pair table → (doc_id, component) for every node in
     any pair, component = min doc_id of its connected component."""
     u0 = pairs[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
     v0 = pairs[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
-    distributed = (use_ray if use_ray is not None
-                   else pairs.num_rows > _CC_DRIVER_ROWS)
-    if distributed:
+    if not _fits(pairs.nbytes):
         star = _distributed_star_rounds(u0, v0, num_partitions, max_rounds)
     else:
         star = _local_star_rounds(u0, v0, max_rounds)
@@ -878,7 +910,7 @@ def _cc_stats_fn(part):
 
 
 def near_dup_clusters(ds, *, id_col="doc_id", text_col="text", threshold=0.5,
-                      use_ray: bool | None = None, **minhash_kw) -> pa.Table:
+                      **minhash_kw) -> pa.Table:
     """MinHash pairs → transitive duplicate families → canonical pick.
 
     Returns (doc_id, component, keep) for every document that belongs
@@ -889,7 +921,7 @@ def near_dup_clusters(ds, *, id_col="doc_id", text_col="text", threshold=0.5,
 
     pairs = minhash_dedup_pairs(ds, id_col=id_col, text_col=text_col,
                                 threshold=threshold, **minhash_kw)
-    comp = connected_components(pairs, use_ray=use_ray)
+    comp = connected_components(pairs)
     keep = pc.equal(comp["doc_id"], comp["component"])
     out = comp.append_column("keep", keep)
     return out.take(pc.sort_indices(out, sort_keys=[("doc_id", "ascending")]))
@@ -909,12 +941,11 @@ def duplicated_window_counts(ds, *, id_col="doc_id", text_col="text",
     Scale shape: window rows hash-partition on xxh64(window) — identical
     content lands in one partition, so duplicate detection and the
     per-doc partial counts are partition-local; each partition emits
-    one (doc, n_win, n_dup) row per doc it saw.  Small partial sets
-    (≤ ``_WINDOW_DRIVER_COMBINE_ROWS``) sum on the driver; above that
-    the partials chain through a SECOND key exchange on doc_id
-    (``_scatter_exchange`` over the partition refs — the per-doc rows
-    never land on the driver), mirroring ``exact_dedup``'s coded
-    fallback.  ``verify_exact=True`` groups by the window STRING
+    one (doc, n_win, n_dup) row per doc it saw.  :func:`_combine` sums
+    partials that fit the budget on the driver; larger ones chain
+    through a SECOND key exchange on doc_id (``_scatter_exchange`` over
+    the partition refs — the per-doc rows never land on the driver),
+    the same rule ``exact_dedup`` follows.  ``verify_exact=True`` groups by the window STRING
     inside each partition (hash only routes); False trusts the 64-bit
     hash and never ships window bytes — the documented trade-off for
     the 100-TB path.  Alignment caveat: substrings shared at offsets
@@ -966,31 +997,18 @@ def duplicated_window_counts(ds, *, id_col="doc_id", text_col="text",
         )
         return out.rename_columns([id_col, "n_win", "n_dup_win"])
 
-    import ray
-
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "n_win": pa.array([], pa.int64()),
                       "n_dup_win": pa.array([], pa.int64())})
     rows = ds.map_batches(emit_windows, batch_format="pyarrow")
     part_refs = _partitioned_exchange(rows, "win_key", dup_partial, return_refs=True)
-    if not part_refs:
+    # per-doc partials move once more, keyed on doc_id, when they do not
+    # fit the budget — every doc's rows land in one partition, so the
+    # per-partition group_by IS the exact global sum
+    out = _combine(part_refs, _ref_bytes(part_refs), id_col, doc_combine)
+    if not out:
         return empty
-
-    nrows = ray.remote(num_cpus=0)(lambda t: 0 if t is None else t.num_rows)
-    total = sum(ray.get([nrows.remote(r) for r in part_refs]))
-    if total <= _WINDOW_DRIVER_COMBINE_ROWS:
-        parts = [t for t in ray.get(part_refs) if t is not None and t.num_rows]
-        if not parts:
-            return empty
-        merged = doc_combine(pa.concat_tables(parts))
-    else:
-        # 100-TB path: per-doc partials move once, keyed on doc_id —
-        # every doc's rows land in one partition, so the per-partition
-        # group_by IS the exact global sum
-        out = _scatter_exchange([(part_refs, id_col)], doc_combine, _auto_partitions(total))
-        if not out:
-            return empty
-        merged = pa.concat_tables(out)
+    merged = pa.concat_tables(out)
     return merged.take(pc.sort_indices(merged, sort_keys=[(id_col, "ascending")]))
 
 
@@ -1226,15 +1244,13 @@ def dedup_cut(ds, *, id_col="doc_id", text_col="text", k: int = 64) -> pa.Table:
                                       return_refs=True)
     if not cand_refs:
         return empty
-    nrows = ray.remote(num_cpus=0)(lambda t: 0 if t is None else t.num_rows)
-    cand_total = sum(ray.get([nrows.remote(r) for r in cand_refs]))
-    P = _auto_partitions(cand_total)
-    if cand_total <= _SCATTER_THRESHOLD_ROWS:
-        # broadcast path (same convention as _partitioned_exchange /
-        # decontaminate): the candidate and removal sets are INT rows —
-        # 9 % of windows × 24 B on the test corpus — so below the
-        # threshold they ride a ray.put broadcast and the texts never
-        # move; each map_batches task slices only its own docs' windows
+    cand_bytes = _ref_bytes(cand_refs)
+    if _fits(cand_bytes):
+        # broadcast path (the same size rule as _partitioned_exchange):
+        # the candidate and removal sets are INT rows — 9 % of windows
+        # × 24 B on the test corpus — so within the budget they ride a
+        # ray.put broadcast and the texts never move; each map_batches
+        # task slices only its own docs' windows
         parts = [t for t in ray.get(list(cand_refs)) if t is not None and t.num_rows]
         if not parts:
             return _passthrough(ds, id_col, text_col)
@@ -1272,11 +1288,10 @@ def dedup_cut(ds, *, id_col="doc_id", text_col="text", k: int = 64) -> pa.Table:
         # 100-TB path: candidates / removals scatter on doc_id together
         # with the texts (tagged union rows) — every row moves once,
         # nothing lands on the driver
-        text_bundles = list(ds.map_batches(to_text_rows, batch_format="pyarrow")
-                            .iter_internal_ref_bundles())
-        text_refs = [r for b in text_bundles for r in b.block_refs]
+        text_refs, _ = _refs_and_bytes(ds.map_batches(to_text_rows, batch_format="pyarrow"))
         if not text_refs:
             return empty
+        P = _scatter_partitions(cand_bytes)
         str_refs = _scatter_exchange([(list(cand_refs) + text_refs, id_col)],
                                      build_strings, P, return_refs=True)
         rem_refs = _scatter_exchange([(str_refs, "win_key")], mark, P, return_refs=True)

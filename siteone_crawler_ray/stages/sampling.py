@@ -3,11 +3,11 @@ deterministic hash sampling, per-group document quotas, exact n-gram
 top-k, and context-window chunking.
 
 All four are expressed the engine's standard way — a vectorized Arrow
-kernel inside ``map_batches`` producing small per-block partials, then a
-combine that runs on the driver for report-sized results and switches to
-the row-moves-once scatter exchange (stages/dedup.py) above a row
-threshold.  Every operator is SQL-expressible so the correctness gate
-gets a DuckDB oracle (see __ray_entry__.oracle_sql).
+kernel inside ``map_batches`` producing small per-block partials, then
+``dedup._combine``: on the driver for report-sized partials, the
+row-moves-once scatter exchange above the engine's one byte budget.
+Every operator is SQL-expressible so the correctness gate gets a DuckDB
+oracle (see __ray_entry__.oracle_sql).
 
 Reference scope note: the reference engine (janreges/siteone-crawler)
 has no corpus-curation surface; these operators extend the engine per
@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import xxh64_strings
-from .dedup import _scatter_exchange
+from .dedup import _combine, _refs_and_bytes, _scatter_exchange
 
 # Knuth's multiplicative hash constant (TAOCP vol. 3 §6.4) — chosen over
 # md5 because it vectorizes to two numpy ops per block and the identical
@@ -30,13 +30,6 @@ from .dedup import _scatter_exchange
 # 2^32), so the sample is bit-reproducible across engines.
 _KNUTH = np.uint64(2654435761)
 _MOD32 = np.uint64(1 << 32)
-
-# Above this many partial rows the driver-side final combine (concat +
-# one Arrow hash-agg) switches to the scatter exchange: each partial row
-# then crosses the wire exactly once and the combine is partition-local.
-# 4M rows of (ngram, count) ≈ a few hundred MB — comfortably driver-safe
-# below, unbounded-vocabulary-safe above.
-_DRIVER_COMBINE_ROWS = 4_000_000
 
 
 def hash_sample_mask(keys: np.ndarray, rate_pct: int) -> np.ndarray:
@@ -178,41 +171,24 @@ def cap_per_group(ds, group_col: str, order_col: str, k: int,
     Scale plan: each block reduces itself to ≤ k rows per group present
     in it (the only rows that can survive globally), so partials are
     ≤ blocks × groups-per-block × k; the final combine re-runs the same
-    kernel — on the driver for quota-table sizes, via the hash-scatter
-    exchange keyed on the group above _DRIVER_COMBINE_ROWS.
+    kernel through ``dedup._combine`` keyed on the group.
     """
-    import ray
-
     def partial(b: pa.Table) -> pa.Table:
         t = _cap_kernel(b, group_col, order_col, k)
         return t.append_column(
             "__gkey", pa.array(xxh64_strings(
                 t[group_col].to_numpy(zero_copy_only=False).astype(str))))
 
-    # branch on block METADATA counts — the partials stay in the object
-    # store; only the small driver-combine branch ever ray.gets them
-    bundles = list(ds.map_batches(partial, batch_format="pyarrow")
-                   .iter_internal_ref_bundles())
-    refs = [r for b in bundles for r in b.block_refs]
-    counts = [b.num_rows() for b in bundles]
-    total = None if any(c is None for c in counts) else sum(counts)
-    if total is None or total > _DRIVER_COMBINE_ROWS:
-        out = _scatter_exchange(
-            [(refs, "__gkey")],
-            lambda t: _cap_kernel(t.drop_columns(["__gkey"]), group_col, order_col, k),
-            num_partitions,
-        )
-        if not out:
-            return ds.schema().base_schema.empty_table()
-        merged = pa.concat_tables(out, promote_options="permissive")
-    else:
-        parts = [b for b in ray.get(refs) if b.num_rows]
-        if not parts:
-            return ds.schema().base_schema.empty_table()
-        merged = _cap_kernel(
-            pa.concat_tables(parts, promote_options="permissive")
-            .drop_columns(["__gkey"]),
-            group_col, order_col, k)
+    # the partials stay in the object store; only a combine that fits
+    # the budget ever ray.gets them
+    refs, nbytes = _refs_and_bytes(ds.map_batches(partial, batch_format="pyarrow"))
+    out = _combine(
+        refs, nbytes, "__gkey",
+        lambda t: _cap_kernel(t.drop_columns(["__gkey"]), group_col, order_col, k),
+        num_partitions=num_partitions)
+    if not out:
+        return ds.schema().base_schema.empty_table()
+    merged = pa.concat_tables(out, promote_options="permissive")
     return merged.take(pc.sort_indices(
         merged, [(group_col, "ascending"), (order_col, "ascending")]))
 
@@ -247,58 +223,24 @@ def _ngram_counts(batch: pa.Table, text_col: str, n: int) -> pa.Table:
 
 
 def ngram_partial_table(b: pa.Table, n: int, text_col: str = "text") -> pa.Table:
-    """One block's keyed n-gram partial: ``(ngram, n, __gkey)`` — the
-    unit :func:`ngram_combine` consumes.  Exposed so composites that
-    already scan the text column for another partial (e.g.
-    pipelines/curation.ngram_and_bm25's BM25 stats pass) can fuse this
-    in and save a whole corpus read."""
+    """One block's keyed n-gram partial: ``(ngram, n, __gkey)``.
+    Exposed so composites that already scan the text column for another
+    partial (e.g. pipelines/curation.ngram_and_bm25's BM25 stats pass)
+    can fuse this in and save a whole corpus read."""
     t = _ngram_counts(b, text_col, n)
     return t.append_column("__gkey", pa.array(
         xxh64_strings(t["ngram"].to_numpy(zero_copy_only=False))))
 
 
-def ngram_combine(refs, total: int | None, k: int,
-                  num_partitions: int = 16) -> pa.Table:
-    """Combine keyed n-gram partial refs into the exact global top-k.
-
-    ``refs`` are object refs of :func:`ngram_partial_table` blocks
-    (already-local ``pa.Table`` partials are also accepted — the
-    driver-combine-sized fused path of curation.ngram_and_bm25);
-    ``total`` is their summed row count when known from block metadata
-    (None forces the scale path).  On the driver below
-    _DRIVER_COMBINE_ROWS, through the scatter exchange keyed on
-    xxh64(ngram) above it — per-partition sum + local top-k, then a
-    k×P-row driver merge.
-    """
-    import ray
-
-    def sum_topk(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ngram"], use_threads=False).aggregate([("n", "sum")])
-        g = g.rename_columns(["ngram", "n"])
-        idx = pc.sort_indices(g, [("n", "descending"), ("ngram", "ascending")])
-        return g.take(idx.slice(0, k))
-
-    if total is None or total > _DRIVER_COMBINE_ROWS:
-        refs = [ray.put(r) if isinstance(r, pa.Table) else r for r in refs]
-        # identical ngram ⇒ identical partition, so per-partition sums are
-        # final and a partition's local top-k is globally sufficient
-        out = _scatter_exchange(
-            [(refs, "__gkey")], lambda t: sum_topk(t.drop_columns(["__gkey"])),
-            num_partitions)
-        if not out:
-            return pa.table({"ngram": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        merged = pa.concat_tables(out, promote_options="permissive")
-    else:
-        fetched = iter(ray.get([r for r in refs if not isinstance(r, pa.Table)]))
-        got = [r if isinstance(r, pa.Table) else next(fetched) for r in refs]
-        parts = [b for b in got if b.num_rows]
-        if not parts:
-            return pa.table({"ngram": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        merged = pa.concat_tables(parts, promote_options="permissive") \
-            .drop_columns(["__gkey"])
-    return sum_topk(merged)
+def ngram_sum_topk(t: pa.Table, k: int) -> pa.Table:
+    """Sum ``(ngram, n)`` partial rows per ngram → the top-k (count
+    desc, ngram asc).  Exact on any ngram-complete subset, and
+    idempotent, so it is both the per-partition kernel and the final
+    merge."""
+    g = t.select(["ngram", "n"]).group_by(["ngram"], use_threads=False) \
+        .aggregate([("n", "sum")]).rename_columns(["ngram", "n"])
+    idx = pc.sort_indices(g, [("n", "descending"), ("ngram", "ascending")])
+    return g.take(idx.slice(0, k))
 
 
 def ngram_topk(ds, n: int = 2, k: int = 50, text_col: str = "text",
@@ -309,17 +251,21 @@ def ngram_topk(ds, n: int = 2, k: int = 50, text_col: str = "text",
     Per-block value_counts shrinks each block to its distinct n-grams
     (:func:`ngram_partial_table`); the cross-block sum is the one step
     that genuinely needs every partial together (counts can't be pruned
-    per block without losing exactness) — :func:`ngram_combine` branches
-    it on block-metadata row counts so an unbounded vocabulary's
-    partials never land on the driver (the scatter consumes refs).
+    per block without losing exactness).  ``dedup._combine`` sums them
+    on the driver when they fit the budget, else through the scatter
+    exchange keyed on xxh64(ngram) — identical ngram ⇒ identical
+    partition, so per-partition sums are final and a partition's local
+    top-k is globally sufficient; the k×P-row merge runs on the driver.
     """
-    bundles = list(
+    refs, nbytes = _refs_and_bytes(
         ds.map_batches(lambda b: ngram_partial_table(b, n, text_col),
-                       batch_format="pyarrow").iter_internal_ref_bundles())
-    refs = [r for b in bundles for r in b.block_refs]
-    counts = [b.num_rows() for b in bundles]
-    total = None if any(c is None for c in counts) else sum(counts)
-    return ngram_combine(refs, total, k, num_partitions)
+                       batch_format="pyarrow"))
+    out = _combine(refs, nbytes, "__gkey", lambda t: ngram_sum_topk(t, k),
+                   num_partitions=num_partitions)
+    if not out:
+        return pa.table({"ngram": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())})
+    return ngram_sum_topk(pa.concat_tables(out), k)
 
 
 # ------------------------------------------------------------- chunking

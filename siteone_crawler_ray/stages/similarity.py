@@ -455,12 +455,11 @@ def ivf_query_index(index_path: str, query_vecs: np.ndarray, k: int = 10, *,
 # the operator), ONE union exchange on cell co-locates both sides, and
 # each partition brute-forces its cells locally.  An (a, b) pair can
 # appear in at most one cell (b lives in exactly one), so the per-cell
-# top-k partials merge exactly: a second exchange on a_id (above
-# _KNN_JOIN_DRIVER_ROWS partial rows) or a driver merge (below) keeps
-# only each a row's global top-k.  nprobe == nlist makes the result
-# EXACT by construction (every cell probed) — the pytest oracle.
-
-_KNN_JOIN_DRIVER_ROWS = 1 << 17
+# top-k partials merge exactly: ``dedup._combine`` (a driver merge, or
+# a second exchange on a_id when the partials do not fit the byte
+# budget) keeps only each a row's global top-k.  nprobe == nlist makes
+# the result EXACT by construction (every cell probed) — the pytest
+# oracle.
 
 
 def knn_join(a_ds, b_ds, k: int = 5, *, nlist: int = 16, nprobe: int = 2,
@@ -475,7 +474,7 @@ def knn_join(a_ds, b_ds, k: int = 5, *, nlist: int = 16, nprobe: int = 2,
     import pyarrow.compute as pc
     import ray
 
-    from .dedup import _auto_partitions, _partitioned_exchange, _scatter_exchange
+    from .dedup import _auto_partitions, _combine, _partitioned_exchange, _ref_bytes
 
     smat = _normalize(sample_vectors(b_ds, vec_col, n=train_sample, seed=seed))
     if not len(smat):
@@ -567,8 +566,6 @@ def knn_join(a_ds, b_ds, k: int = 5, *, nlist: int = 16, nprobe: int = 2,
                       "b_id": pa.array([], pa.int64()),
                       "cosine": pa.array([], pa.float64()),
                       "rank": pa.array([], pa.int32())})
-    if not part_refs:
-        return empty
 
     def merge_topk(t: pa.Table) -> pa.Table:
         a = t["a_id"].to_numpy(zero_copy_only=False)
@@ -584,22 +581,11 @@ def knn_join(a_ds, b_ds, k: int = 5, *, nlist: int = 16, nprobe: int = 2,
                          "cosine": pa.array(np.round(c[keep], 6)),
                          "rank": pa.array((pos[keep] + 1).astype(np.int32))})
 
-    import ray as _ray
-
-    sizes = _ray.get([_ray.remote(lambda t: 0 if t is None else t.num_rows)
-                      .remote(r) for r in part_refs])
-    total = int(sum(sizes))
-    if total > _KNN_JOIN_DRIVER_ROWS:
-        # second exchange: identical a_id ⇒ one partition, so the
-        # per-partition merge is the global answer for its a rows
-        out = _scatter_exchange([(part_refs, "a_id")], merge_topk, P)
-        if not out:
-            return empty
-        merged = pa.concat_tables(out)
-    else:
-        parts = [t for t in _ray.get(part_refs) if t is not None and t.num_rows]
-        if not parts:
-            return empty
-        merged = merge_topk(pa.concat_tables(parts))
+    # identical a_id ⇒ one partition, so a per-partition merge is the
+    # global answer for its a rows
+    out = _combine(part_refs, _ref_bytes(part_refs), "a_id", merge_topk, num_partitions=P)
+    if not out:
+        return empty
+    merged = pa.concat_tables(out)
     return merged.take(pc.sort_indices(
         merged, [("a_id", "ascending"), ("rank", "ascending")]))

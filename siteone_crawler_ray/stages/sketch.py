@@ -266,12 +266,10 @@ def approx_distinct(ds, key_col: str, p: int = 12) -> float:
 # exchange in pipelines/relational.user_type_stats); this one ships one
 # 2^p-byte register row per (block, group) and merges by element-wise
 # max, so no key ever crosses the wire and a hot group costs the same
-# as a cold one.  Above ``_GROUPED_HLL_DRIVER_ROWS`` partial rows the
-# merge itself hash-scatters on xxh64(group) — identical group ⇒ one
-# partition, so per-partition merges are final and the driver only ever
-# sees (group, estimate) rows.
-
-_GROUPED_HLL_DRIVER_ROWS = 1 << 16
+# as a cold one.  ``dedup._combine`` merges the partials: register rows
+# that do not fit the byte budget hash-scatter on xxh64(group) —
+# identical group ⇒ one partition, so per-partition merges are final and
+# the driver only ever sees (group, estimate) rows.
 
 
 def grouped_hll_partial(groups: np.ndarray, keys: np.ndarray,
@@ -310,11 +308,10 @@ def approx_distinct_by(ds, group_col: str, key_col: str, p: int = 12,
                        num_partitions: int | None = None) -> pa.Table:
     """Distributed per-group distinct-count estimates over a Dataset:
     (group, approx_distinct) rows sorted by group.  Register partials
-    stay in the object store; the driver-combine branch is taken only
-    when block metadata proves the partial-row total is small."""
-    import ray
-
+    stay in the object store; ``dedup._combine`` merges them on the
+    driver only when block metadata proves their bytes fit the budget."""
     from ..functions.hashing import xxh64_strings
+    from .dedup import _combine, _refs_and_bytes
 
     m = 1 << p
 
@@ -343,30 +340,12 @@ def approx_distinct_by(ds, group_col: str, key_col: str, p: int = 12,
         return pa.table({group_col: pa.array(uniq, pa.string()),
                          "approx_distinct": pa.array(hll_estimates(out, p))})
 
-    empty = pa.table({group_col: pa.array([], pa.string()),
-                      "approx_distinct": pa.array([], pa.float64())})
-    bundles = list(ds.map_batches(partial, batch_format="pyarrow")
-                   .iter_internal_ref_bundles())
-    refs = [r for b in bundles for r in b.block_refs]
-    if not refs:
-        return empty
-    counts = [b.num_rows() for b in bundles]
-    total = None if any(c is None for c in counts) else sum(counts)
-    if total is None or total > _GROUPED_HLL_DRIVER_ROWS:
-        from .dedup import _auto_partitions, _scatter_exchange
-
-        P = num_partitions if num_partitions is not None else _auto_partitions(total)
-        parts = _scatter_exchange(
-            [(refs, "__gkey")], lambda t: combine(t.drop_columns(["__gkey"])), P)
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-    else:
-        blocks = [b for b in ray.get(refs) if b.num_rows]
-        if not blocks:
-            return empty
-        merged = combine(
-            pa.concat_tables(blocks).drop_columns(["__gkey"]))
+    refs, nbytes = _refs_and_bytes(ds.map_batches(partial, batch_format="pyarrow"))
+    parts = _combine(refs, nbytes, "__gkey", combine, num_partitions=num_partitions)
+    if not parts:
+        return pa.table({group_col: pa.array([], pa.string()),
+                         "approx_distinct": pa.array([], pa.float64())})
+    merged = pa.concat_tables(parts)
     return merged.take(pc.sort_indices(merged, [(group_col, "ascending")]))
 
 
@@ -543,83 +522,3 @@ def approx_quantiles(ds, col: str, qs: list[float], k: int = KLL_K) -> list[floa
 
     merged = KLLSketch.deserialize(_tree_reduce(refs, combine, "kll"))
     return [merged.quantile(q) for q in qs]
-
-
-def approx_quantiles_by(ds, group_col: str, col: str, qs: list[float],
-                        k: int = KLL_K,
-                        num_partitions: int | None = None) -> pa.Table:
-    """Grouped KLL: per-GROUP quantile estimates — the sketch answer to
-    exact grouped percentiles (pipelines/relational.p90_by_type) when
-    co-locating a hot group's every value is too expensive: one O(k)
-    sketch row per (block, group) moves instead, merged per group.
-
-    Output: (group, q, value) rows sorted by (group, q).  Like the
-    global :func:`approx_quantiles`, results depend on the input block
-    layout (KLL compaction is layout-sensitive by construction); the
-    pytest pins the distributed path to its single-process twin on the
-    same blocks and the ≤2% rank-error bound per group.  Above
-    ``_GROUPED_HLL_DRIVER_ROWS`` partial rows the merge hash-scatters
-    on xxh64(group) — identical group ⇒ one partition, so the
-    per-partition merge is final (merge order within a group is made
-    canonical by sorting serialized payloads, so both paths agree)."""
-    import ray
-
-    from ..functions.hashing import xxh64_strings
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch[group_col].to_numpy(zero_copy_only=False).astype(str)
-        v = batch[col].to_numpy(zero_copy_only=False)
-        uniq = np.unique(g)
-        payloads = [KLLSketch(k).update(v[g == u]).serialize() for u in uniq]
-        return pa.table({
-            group_col: pa.array(uniq, pa.string()),
-            "__kll": pa.array(payloads, pa.list_(pa.float64())),
-            "__gkey": pa.array(xxh64_strings(uniq), pa.uint64()),
-        })
-
-    def combine(t: pa.Table) -> pa.Table:
-        g = t[group_col].to_numpy(zero_copy_only=False).astype(str)
-        payloads = t["__kll"].to_pylist()
-        out_g, out_q, out_v = [], [], []
-        for u in np.unique(g):
-            # canonical merge order: sort each group's serialized
-            # payloads so driver and scatter paths merge identically
-            mine = sorted((np.asarray(p) for p, gg in zip(payloads, g)
-                           if gg == u), key=lambda a: a.tobytes())
-            s = KLLSketch.deserialize(mine[0])
-            for p in mine[1:]:
-                s.merge(KLLSketch.deserialize(p))
-            for q in qs:
-                out_g.append(u)
-                out_q.append(q)
-                out_v.append(s.quantile(q))
-        return pa.table({group_col: pa.array(out_g, pa.string()),
-                         "q": pa.array(out_q, pa.float64()),
-                         "value": pa.array(out_v, pa.float64())})
-
-    empty = pa.table({group_col: pa.array([], pa.string()),
-                      "q": pa.array([], pa.float64()),
-                      "value": pa.array([], pa.float64())})
-    bundles = list(ds.map_batches(partial, batch_format="pyarrow")
-                   .iter_internal_ref_bundles())
-    refs = [r for b in bundles for r in b.block_refs]
-    if not refs:
-        return empty
-    counts = [b.num_rows() for b in bundles]
-    total = None if any(c is None for c in counts) else sum(counts)
-    if total is None or total > _GROUPED_HLL_DRIVER_ROWS:
-        from .dedup import _auto_partitions, _scatter_exchange
-
-        P = num_partitions if num_partitions is not None else _auto_partitions(total)
-        parts = _scatter_exchange(
-            [(refs, "__gkey")], lambda t: combine(t.drop_columns(["__gkey"])), P)
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-    else:
-        blocks = [b for b in ray.get(refs) if b.num_rows]
-        if not blocks:
-            return empty
-        merged = combine(pa.concat_tables(blocks).drop_columns(["__gkey"]))
-    return merged.take(pc.sort_indices(
-        merged, [(group_col, "ascending"), ("q", "ascending")]))

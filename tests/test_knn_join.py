@@ -84,7 +84,7 @@ def test_pruned_probe_recall():
 def test_partition_independence_and_scatter_merge(monkeypatch):
     import ray.data as rd
 
-    from siteone_crawler_ray.stages import similarity
+    from siteone_crawler_ray.stages import dedup, similarity
 
     a = _clustered(30, seed=7)
     b = _clustered(200, seed=8)
@@ -96,7 +96,7 @@ def test_partition_independence_and_scatter_merge(monkeypatch):
             rd.from_arrow(ta).repartition(3), rd.from_arrow(tb).repartition(P),
             k=4, nlist=5, nprobe=2, num_partitions=P)
         assert got.equals(base), f"P={P}"
-    monkeypatch.setattr(similarity, "_KNN_JOIN_DRIVER_ROWS", 0)
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     scattered = similarity.knn_join(rd.from_arrow(ta), rd.from_arrow(tb),
                                     k=4, nlist=5, nprobe=2)
     assert scattered.equals(base)

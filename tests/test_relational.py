@@ -188,31 +188,35 @@ def test_range_join_scatter_path_matches(ray_session):
         assert got.equals(want.cast(got.schema)), f"P={p} mismatch"
 
 
-def test_session_scatter_path_matches(ray_session):
-    """Sessionization's coded scale path (_session_scatter) equals the
-    driver-side kernel for several partition counts — a user's whole
-    event history lands in one partition, so gap-splitting is local."""
-    from siteone_crawler_ray.pipelines.relational import (
-        _session_scatter,
-        session_windows,
-    )
+def test_session_windows_scatter_path_matches(ray_session, monkeypatch):
+    """Sessionization's coded scale path (the events scattered on
+    user_id) equals the driver-side kernel for several partition counts
+    — a user's whole event history lands in one partition, so
+    gap-splitting is local."""
+    from siteone_crawler_ray.pipelines.relational import session_windows
+    from siteone_crawler_ray.stages import dedup
 
     want = session_windows(SF).sort_by([("user_id", "ascending"),
                                         ("session_no", "ascending")])
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     for p in (1, 4):
-        got = _session_scatter(SF, 30 * 60 * 1_000_000, num_partitions=p) \
+        monkeypatch.setattr(dedup, "_auto_partitions", lambda *a, p=p, **kw: p)
+        got = session_windows(SF) \
             .sort_by([("user_id", "ascending"), ("session_no", "ascending")])
         assert got.equals(want.cast(got.schema)), f"P={p} mismatch"
 
 
-def test_p90_scatter_path_matches(ray_session):
+def test_p90_by_type_scatter_path_matches(ray_session, monkeypatch):
     """Exact grouped p90's coded scale path equals the driver kernel —
     a group's rows all share one xxh64(type) partition."""
-    from siteone_crawler_ray.pipelines.relational import _p90_scatter, p90_by_type
+    from siteone_crawler_ray.pipelines.relational import p90_by_type
+    from siteone_crawler_ray.stages import dedup
 
     want = p90_by_type(SF).select(["event_type", "p90"]).sort_by("event_type")
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     for p in (1, 4):
-        got = _p90_scatter(SF, num_partitions=p).sort_by("event_type")
+        monkeypatch.setattr(dedup, "_auto_partitions", lambda *a, p=p, **kw: p)
+        got = p90_by_type(SF).select(["event_type", "p90"]).sort_by("event_type")
         assert got.equals(want.cast(got.schema)), f"P={p} mismatch"
 
 
@@ -248,24 +252,15 @@ def test_asof_index_survives_huge_keys():
     assert list(asof) == [200, -1, -1]
 
 
-def test_user_type_stats_scatter_path_matches(ray_session):
+def test_user_type_stats_scatter_path_matches(ray_session, monkeypatch):
     """The merged (n, n_users) surface's coded scale path equals the
     driver combine for several partition counts."""
-    from siteone_crawler_ray.pipelines.relational import (
-        _read,
-        _user_type_scatter,
-        user_type_stats,
-    )
+    from siteone_crawler_ray.pipelines.relational import user_type_stats
+    from siteone_crawler_ray.stages import dedup
 
     want = user_type_stats(SF)
-
-    def pair_partial(batch):
-        g = batch.group_by(["event_type", "user_id"], use_threads=False) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "user_id", "rows"])
-
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     for p in (1, 4):
-        ds = _read(SF, "events", ["event_type", "user_id"]).map_batches(
-            pair_partial, batch_format="pyarrow")
-        got = _user_type_scatter(ds, num_partitions=p)
+        monkeypatch.setattr(dedup, "_auto_partitions", lambda *a, p=p, **kw: p)
+        got = user_type_stats(SF)
         assert got.equals(want.cast(got.schema)), f"P={p} mismatch"

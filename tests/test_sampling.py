@@ -137,9 +137,9 @@ def test_cap_per_group_first_k():
 
 
 def test_cap_per_group_exchange_branch(monkeypatch):
-    from siteone_crawler_ray.stages import sampling
+    from siteone_crawler_ray.stages import dedup, sampling
 
-    monkeypatch.setattr(sampling, "_DRIVER_COMBINE_ROWS", 1)
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     t = sampling.cap_per_group(_docs_ds(ROWS).repartition(5), "source", "doc_id", 4)
     got = list(zip(t["source"].to_pylist(), t["doc_id"].to_pylist()))
     assert got == _expected_cap(ROWS, 4)
@@ -180,9 +180,9 @@ def test_ngram_topk_exact():
 
 
 def test_ngram_topk_exchange_branch(monkeypatch):
-    from siteone_crawler_ray.stages import sampling
+    from siteone_crawler_ray.stages import dedup, sampling
 
-    monkeypatch.setattr(sampling, "_DRIVER_COMBINE_ROWS", 1)
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     t = sampling.ngram_topk(_docs_ds(ROWS).repartition(6), n=2, k=10, text_col="text")
     exp = sorted(_expected_ngrams(ROWS, 2).items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     assert list(zip(t["ngram"].to_pylist(), t["n"].to_pylist())) == exp
@@ -385,12 +385,12 @@ def test_ngram_and_bm25_fused_scan_branch_parity(monkeypatch):
                                                         ngram_and_bm25,
                                                         ngram_top50)
     from siteone_crawler_ray.pipelines.relational import _read
-    from siteone_crawler_ray.stages import sampling
+    from siteone_crawler_ray.stages import dedup
     from siteone_crawler_ray.stages.retrieval import bm25_topk
 
     sf = "/root/testdata/sf0.001"
     fused = ngram_and_bm25(sf)
-    monkeypatch.setattr(sampling, "_DRIVER_COMBINE_ROWS", 0)
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     forced = ngram_and_bm25(sf)
     assert fused.to_pylist() == forced.to_pylist()
     monkeypatch.undo()

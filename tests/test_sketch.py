@@ -262,7 +262,7 @@ def test_hll_estimates_vector_matches_scalar():
 def test_approx_distinct_by_both_paths_and_partition_independence(monkeypatch):
     import ray.data as rd
 
-    from siteone_crawler_ray.stages import sketch
+    from siteone_crawler_ray.stages import dedup, sketch
 
     rng = np.random.default_rng(11)
     n = 20_000
@@ -288,8 +288,44 @@ def test_approx_distinct_by_both_paths_and_partition_independence(monkeypatch):
     assert relaid.equals(driver)
 
     # force the hash-scatter merge path: same table, byte-identical
-    monkeypatch.setattr(sketch, "_GROUPED_HLL_DRIVER_ROWS", 0)
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     scattered = run(rd.from_arrow(t).repartition(6))
+    assert scattered.equals(driver)
+
+
+def test_grouped_hll_combine_budget_counts_bytes(monkeypatch):
+    """The gather-or-scatter rule counts bytes, not rows: 400 register
+    partial rows (4 KiB each at p=12) exceed a 1 MiB budget, so the
+    merge takes the scatter path — and returns the driver path's
+    table."""
+    import ray.data as rd
+
+    from siteone_crawler_ray.stages import dedup, sketch
+
+    rng = np.random.default_rng(5)
+    n = 8_000
+    t = pa.table({
+        "g": np.array([f"g{i:02d}" for i in range(40)])[rng.integers(0, 40, n)],
+        "k": rng.integers(0, 10**6, n).astype(np.int64),
+    })
+    calls = []
+    scatter = dedup._scatter_exchange
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return scatter(*args, **kwargs)
+
+    monkeypatch.setattr(dedup, "_scatter_exchange", spy)
+
+    def run():  # 10 blocks × 40 groups = 400 partial rows, ~1.6 MiB
+        return sketch.approx_distinct_by(
+            rd.from_arrow([t.slice(i, 800) for i in range(0, n, 800)]), "g", "k", p=12)
+
+    driver = run()
+    assert calls == [] and driver.num_rows == 40
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 1 << 20)
+    scattered = run()
+    assert calls == [1]
     assert scattered.equals(driver)
 
 
@@ -320,57 +356,3 @@ def test_grouped_oracle_sql_matches_engine(tmp_path):
     # far inside the round(,3) the driver slot applies
     np.testing.assert_allclose(
         [a for _, a in ora], eng["approx_distinct"].to_pylist(), rtol=1e-12)
-
-
-def test_approx_quantiles_by_grouped(monkeypatch):
-    import ray.data as rd
-
-    from siteone_crawler_ray.stages import sketch
-    from siteone_crawler_ray.stages.sketch import KLLSketch
-
-    rng = np.random.default_rng(23)
-    n = 30_000
-    groups = np.array(["a", "bb", "c"])[rng.integers(0, 3, n)]
-    vals = np.where(groups == "a", rng.normal(100, 10, n),
-                    np.where(groups == "bb", rng.exponential(50, n),
-                             rng.uniform(0, 1000, n)))
-    t = pa.table({"g": groups, "v": vals})
-    ds = rd.from_arrow(t)
-    qs = [0.1, 0.5, 0.9]
-    got = sketch.approx_quantiles_by(ds, "g", "v", qs)
-    assert got["g"].to_pylist() == ["a"] * 3 + ["bb"] * 3 + ["c"] * 3
-    assert got["q"].to_pylist() == qs * 3
-
-    # rank-error bound per group: estimated quantile's true rank within
-    # 2% of the target (the same bound the global KLL pytest pins)
-    for g, q, v in zip(got["g"].to_pylist(), got["q"].to_pylist(),
-                       got["value"].to_pylist()):
-        gv = np.sort(vals[groups == g])
-        rank = np.searchsorted(gv, v) / len(gv)
-        assert abs(rank - q) <= 0.02, (g, q, rank)
-
-    # single-process twin on the same blocks must agree exactly: merge
-    # each group's per-block sketches in the same canonical byte order
-    import ray
-
-    from siteone_crawler_ray.functions.agg import block_refs
-
-    blocks = ray.get(block_refs(ds))
-    for g, q, v in zip(got["g"].to_pylist(), got["q"].to_pylist(),
-                       got["value"].to_pylist()):
-        payloads = []
-        for b in blocks:
-            bg = b["g"].to_numpy(zero_copy_only=False).astype(str)
-            bv = b["v"].to_numpy(zero_copy_only=False)
-            if (bg == g).any():
-                payloads.append(KLLSketch(sketch.KLL_K).update(bv[bg == g]).serialize())
-        payloads.sort(key=lambda a: a.tobytes())
-        s = KLLSketch.deserialize(payloads[0])
-        for p in payloads[1:]:
-            s.merge(KLLSketch.deserialize(p))
-        assert s.quantile(q) == v, (g, q)
-
-    # forced scatter merge path: identical output
-    monkeypatch.setattr(sketch, "_GROUPED_HLL_DRIVER_ROWS", 0)
-    scattered = sketch.approx_quantiles_by(rd.from_arrow(t), "g", "v", qs)
-    assert scattered.equals(got)

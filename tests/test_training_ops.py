@@ -373,7 +373,7 @@ def test_exchange_scatter_path_identical(ray_session, monkeypatch):
     ds = rd.from_arrow([t.slice(i, 8) for i in range(0, 40, 8)])
 
     broad_mh = dd.minhash_dedup_pairs(ds, threshold=0.5)
-    monkeypatch.setattr(dd, "_SCATTER_THRESHOLD_ROWS", 0)
+    monkeypatch.setattr(dd, "_DRIVER_COMBINE_BYTES", 0)
     scat_mh = dd.minhash_dedup_pairs(ds, threshold=0.5)
     assert broad_mh.equals(scat_mh)
     assert broad_mh.num_rows > 0  # the comparison is non-trivial
@@ -390,7 +390,7 @@ def test_exact_dedup_scale_fallback(ray_session, monkeypatch):
                   "text": pa.array(["txt%d" % (i % 60) for i in range(200)], pa.string())})
     ds = rd.from_arrow([t.slice(i, 50) for i in range(0, 200, 50)])
     want = sorted(dd.exact_dedup(ds).to_pandas()["doc_id"])
-    monkeypatch.setattr(dd, "_EXACT_DRIVER_COMBINE_ROWS", 0)
+    monkeypatch.setattr(dd, "_DRIVER_COMBINE_BYTES", 0)
     got = sorted(dd.exact_dedup(ds).to_pandas()["doc_id"])
     assert got == want == list(range(60))
 
@@ -436,11 +436,14 @@ def test_ivf_partitioned_index(ray_session, tmp_path):
     assert approx["vec_id"].to_pylist()[0] == 5
 
 
-def test_connected_components_both_paths(ray_session):
+def test_connected_components_both_paths(ray_session, monkeypatch):
     """Local and distributed star-contraction agree with a union-find
     reference on a random graph + a 1000-node chain (worst-case
     diameter for naive propagation)."""
+    from siteone_crawler_ray.stages import dedup
     from siteone_crawler_ray.stages.dedup import connected_components
+
+    budget = dedup._DRIVER_COMBINE_BYTES
 
     rng = np.random.default_rng(11)
     ids = rng.choice(50_000, size=800, replace=False).astype(np.int64)
@@ -466,7 +469,9 @@ def test_connected_components_both_paths(ray_session):
         groups.setdefault(find(n), []).append(n)
     want = {x: min(members) for members in groups.values() for x in members}
 
-    for kw in ({"use_ray": False}, {"use_ray": True, "num_partitions": 8}):
+    # budget 0 forces the distributed rounds
+    for b, kw in ((budget, {}), (0, {"num_partitions": 8})):
+        monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", b)
         t = connected_components(pairs, **kw)
         got = dict(zip(t["doc_id"].to_pylist(), t["component"].to_pylist()))
         assert got == want, kw
@@ -475,12 +480,14 @@ def test_connected_components_both_paths(ray_session):
     n = 1000
     chain = pa.table({"id_a": pa.array(np.arange(n - 1, dtype=np.int64)),
                       "id_b": pa.array(np.arange(1, n, dtype=np.int64))})
-    for kw in ({"use_ray": False}, {"use_ray": True, "num_partitions": 4}):
+    for b, kw in ((budget, {}), (0, {"num_partitions": 4})):
+        monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", b)
         t = connected_components(chain, **kw)
         assert t.num_rows == n and set(t["component"].to_pylist()) == {0}
 
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", budget)
     empty = pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
-    assert connected_components(empty, use_ray=False).num_rows == 0
+    assert connected_components(empty).num_rows == 0
 
 
 def test_near_dup_clusters(ray_session):
@@ -649,7 +656,7 @@ def test_dedup_cut_scatter_path_matches_broadcast(monkeypatch):
         ]),
     })
     want = dedup.dedup_cut(rd.from_arrow(docs).repartition(3), k=8).to_pylist()
-    monkeypatch.setattr(dedup, "_SCATTER_THRESHOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_DRIVER_COMBINE_BYTES", 0)
     got = dedup.dedup_cut(rd.from_arrow(docs).repartition(3), k=8).to_pylist()
     assert got == want
     assert any(r["n_cut"] > 0 for r in got)
@@ -706,7 +713,7 @@ def test_duplicated_window_counts_exchange_fallback(ray_session, monkeypatch):
                      "text": pa.array(texts, pa.string())})
     ds = rd.from_arrow([docs.slice(i, 6) for i in range(0, 24, 6)])
     want = dd.duplicated_window_counts(ds, k=64, stride=16)
-    monkeypatch.setattr(dd, "_WINDOW_DRIVER_COMBINE_ROWS", 0)
+    monkeypatch.setattr(dd, "_DRIVER_COMBINE_BYTES", 0)
     got = dd.duplicated_window_counts(
         rd.from_arrow([docs.slice(i, 6) for i in range(0, 24, 6)]), k=64, stride=16)
     assert want.equals(got)

@@ -7,7 +7,6 @@ from siteone_crawler_ray.functions.urls import (
     basename_of,
     canonicalize,
     compile_wildcard_domain,
-    depth_of,
     domain_2nd_level,
     extension_of,
     filter_query_params,
@@ -85,11 +84,7 @@ def test_query_param_filter():
 
 
 def test_depth_and_basename():
-    # parsed_url.rs test_depth / test_get_base_name
-    assert depth_of("/") == 0
-    assert depth_of("/about") == 1
-    assert depth_of("/about/") == 1
-    assert depth_of("/about/me") == 2
+    # parsed_url.rs test_get_base_name
     assert basename_of("https://example.com/foo/bar") == "bar"
     assert basename_of("https://example.com/") is None
     assert basename_of("https://example.com/foo/") == "foo"
