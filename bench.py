@@ -342,40 +342,41 @@ def run_crawl_child(sf_dir: str, num_cpus: int, scale: bool = False) -> dict:
 def run_frontier_bench(num_shards: int = 8, total_keys: int = 4_000_000,
                        batch: int = 100_000) -> dict:
     """Frontier micro-benchmark for the 10^10-URL claim: feed the shard
-    pool `total_keys` synthetic url_keys in offer/contains rounds and
-    report ops/s + memory per key, then extrapolate per-node capacity."""
+    pool `total_keys` synthetic url_keys in offer/contains rounds (each
+    key routed partition → owning actor, one call per actor) and report
+    ops/s + memory per key, then extrapolate per-node capacity."""
     import numpy as np
 
     _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    from siteone_crawler_ray.stages.frontier import make_shard_actors, shard_of
+    from siteone_crawler_ray.stages.frontier import make_shard_actors, partition_owner, shard_of
     import pyarrow as pa
     import ray
 
     shards = make_shard_actors(num_shards, filter_capacity=total_keys // num_shards * 2)
+    owner = partition_owner(num_shards, len(shards))
     rng = np.random.default_rng(11)
     t_offer = t_contains = 0.0
     n_rounds = total_keys // batch
     for r in range(n_rounds):
         keys = rng.integers(0, 1 << 63, size=batch, dtype=np.uint64)
-        sh = shard_of(keys, num_shards)
+        actor = owner[shard_of(keys, num_shards)]
         t0 = time.perf_counter()
         refs = []
-        for i in range(num_shards):
-            k = keys[sh == i]
-            refs.append(shards[i].contains.remote(k))
+        for i, s in enumerate(shards):
+            refs.append(s.contains.remote(keys[actor == i]))
         ray.get(refs)
         t_contains += time.perf_counter() - t0
         t0 = time.perf_counter()
         refs = []
-        for i in range(num_shards):
-            k = keys[sh == i]
+        for i, s in enumerate(shards):
+            k = keys[actor == i]
             t = pa.table({"url_key": pa.array(k, pa.uint64()),
                           "url": pa.array(["u"] * len(k)), "host": pa.array(["h"] * len(k)),
                           "depth": pa.array(np.zeros(len(k), np.int32)),
                           "priority": pa.array(np.arange(len(k), dtype=np.int64)),
                           "source_uq_id": pa.array([""] * len(k)),
                           "source_attr": pa.array(np.zeros(len(k), np.int8))})
-            refs.append(shards[i].offer.remote(t))
+            refs.append(s.offer.remote(t))
         ray.get(refs)
         # keep memory bounded: drain queued entries
         ray.get([s.drain.remote() for s in shards])
@@ -389,6 +390,7 @@ def run_frontier_bench(num_shards: int = 8, total_keys: int = 4_000_000,
         "offer_ops_per_sec": round(total_keys / t_offer, 1),
         "keys": int(seen),
         "num_shards": num_shards,
+        "num_actors": len(shards),
         "est_bytes_per_key": round(bytes_per_key, 1),
         "keys_per_128GiB_node": int(128 * 2**30 / bytes_per_key),
     }

@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Title(20),X-Cache,H1=xpath://h1/text()(40),...")
     # physical execution
     p.add_argument("--workers", type=int, default=None, help="fetch worker actors")
-    p.add_argument("--num-shards", type=int, default=8, help="frontier shards")
+    p.add_argument("--num-shards", type=int, default=8,
+                   help="frontier partitions (url_key %% N); held by one shard "
+                        "actor per four cluster CPUs")
     p.add_argument("--routing", choices=["bucket", "host"], default="bucket")
     p.add_argument("--resume", action="store_true", help="resume from checkpoints in workdir")
     p.add_argument("--num-cpus", type=int, default=None, help="ray.init num_cpus (local mode)")

@@ -5,16 +5,16 @@ crawler.rs:222-369) becomes a bulk-synchronous wave loop with identical
 output under the canonical (workers=1-equivalent) ordering contract of
 SURVEY.md §3.2:
 
-    wave e = drain(shards) sorted by priority
+    wave e = drain(shard actors) sorted by priority
     fused  = CrawlWorker.process_shared (stages/worker.py), one call per
              wave chunk: fetch → write visited parquet part (the
              checkpointed lineage) → explode_spans → candidate gauntlet
-             → candidates split by frontier shard.  Every wave fans
+             → candidates split by frontier partition.  Every wave fans
              out to the first K = clamp(ceil(sqrt(W/16))) of the
              persistent worker actors created once per run
-    ingest = every shard takes its own slice of those parts: skips
-             first-wins, then admit (dedup first-wins by priority →
-             shard contains → caps → offer)
+    ingest = every shard actor takes its own partition range of those
+             parts: skips first-wins, then admit (dedup first-wins by
+             priority → shard contains → caps → offer)
 
 Priority packs (source wave position, span extraction index); visited
 ``seq`` is the wave-sorted global rank — equal to the reference's FIFO
@@ -30,9 +30,15 @@ counts aggregated per wave, blocklist broadcast to the next wave's
 gauntlet (deterministic refinement of the reference's racy counter —
 SURVEY.md §7.5).
 
-Checkpoint/resume: per-epoch manifests with per-shard seen snapshots,
+Frontier: ``num_shards`` partitions (``url_key % num_shards``) held by
+``stages/frontier.shard_actor_count`` shard actors, each owning a
+contiguous partition range; the driver routes keys partition → actor
+and calls each actor once per step, never once per partition.
+
+Checkpoint/resume: per-epoch manifests with per-actor seen deltas,
 pending queues, visited/skipped parquet and metric lineage; resume
-restores the latest complete epoch and reproduces the uninterrupted
+restores the latest complete epoch — with any actor count, since the
+files are named by partition range — and reproduces the uninterrupted
 run byte-for-byte (tested).
 """
 
@@ -53,7 +59,7 @@ from ..functions import urls as U
 from ..functions.hashing import uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
-from ..stages.frontier import make_shard_actors, shard_of
+from ..stages.frontier import make_shard_actors, partition_owner, shard_of
 from ..stages.worker import adaptive_worker_count, clamp_worker_count, make_crawl_workers
 from ..types import UrlSource
 
@@ -100,6 +106,8 @@ class CrawlConfig:
     # parquet codec for the visited-part writes (--result-storage-compression
     # analogue; "none" = uncompressed, README.md:562-565)
     storage_compression: str = "snappy"
+    # frontier partitions (url_key % num_shards), not processes: they are
+    # spread over stages/frontier.shard_actor_count actors
     num_shards: int = 8
     fetch_concurrency: int | None = None  # None → adaptive to cluster CPUs
     filter_capacity: int = 1 << 20
@@ -115,7 +123,7 @@ class CrawlResult:
     workdir: str
     visited_dir: str
     skipped: pa.Table
-    # per-shard seen-set snapshots as ObjectRefs of uint64 ndarrays.
+    # per-shard-actor seen-set snapshots as ObjectRefs of uint64 ndarrays.
     # Kept as refs so run() never concatenates
     # the full seen set on the driver — at 10^10 keys that is an 80 GB
     # materialization whose only consumers are parity tests.
@@ -125,10 +133,10 @@ class CrawlResult:
 
     @property
     def seen_keys(self) -> np.ndarray:
-        """Sorted uint64 seen set, gathered lazily from the per-shard
+        """Sorted uint64 seen set, gathered lazily from the per-actor
         snapshot refs.  O(total-seen) on the driver — opt-in for parity
         tests / small crawls only; scale consumers should ray.get and
-        process ``seen_parts`` shard-by-shard."""
+        process ``seen_parts`` actor by actor."""
         if self._seen_cache is None:
             parts = ray.get(list(self.seen_parts))
             self._seen_cache = (
@@ -200,6 +208,8 @@ class EpochCrawler:
         self.basename_counts: dict[str, int] = {}
         self.metrics: dict = {"epochs": []}
         self._shards: list = []
+        # partition → index into self._shards
+        self._owner = np.zeros(0, np.int64)
         self._workers: list = []
         self._blocklist: frozenset = frozenset()
         self._epoch_workers_used: list = []
@@ -214,6 +224,7 @@ class EpochCrawler:
     # -- shard plumbing -----------------------------------------------------
     def _make_shards(self):
         self._shards = make_shard_actors(self.cfg.num_shards, self.cfg.filter_capacity)
+        self._owner = partition_owner(self.cfg.num_shards, len(self._shards))
         # clamp a user-requested pool to schedulable CPUs — an oversized
         # pool of 1-CPU actors would pend forever and deadlock the
         # warm-up ray.get (wizard Stress Test --workers=20 on a small box).
@@ -233,28 +244,31 @@ class EpochCrawler:
         )
 
     def _shard_call(self, method: str, *args, per_shard: list[tuple] | None = None) -> list:
-        """Call ``method`` on every shard and wait for the results: with
-        the same ``args`` everywhere, or with ``per_shard[i]`` on shard i."""
+        """Call ``method`` on every shard actor and wait for the results:
+        with the same ``args`` everywhere, or with ``per_shard[j]`` on
+        actor j."""
         arg_lists = per_shard if per_shard is not None else [args] * len(self._shards)
         return ray.get(
             [getattr(s, method).remote(*a) for s, a in zip(self._shards, arg_lists)]
         )
 
+    def _rows_by_actor(self, keys: np.ndarray) -> list[np.ndarray]:
+        """Row indices of ``keys`` per owning shard actor."""
+        a = self._owner[shard_of(keys, self.cfg.num_shards)]
+        return [np.nonzero(a == j)[0] for j in range(len(self._shards))]
+
     def _contains(self, keys: np.ndarray) -> np.ndarray:
-        """Batched membership across shards (one call per shard)."""
-        sh = shard_of(keys, self.cfg.num_shards)
+        """Batched membership across shard actors (one call each)."""
         out = np.zeros(len(keys), dtype=bool)
-        idxs = [np.nonzero(sh == i)[0] for i in range(self.cfg.num_shards)]
+        idxs = self._rows_by_actor(keys)
         res = self._shard_call("contains", per_shard=[(keys[ix],) for ix in idxs])
         for ix, r in zip(idxs, res):
             out[ix] = r
         return out
 
     def _offer(self, entries: pa.Table) -> None:
-        keys = entries["url_key"].to_numpy(zero_copy_only=False)
-        sh = shard_of(keys, self.cfg.num_shards)
-        self._shard_call("offer", per_shard=[
-            (entries.filter(pa.array(sh == i)),) for i in range(self.cfg.num_shards)])
+        idxs = self._rows_by_actor(entries["url_key"].to_numpy(zero_copy_only=False))
+        self._shard_call("offer", per_shard=[(entries.take(pa.array(ix)),) for ix in idxs])
 
     # -- seeding ------------------------------------------------------------
     def seed(self) -> None:
@@ -287,20 +301,20 @@ class EpochCrawler:
         """Process one wave; returns number of pages visited (0 → done).
 
         Every wave takes one path and never lands on the driver: shard
-        drains flow as object refs into
-        :meth:`FrontierShardState.assemble_wave` on shard 0, the first
+        actor drains flow as object refs into
+        :meth:`FrontierShardState.assemble_wave` on actor 0, the first
         K pool workers self-select rows from its output object, and
-        their per-shard candidate parts flow as refs straight to the
-        frontier shards (each reads its own slice from plasma,
-        zero-copy).  W decides only K.  The driver handles only
+        their per-partition candidate parts flow as refs straight to
+        the shard actors (each reads its own partition range from
+        plasma, zero-copy).  W decides only K.  The driver handles only
         scalars: W, candidate counts, basename counts, timings."""
         t0 = time.perf_counter()
         want_hosts = self.cfg.routing == "host"
         part_refs = [s.drain.remote() for s in self._shards]
-        # assemble on shard 0's warm actor, not a task: a num_cpus=0
+        # assemble on shard actor 0, warm, not a task: a num_cpus=0
         # task may land on a cold worker process whose first Arrow
         # concat/sort measured ~0.6 s at 16 CPUs (epoch-0 critical
-        # path); shard 0 runs this between waves when it is idle.
+        # path); actor 0 runs this between waves when it is idle.
         meta_ref, wave = self._shards[0].assemble_wave.options(num_returns=2).remote(
             self.visited_count, self.epoch, want_hosts, *part_refs
         )
@@ -439,16 +453,16 @@ class EpochCrawler:
     def _ingest(self, parts: list, wave_size: int, n_ok: int) -> None:
         """Hand one wave's candidates to the frontier.  ``parts`` holds
         one object ref per worker call — its candidates split by
-        frontier shard — and every shard reads only its own slice: skip
-        records go to its first-wins skip set, ok-candidates to its
-        two-phase admit.
+        frontier partition — and every shard actor reads only its own
+        partition range: skip records go to its first-wins skip set,
+        ok-candidates to its two-phase admit.
 
         ``n_ok`` (Σ per-worker deduped ok counts) bounds the
         admissions.  When even admitting all of them cannot bind a cap,
-        each shard records and admits in ONE call; the driver does not
+        each shard actor records and admits in ONE call; the driver does not
         wait for it (actor task order runs the next drain and
         checkpoint behind it, and the refs are collected with the next
-        checkpoint).  Otherwise the shards stash their winners, the
+        checkpoint).  Otherwise the actors stash their winners, the
         driver sums their counts for the cap check, and either commits
         or falls back to the exact sequential simulation."""
         V, W, cfg = self.visited_count, wave_size, self.cfg
@@ -519,8 +533,8 @@ class EpochCrawler:
 
     def shutdown(self) -> None:
         """Release the actor pools (a finished crawl would otherwise pin
-        ~K worker + num_shards processes until the driver exits; results
-        live in parquet, resume builds fresh actors)."""
+        ~K worker + shard actor processes until the driver exits;
+        results live in parquet, resume builds fresh actors)."""
         for a in [*self._shards, *self._workers]:
             try:
                 ray.kill(a)
@@ -529,17 +543,23 @@ class EpochCrawler:
         self._shards, self._workers = [], []
 
     def _collect_skipped(self) -> pa.Table:
-        """Skip records from the per-shard per-epoch checkpoint deltas
-        (small: one row per distinct skipped URL).  At 10^10-URL scale
-        consume them as a Dataset over the same glob instead."""
+        """Skip records from the per-actor per-epoch checkpoint deltas
+        (small: one row per distinct skipped URL), in (epoch, partition)
+        order — within a partition in priority order, as each actor
+        wrote them — whatever the actor count that wrote each epoch.  At
+        10^10-URL scale consume them as a Dataset over the same glob
+        instead."""
         parts = []
         shards_root = os.path.join(self.workdir, "shards")
-        if os.path.isdir(shards_root):
-            for d in sorted(os.listdir(shards_root)):
-                full = os.path.join(shards_root, d)
-                for f in sorted(os.listdir(full)):
-                    if f.startswith("skips-"):
-                        parts.append(pq.read_table(os.path.join(full, f)))
+        epochs = os.listdir(shards_root) if os.path.isdir(shards_root) else []
+        for d in sorted(epochs, key=lambda d: int(d.split("=")[1])):
+            full = os.path.join(shards_root, d)
+            tabs = [pq.read_table(os.path.join(full, f))
+                    for f in sorted(os.listdir(full)) if f.startswith("skips-")]
+            if tabs:
+                t = pa.concat_tables(tabs)
+                p = shard_of(t["url_key"].to_numpy(zero_copy_only=False), self.cfg.num_shards)
+                parts.append(t.take(pa.array(np.argsort(p, kind="stable"))))
         return pa.concat_tables(parts) if parts else _empty_skip_table()
 
     # -- checkpoint / resume -------------------------------------------------
@@ -563,7 +583,7 @@ class EpochCrawler:
         }
         # async: flush the PREVIOUS epoch's refs (instant by now — actor
         # ordering ran them before this epoch's drain), then submit this
-        # epoch's shard checkpoints without waiting.  The manifest for
+        # epoch's shard actor checkpoints without waiting.  The manifest for
         # epoch e is written one epoch later (or at run() end); a crash
         # in that window loses only the newest manifest, and resume()
         # already prunes shard/visited dirs newer than the last manifest
@@ -614,9 +634,11 @@ class EpochCrawler:
         if manifest["config"] != self.cfg.fingerprint():
             raise ValueError("checkpoint config fingerprint mismatch")
         self._make_shards()
-        # delta-chain restore: every epoch's seen delta up to e, in order
+        # delta-chain restore: every epoch's seen delta up to e, in
+        # order; each actor reads the range-named files overlapping its
+        # partitions, so the checkpoint may come from another actor count
         sdirs = [os.path.join(self.workdir, "shards", f"epoch={i}") for i in range(e + 1)]
-        self._shard_call("restore", sdirs)
+        self._shard_call("restore", sdirs, self.cfg.num_shards)
         self.epoch = e + 1
         self.visited_count = manifest["visited_count"]
         self.basename_counts = dict(manifest["basename_counts"])

@@ -1,16 +1,27 @@
 """Frontier shards — the distributed URL-seen set + sharded pending queue.
 
 The reference keeps queue ∪ visited in one in-process DashMap
-(/root/reference/src/engine/crawler.rs:96-103, 1219-1243).  Here the
-same state is a pool of shard actors, partitioned by
-``url_key % num_shards`` (url_key = xxhash64 of the canonical URL):
+(crawler.rs:96-103, 1219-1243).  Here the same state is split into
+``num_shards`` logical PARTITIONS, ``url_key % num_shards`` (url_key =
+xxhash64 of the canonical URL), held by a smaller pool of shard ACTORS:
+actor j owns the contiguous partition range ``[lo_j, hi_j)``
+(:func:`partition_bounds`), one actor per four cluster CPUs and at
+least one per node (:func:`shard_actor_count`).  Partitioning is only
+a way to scale out; on a 4-CPU box all 8 default partitions live in one
+process, on 32 CPUs each of 8 actors owns one.  Each actor keeps
 
 - membership: cuckoo filter prefilter (bloom for shards flagged cold)
   + exact sorted-uint64 authority (state/filters.py) — filters are
   advisory because of false positives and non-idempotent inserts under
   task retry; the exact set is what checkpoints,
-- pending queue: per-shard list of Arrow tables of frontier entries
-  (priority-ordered at dispatch by the driver's wave sort).
+- pending queue: list of Arrow tables of frontier entries
+  (priority-ordered at dispatch by the driver's wave sort),
+
+one structure each for its whole range: none of them depends on the
+partition.  The partition matters only for routing (the workers split
+their candidates by partition, each actor slices its range) and for
+the checkpoint files, which are named by range so a resume with a
+different actor count reads them back.
 
 This is the one piece of the engine that is a raw Ray actor rather than
 a Dataset op: a shared mutable index that every epoch both reads and
@@ -21,6 +32,7 @@ out), never per-URL.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -30,13 +42,18 @@ from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
 
 class FrontierShardState:
-    """Plain shard state; make_shard_actors wraps it as a Ray actor."""
+    """Plain shard state for the partitions ``partitions`` (a range, or
+    one partition index); make_shard_actors wraps it as a Ray actor.
+    ``filter_capacity`` is per partition."""
 
-    def __init__(self, shard_id: int, filter_capacity: int = 1 << 20, cold: bool = False):
-        self.shard_id = shard_id
-        self.filter_capacity = filter_capacity
+    def __init__(self, partitions: range | int, filter_capacity: int = 1 << 20,
+                 cold: bool = False):
+        if isinstance(partitions, int):
+            partitions = range(partitions, partitions + 1)
+        self.lo, self.hi = partitions.start, partitions.stop
+        self.filter_capacity = filter_capacity * len(partitions)
         self.cold = cold
-        self.filter = BloomFilter(filter_capacity) if cold else CuckooFilter(filter_capacity)
+        self.filter = self._new_filter()
         self.exact = ExactSeenSet()
         self.pending: list[pa.Table] = []
         # keys admitted since the last checkpoint — checkpoints are
@@ -44,10 +61,15 @@ class FrontierShardState:
         # of a 10^10-key seen set every wave would dominate the crawl)
         self._delta: list[np.ndarray] = []
         # skip records: first-wins dedup lives HERE (same key → same
-        # shard), so the driver never holds the O(total-skips) set
+        # partition → same actor), so the driver never holds the
+        # O(total-skips) set
         # (crawler.rs:1093-1124 skipped.contains_key semantics)
         self._skip_seen = ExactSeenSet()
         self._skip_parts: list[pa.Table] = []
+
+    def _new_filter(self):
+        return (BloomFilter(self.filter_capacity) if self.cold
+                else CuckooFilter(self.filter_capacity))
 
     def node_id(self) -> str:
         """Ray node this shard lives on (scripts/multinode_sim.py)."""
@@ -91,7 +113,7 @@ class FrontierShardState:
     SKIP_COLS = ["url", "url_key", "reason", "source_uq_id", "source_attr"]
 
     def record_skips(self, sk: pa.Table) -> int:
-        """First-wins (priority order) dedup of this shard's skip
+        """First-wins (priority order) dedup of this actor's skip
         records; rows are retained shard-side until the next checkpoint
         writes them as a delta."""
         import pyarrow.compute as pc
@@ -122,10 +144,10 @@ class FrontierShardState:
         return t
 
     def assemble_wave(self, visited_count: int, epoch: int, want_hosts: bool, *parts):
-        """Wave assembly: concat every shard's drain output,
+        """Wave assembly: concat every shard actor's drain output,
         priority-sort, annotate seq/wavepos/epoch.  The driver submits
-        this on shard 0 right after the drains; actor tasks run in
-        submission order, so shard 0's own drain ref is ready before
+        this on actor 0 right after the drains; actor tasks run in
+        submission order, so actor 0's own drain ref is ready before
         this executes (no deadlock).  The full wave table never lands
         on the driver — it gets only (W, host histogram); workers
         self-select rows straight from the call's output object
@@ -158,7 +180,7 @@ class FrontierShardState:
     DISPATCH_COLS = ["url", "url_key", "host", "depth", "priority", "source_uq_id", "source_attr"]
 
     def try_admit(self, cands: pa.Table) -> int:
-        """Phase A: priority-sort this shard's ok-candidates, first-wins
+        """Phase A: priority-sort this actor's ok-candidates, first-wins
         per key, drop already-seen; STASH the winners and return their
         count (the driver sums counts for the global cap check before
         committing — crawler.rs:1219-1306 cap semantics)."""
@@ -184,17 +206,18 @@ class FrontierShardState:
 
     # -- part-based variants: the driver fans the SAME candidate parts
     # (object refs — plasma shared-memory reads, no driver copy) to
-    # every shard; each shard takes its own slice here
+    # every shard actor; each takes its own slice here
     def _partition_of(self, parts, tag: str) -> pa.Table | None:
-        """This shard's ``tag`` rows of the workers' candidate parts.
-        Each part is (candidates sorted by shard, per-shard offsets) —
-        stages/worker.py::_split_by_shard — so every shard slices out
-        its own rows instead of re-scanning all candidates; a worker
-        without candidates sends None."""
+        """This actor's ``tag`` rows of the workers' candidate parts.
+        Each part is (candidates sorted by partition, per-partition
+        offsets) — stages/worker.py::_split_by_shard — so the actor's
+        contiguous range is ONE slice ``offs[lo]:offs[hi]`` instead of a
+        re-scan of all candidates; a worker without candidates sends
+        None."""
         import pyarrow.compute as pc
 
-        i = self.shard_id
-        mine = [t.slice(offs[i], offs[i + 1] - offs[i]) for t, offs in
+        lo, hi = self.lo, self.hi
+        mine = [t.slice(offs[lo], offs[hi] - offs[lo]) for t, offs in
                 (p for p in parts if p is not None)]
         mine = [t for t in mine if t.num_rows]
         if not mine:
@@ -250,27 +273,31 @@ class FrontierShardState:
         self._stash = None
 
     # -- checkpoint ---------------------------------------------------------
+    def _ckpt_path(self, directory: str, kind: str) -> str:
+        return os.path.join(directory, f"{kind}-{self.lo:03d}-{self.hi:03d}.parquet")
+
     def checkpoint(self, directory: str) -> dict:
         """Write the seen-key DELTA since the previous checkpoint plus
-        the current pending queue (pending is O(wave))."""
+        the current pending queue (pending is O(wave)), one file per
+        kind named by this actor's partition range."""
         os.makedirs(directory, exist_ok=True)
         delta = (
             np.concatenate(self._delta) if self._delta else np.empty(0, np.uint64)
         )
         pq.write_table(
             pa.table({"url_key": pa.array(delta, type=pa.uint64())}),
-            os.path.join(directory, f"seen-delta-{self.shard_id:03d}.parquet"),
+            self._ckpt_path(directory, "seen-delta"),
         )
         self._delta = []
         pend = pa.concat_tables(self.pending) if self.pending else None
         if pend is not None and pend.num_rows:
-            pq.write_table(pend, os.path.join(directory, f"pending-{self.shard_id:03d}.parquet"))
+            pq.write_table(pend, self._ckpt_path(directory, "pending"))
         skips = pa.concat_tables(self._skip_parts) if self._skip_parts else None
         if skips is not None and skips.num_rows:
-            pq.write_table(skips, os.path.join(directory, f"skips-{self.shard_id:03d}.parquet"))
+            pq.write_table(skips, self._ckpt_path(directory, "skips"))
         self._skip_parts = []
         return {
-            "shard": self.shard_id,
+            "partitions": [self.lo, self.hi],
             "seen": int(self.seen_count()),
             "delta": int(len(delta)),
             "pending": int(pend.num_rows) if pend is not None else 0,
@@ -278,64 +305,120 @@ class FrontierShardState:
             "filter": "bloom" if self.cold else "cuckoo",
         }
 
-    def restore(self, directories: list[str] | str) -> None:
+    def _own_rows(self, directory: str, kind: str, num_shards: int,
+                  columns: list[str] | None = None) -> list[pa.Table]:
+        """This actor's rows of every ``kind`` checkpoint file in
+        ``directory`` whose partition range overlaps its own — the
+        writer may have had a different actor count."""
+        out = []
+        if not os.path.isdir(directory):
+            return out
+        for f in sorted(os.listdir(directory)):
+            k, lo, hi = parse_ckpt_name(f)
+            if k != kind or hi <= self.lo or lo >= self.hi:
+                continue
+            t = pq.read_table(os.path.join(directory, f), columns=columns)
+            if lo < self.lo or hi > self.hi:
+                p = shard_of(t["url_key"].to_numpy(zero_copy_only=False), num_shards)
+                t = t.filter(pa.array((p >= self.lo) & (p < self.hi)))
+            out.append(t)
+        return out
+
+    def restore(self, directories: list[str] | str, num_shards: int) -> None:
         """Rebuild from the delta chain: every checkpoint dir up to and
         including the resume epoch, in epoch order; pending comes only
         from the final one."""
         if isinstance(directories, str):
             directories = [directories]
-        deltas = []
-        for d in directories:
-            p = os.path.join(d, f"seen-delta-{self.shard_id:03d}.parquet")
-            if os.path.exists(p):
-                deltas.append(pq.read_table(p)["url_key"].to_numpy())
+        deltas = [t["url_key"].to_numpy() for d in directories
+                  for t in self._own_rows(d, "seen-delta", num_shards)]
         keys = np.concatenate(deltas) if deltas else np.empty(0, np.uint64)
         self.exact = ExactSeenSet(keys)
-        self.filter = (
-            BloomFilter(self.filter_capacity) if self.cold else CuckooFilter(self.filter_capacity)
-        )
+        self.filter = self._new_filter()
         base = self.exact.base
         if len(base):
             self.filter.add_batch(base)
         self._delta = []
-        pend_path = os.path.join(directories[-1], f"pending-{self.shard_id:03d}.parquet")
-        self.pending = [pq.read_table(pend_path)] if os.path.exists(pend_path) else []
+        self.pending = self._own_rows(directories[-1], "pending", num_shards)
         # skip-dedup authority rebuilds from the skip-delta chain (keys only)
         self._skip_seen = ExactSeenSet()
         self._skip_parts = []
-        skip_keys = []
-        for d in directories:
-            p = os.path.join(d, f"skips-{self.shard_id:03d}.parquet")
-            if os.path.exists(p):
-                skip_keys.append(pq.read_table(p, columns=["url_key"])["url_key"].to_numpy())
+        skip_keys = [t["url_key"].to_numpy() for d in directories
+                     for t in self._own_rows(d, "skips", num_shards, columns=["url_key"])]
         if skip_keys:
             self._skip_seen.add_batch(np.concatenate(skip_keys).astype(np.uint64))
 
 
-def shard_cpu_share(cluster_cpus: float, num_shards: int) -> float:
-    """CPU reserved by ONE frontier shard actor — the single model both
-    the shard pool (make_shard_actors) and the crawl-worker pool
-    (stages/worker.py::_worker_slots) size from.
+_CKPT_NAME = re.compile(r"(seen-delta|pending|skips)-(\d+)(?:-(\d+))?\.parquet")
 
-    0.25 each, but the pool's total is capped at a quarter of the
-    cluster: uncapped, 8 shards reserve 2 full CPUs, which on a 2-CPU
-    cluster is EVERY slot and the 1-CPU crawl workers can never
-    schedule.  Shard work is short-burst and interleaves fine."""
-    return min(0.25, (cluster_cpus / 4) / num_shards)
+
+def parse_ckpt_name(name: str) -> tuple[str, int, int]:
+    """``kind-LO-HI.parquet`` → (kind, lo, hi); a one-index name
+    ``kind-I.parquet`` (one actor per partition) is the range [I, I+1).
+    Any other name raises: a checkpoint file restore cannot place
+    would silently drop seen keys."""
+    m = _CKPT_NAME.fullmatch(name)
+    if m is None:
+        raise ValueError(f"unrecognised frontier checkpoint file: {name!r}")
+    lo = int(m.group(2))
+    return m.group(1), lo, int(m.group(3)) if m.group(3) is not None else lo + 1
+
+
+def node_cpus() -> list[int]:
+    """Whole CPUs of every alive, CPU-bearing Ray node ([4] when the
+    cluster reports none)."""
+    import ray
+
+    cpus = [int(n["Resources"].get("CPU", 0)) for n in ray.nodes() if n["Alive"]]
+    return [c for c in cpus if c > 0] or [4]
+
+
+# CPU reserved by ONE frontier shard actor — the single model both the
+# shard pool (make_shard_actors) and the crawl-worker pool
+# (stages/worker.py::_worker_slots) size from.  Shard work is
+# short-burst and interleaves fine; shard_actor_count keeps the pool's
+# total within a quarter of the cluster, so the 1-CPU crawl workers
+# always keep the rest.
+SHARD_CPU = 0.25
+
+
+def shard_actor_count(num_shards: int) -> int:
+    """H, the number of shard actors holding the ``num_shards``
+    partitions: one per four cluster CPUs, at least one per node so
+    SPREAD puts the frontier on every node, never more than the
+    partitions.  4 CPUs → 1, 2×2 CPUs → 2, 32 CPUs or 4×8 → 8 (one
+    partition each).  H × SHARD_CPU ≤ a quarter of the cluster, as
+    every node has at least one CPU."""
+    cpus = node_cpus()
+    return min(num_shards, max(len(cpus), sum(cpus) // 4))
+
+
+def partition_bounds(num_shards: int, num_actors: int) -> list[int]:
+    """Actor j owns partitions ``[b[j], b[j + 1])`` — contiguous and
+    balanced (sizes differ by at most one)."""
+    return [j * num_shards // num_actors for j in range(num_actors + 1)]
+
+
+def partition_owner(num_shards: int, num_actors: int) -> np.ndarray:
+    """Partition → index of the actor that owns it."""
+    return np.repeat(np.arange(num_actors),
+                     np.diff(partition_bounds(num_shards, num_actors)))
 
 
 def make_shard_actors(num_shards: int, filter_capacity: int = 1 << 20):
-    """num_shards Ray actors, each owning one FrontierShardState,
-    reserving ``shard_cpu_share`` of a CPU each."""
+    """:func:`shard_actor_count` Ray actors, actor j holding the
+    partitions ``partition_bounds(...)[j:j + 2]`` and reserving
+    ``SHARD_CPU``.  ``filter_capacity`` is per partition."""
     import ray
 
-    per_shard = shard_cpu_share(ray.cluster_resources().get("CPU", 4), num_shards)
+    H = shard_actor_count(num_shards)
     # SPREAD across nodes: fractional-CPU shards otherwise all pack onto
     # the head node (measured in scripts/multinode_sim.py), which on a
     # real cluster funnels every offer/contains exchange through one
     # node's NIC and loses the whole frontier if that node dies.
-    Actor = ray.remote(num_cpus=per_shard, scheduling_strategy="SPREAD")(FrontierShardState)
-    return [Actor.remote(i, filter_capacity) for i in range(num_shards)]
+    Actor = ray.remote(num_cpus=SHARD_CPU, scheduling_strategy="SPREAD")(FrontierShardState)
+    b = partition_bounds(num_shards, H)
+    return [Actor.remote(range(b[j], b[j + 1]), filter_capacity) for j in range(H)]
 
 
 def shard_of(keys: np.ndarray, num_shards: int) -> np.ndarray:

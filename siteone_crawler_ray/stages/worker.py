@@ -16,14 +16,14 @@ Each ``process_shared`` call handles one wave chunk end-to-end:
       per (epoch, chunk) → idempotent under re-execution; the file IS
       the per-partition lineage the checkpoint manifest records)
     → explode spans → candidate gauntlet           stages/extract.py
-    → return the candidates split by frontier shard + non-200 URLs
+    → return the candidates split by frontier partition + non-200 URLs
 
 Every wave, one row or millions, runs on the first K workers of the
 pool; the driver never fetches or extracts.  The candidate parts go to
-the frontier shards, each of which reads only its own slice; the driver
-gets the non-200 URL lists and timings.  Page bodies/spans stay in the
-parquet partition.  The basename blocklist is re-broadcast only when it
-changes (rare).
+the frontier shard actors, each of which reads only its own partition
+range; the driver gets the non-200 URL lists and timings.  Page
+bodies/spans stay in the parquet partition.  The basename blocklist is
+re-broadcast only when it changes (rare).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class CrawlWorker:
 
     Every wave goes through :meth:`process_shared` on the first K
     actors of the pool (K = 1 for a narrow wave, which worker 0 takes
-    whole).  Each returns its per-shard candidate parts and a timing
-    dict; the driver hands the parts to the frontier shards
-    unchanged."""
+    whole).  Each returns its per-partition candidate parts and a
+    timing dict; the driver hands the parts to the frontier shard
+    actors unchanged."""
 
     def __init__(
         self,
@@ -109,7 +109,7 @@ class CrawlWorker:
     ) -> tuple[tuple[pa.Table, list[int]] | None, list[str], dict]:
         """Self-selection from the shared wave table.
 
-        The wave is ONE object (shard 0's assemble_wave output,
+        The wave is ONE object (shard actor 0's assemble_wave output,
         zero-copy Arrow in the object store); each worker takes only its
         rows here, in parallel, instead of the driver cutting and
         pickling K chunks serially.  A narrow wave (K = 1) goes whole
@@ -148,10 +148,10 @@ class CrawlWorker:
         cands, non200, timing = self.process(chunk, vdir, worker_id)
         timing["t_enter"] = t_enter
         timing["t_exit"] = time.time()
-        # pre-partition by frontier shard HERE (29-way parallel) so each
-        # shard actor later touches only its own rows instead of every
-        # shard re-scanning the full candidate set (S× duplicated work —
-        # the big-wave frontier bottleneck)
+        # pre-partition by frontier partition HERE (29-way parallel) so
+        # each shard actor later slices only its own partition range
+        # instead of every actor re-scanning the full candidate set (H×
+        # duplicated work — the big-wave frontier bottleneck)
         parts = _split_by_shard(cands, num_shards) if cands is not None and cands.num_rows else None
         return parts, non200, timing
 
@@ -215,9 +215,10 @@ class CrawlWorker:
 
 
 def _split_by_shard(cands: pa.Table, num_shards: int) -> tuple[pa.Table, list[int]]:
-    """Partition a candidate table by frontier shard (``url_key %
-    num_shards``): the rows sorted by shard (one stable argsort) plus
-    num_shards + 1 offsets; shard i's rows are [offs[i], offs[i+1]).
+    """Partition a candidate table by frontier partition (``url_key %
+    num_shards``): the rows sorted by partition (one stable argsort)
+    plus num_shards + 1 offsets; partition i's rows are
+    [offs[i], offs[i+1]), so an actor's contiguous range is one slice.
     One table serializes cheaper than num_shards slices of it: putting
     300 candidates into the Ray object store took 1.7 ms this way and
     6.9 ms as 8 slices (4-vCPU x86 VM)."""
@@ -265,12 +266,13 @@ def make_crawl_workers(num_workers: int, **kwargs):
 
 def _worker_slots(num_shards: int) -> int:
     """How many 1-CPU worker actors can schedule alongside the SPREAD
-    frontier shards, reasoning PER NODE with the shard pool's own
-    per-shard reservation (stages/frontier.py::shard_cpu_share):
-    integer workers pack into each node's residual after its shard
-    share, so a 4×8-CPU cluster with 2 shards/node fits
-    floor(8 − 0.5) = 7 workers per node (28 total), NOT the 30 a
-    cluster-total count suggests.  The cluster-total clamp deadlocked
+    frontier shard actors, reasoning PER NODE with the shard pool's own
+    actor count and per-actor reservation
+    (stages/frontier.py::shard_actor_count, SHARD_CPU): integer
+    workers pack into each node's residual after its shard share, so a
+    4×8-CPU cluster with 2 shard actors/node fits floor(8 − 0.5) = 7
+    workers per node (28 total), NOT the 30 a cluster-total count
+    suggests.  The cluster-total clamp deadlocked
     exactly that way — 29 workers requested, 28 schedulable, warm-up
     ray.get pending forever (reproduced by scripts/multinode_sim.py).
     One slot is kept back as driver headroom unless it is the only
@@ -278,26 +280,20 @@ def _worker_slots(num_shards: int) -> int:
     then one worker that reserves no CPU (:func:`make_crawl_workers`)."""
     import math
 
-    import ray
+    from .frontier import SHARD_CPU, node_cpus, shard_actor_count
 
-    from .frontier import shard_cpu_share
-
-    node_cpus = [int(n["Resources"].get("CPU", 0))
-                 for n in ray.nodes() if n["Alive"]]
-    node_cpus = [c for c in node_cpus if c > 0] or [4]
-    share = shard_cpu_share(sum(node_cpus), num_shards)
-    # SPREAD round-robin worst case: ceil(num_shards / num_nodes) per node
-    per_node_shards = math.ceil(num_shards / len(node_cpus))
-    slots = sum(max(0, math.floor(c - share * per_node_shards))
-                for c in node_cpus)
+    cpus = node_cpus()
+    # SPREAD round-robin worst case: ceil(H / num_nodes) actors per node
+    per_node_actors = math.ceil(shard_actor_count(num_shards) / len(cpus))
+    slots = sum(max(0, math.floor(c - SHARD_CPU * per_node_actors)) for c in cpus)
     return max(1, slots - 1) if slots else 0
 
 
 def clamp_worker_count(num_workers: int, num_shards: int = 8) -> int:
     """Largest worker count that can actually schedule alongside the
-    driver and the fractional-CPU frontier shards (see _worker_slots;
-    without the clamp, 7 workers + 8 shards pend forever on an 8-CPU
-    box).  0 when not even one worker fits."""
+    driver and the fractional-CPU frontier shard actors (see
+    _worker_slots; without the clamp, 8 workers beside the shard actors
+    pend forever on an 8-CPU box).  0 when not even one worker fits."""
     return min(max(1, num_workers), _worker_slots(num_shards))
 
 

@@ -55,3 +55,27 @@ def test_exact_seen_set():
     snap = s.snapshot()
     s2 = ExactSeenSet(snap)
     assert s2.contains_batch(a).all() and len(s2) == len(s)
+
+
+def test_cuckoo_fp_rate_ignores_partition_bits():
+    """Keys of one frontier partition share ``url_key % num_shards``
+    (their low bits).  The primary bucket must not be taken from those
+    bits, or one partition's keys crowd 1/8 of the buckets and the
+    false-positive rate climbs to ~5× that of uniform keys."""
+    rng = np.random.default_rng(8)
+
+    def full(n):
+        return rng.integers(0, 2**64, size=n, dtype=np.uint64)
+
+    def on_partition(k):
+        return k - k % np.uint64(8) + np.uint64(3)
+
+    ins, probe = full(8000), full(2_000_000)
+    rates = []
+    for f in (lambda k: k, on_partition):
+        cf = CuckooFilter(capacity=1 << 14)
+        cf.add_batch(f(ins))
+        assert cf.contains_batch(f(ins)).all()
+        rates.append(cf.contains_batch(f(probe)).mean())
+    uniform, partition = rates
+    assert 0 < uniform and partition <= 2 * uniform, (uniform, partition)

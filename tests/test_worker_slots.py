@@ -1,12 +1,13 @@
-"""Per-node worker-pool sizing (stages/worker.py::_worker_slots) and
-the crawl-worker actor's process tuning.
+"""Per-node worker-pool sizing (stages/worker.py::_worker_slots), the
+frontier shard-actor count and the crawl-worker actor's process tuning.
 
 The clamp must reason node-by-node: integer 1-CPU workers pack into
 each node's residual after its SPREAD shard share.  A cluster-total
 count over-provisions multi-node clusters (29 asked, 28 schedulable →
 warm-up ray.get pends forever — reproduced on the simulated 4-node
 cluster before this existed).  The shard share is the one the shard
-pool itself books (stages/frontier.py::shard_cpu_share)."""
+pool itself books: stages/frontier.py::shard_actor_count actors of
+SHARD_CPU each."""
 
 import json
 import math
@@ -36,7 +37,7 @@ def test_single_node_matches_historical_formula(monkeypatch):
     assert _worker_slots(8) == 29
     _fake_nodes(monkeypatch, [4])
     assert _worker_slots(4) == 2
-    # 8 shards book 4/4/8 = 0.125 CPU each at 4 CPUs: floor(4 - 1) - 1
+    # 8 partitions on one shard actor booking 0.25 CPU: floor(4 - 0.25) - 1
     assert _worker_slots(8) == 2
 
 
@@ -66,8 +67,8 @@ def test_more_nodes_than_shards_and_dead_nodes(monkeypatch):
         lambda: [{"Alive": True, "Resources": {"CPU": 8.0}},
                  {"Alive": False, "Resources": {"CPU": 8.0}},
                  {"Alive": True, "Resources": {}}])
-    # one live CPU-bearing node: ceil(8/1)=8 shards there
-    assert _worker_slots(8) == 5  # floor(8 - 2) - 1
+    # one live CPU-bearing node of 8 CPUs: 2 shard actors there
+    assert _worker_slots(8) == 6  # floor(8 - 2 * 0.25) - 1
 
 
 def test_tiny_cluster_never_returns_zero(monkeypatch):
@@ -88,7 +89,7 @@ def test_no_whole_cpu_left_means_no_remote_workers(monkeypatch):
         clamp_worker_count,
     )
 
-    # 8 shards book 0.25 CPU of 1: a 1-CPU worker could never schedule
+    # the shard actor books 0.25 CPU of 1: a 1-CPU worker could never schedule
     # (make_crawl_workers then builds one zero-CPU worker instead)
     _fake_nodes(monkeypatch, [1])
     assert _worker_slots(8) == 0
@@ -99,15 +100,20 @@ def test_no_whole_cpu_left_means_no_remote_workers(monkeypatch):
 @pytest.mark.parametrize("node_cpus", [[1], [2], [4], [8], [16], [32], [8, 8, 8, 8]])
 @pytest.mark.parametrize("num_shards", [1, 2, 4, 8, 16, 29])
 def test_pool_fits_beside_shards_on_every_node(monkeypatch, node_cpus, num_shards):
-    """The shard reservation the shard pool books plus K whole-CPU
-    workers, packed node by node, fits every node's CPUs."""
-    from siteone_crawler_ray.stages.frontier import shard_cpu_share
+    """The reservation the H shard actors book plus K whole-CPU
+    workers, packed node by node, fits every node's CPUs, and the shard
+    actors book at most a quarter of the cluster."""
+    from siteone_crawler_ray.stages.frontier import SHARD_CPU, shard_actor_count
     from siteone_crawler_ray.stages.worker import _worker_slots
 
     _fake_nodes(monkeypatch, node_cpus)
     k = _worker_slots(num_shards)
-    share = shard_cpu_share(sum(node_cpus), num_shards)
-    per_node = math.ceil(num_shards / len(node_cpus))
+    H = shard_actor_count(num_shards)
+    assert 1 <= H <= num_shards
+    assert H >= min(num_shards, len(node_cpus))  # SPREAD reaches every node
+    share = SHARD_CPU
+    assert share * H <= sum(node_cpus) / 4
+    per_node = math.ceil(H / len(node_cpus))
     free = [c - share * per_node for c in node_cpus]
     assert min(free) >= 0
     placed = 0
@@ -115,15 +121,48 @@ def test_pool_fits_beside_shards_on_every_node(monkeypatch, node_cpus, num_shard
         placed += min(k - placed, math.floor(f))
     assert placed == k
     if len(node_cpus) == 1:
-        assert share * num_shards + k <= node_cpus[0]
+        assert share * H + k <= node_cpus[0]
 
 
 def test_pool_sizes_unchanged_at_8_16_32_cpus(monkeypatch):
+    # 8 and 16 CPUs run 2 and 4 shard actors of 0.25 CPU (8 and 16 did
+    # when each of the 8 partitions was its own actor: 5 and 13 workers);
+    # 32 CPUs run 8, the one-partition-per-actor layout
     from siteone_crawler_ray.stages.worker import _worker_slots
 
-    for cpus, want in [(8, 5), (16, 13), (32, 29)]:
+    for cpus, want in [(8, 6), (16, 14), (32, 29)]:
         _fake_nodes(monkeypatch, [cpus])
         assert _worker_slots(8) == want, cpus
+
+
+@pytest.mark.parametrize("node_cpus,want", [
+    ([1], 1), ([4], 1), ([8], 2), ([16], 4), ([2, 2], 2), ([32], 8), ([8, 8, 8, 8], 8),
+    ([64], 8),
+])
+def test_shard_actor_count_per_cluster_shape(monkeypatch, node_cpus, want):
+    """One shard actor per four CPUs, at least one per node, at most one
+    per partition (8): a 4-CPU crawl runs one frontier process, 32 CPUs
+    keep one partition per actor."""
+    from siteone_crawler_ray.stages.frontier import shard_actor_count
+
+    _fake_nodes(monkeypatch, node_cpus)
+    assert shard_actor_count(8) == want
+    assert shard_actor_count(1) == 1
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 5, 8, 29])
+def test_partition_ranges_are_contiguous_and_balanced(num_shards):
+    from siteone_crawler_ray.stages.frontier import partition_bounds, partition_owner
+
+    for H in range(1, num_shards + 1):
+        b = partition_bounds(num_shards, H)
+        assert b[0] == 0 and b[-1] == num_shards
+        sizes = [hi - lo for lo, hi in zip(b, b[1:])]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        owner = partition_owner(num_shards, H)
+        assert list(owner) == sorted(owner) and len(owner) == num_shards
+        for j in range(H):
+            assert set(range(b[j], b[j + 1])) == set((owner == j).nonzero()[0])
 
 
 def _tiny_crawl(tmp):
