@@ -348,11 +348,16 @@ def run_frontier_bench(num_shards: int = 8, total_keys: int = 4_000_000,
     import numpy as np
 
     _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    from siteone_crawler_ray.stages.frontier import make_shard_actors, partition_owner, shard_of
+    from siteone_crawler_ray.stages.frontier import (
+        FrontierShardState, partition_bounds, partition_owner, shard_actor_count, shard_of)
     import pyarrow as pa
     import ray
 
-    shards = make_shard_actors(num_shards, filter_capacity=total_keys // num_shards * 2)
+    # frontier-only actors, as many as a crawl's owners, each one range
+    Actor = ray.remote(num_cpus=1, scheduling_strategy="SPREAD")(FrontierShardState)
+    b = partition_bounds(num_shards, shard_actor_count(num_shards))
+    shards = [Actor.remote(range(lo, hi), total_keys // num_shards * 2)
+              for lo, hi in zip(b, b[1:])]
     owner = partition_owner(num_shards, len(shards))
     rng = np.random.default_rng(11)
     t_offer = t_contains = 0.0

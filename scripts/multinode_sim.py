@@ -24,7 +24,8 @@ the two heaviest hash-partitioned exchanges — and prints canonical
 value hashes (scripts.check_correctness.canon/value_hash, the same
 functions the driver-gate mirror uses).  The parent compares the
 hashes and requires the multi-node child to have placed its
-worker/shard actors on >= 3 distinct nodes.  ``--record`` appends the
+crawl worker actors on >= 3 distinct nodes, and its frontier owners
+(the first workers) each on its own node up to the node count.  ``--record`` appends the
 verdict to BASELINE.md.
 """
 
@@ -198,9 +199,11 @@ def run_child(mode: str) -> dict:
     # actor placement, read while the pools are alive (asked of the
     # actors directly — the state API needs the dashboard, which this
     # sandbox disables); run() reuses the seeded pools, then tears down
-    worker_nodes = set(ray.get([w.node_id.remote() for w in crawler._workers]))
-    shard_nodes = set(ray.get([s.node_id.remote() for s in crawler._shards]))
-    spread = {"CrawlWorker": len(worker_nodes), "FrontierShardState": len(shard_nodes)}
+    # (the owners are the first workers of the one CrawlWorker pool)
+    worker_nodes = ray.get([w.node_id.remote() for w in crawler._workers])
+    spread = {"CrawlWorker": len(set(worker_nodes)),
+              "owners": len(crawler._shards),
+              "owner_nodes": len(set(worker_nodes[:len(crawler._shards)]))}
 
     t0 = time.perf_counter()
     res = crawler.run()
@@ -310,13 +313,13 @@ def main() -> int:
     if nodeloss["driver_error"] is None and nodeloss["resumed_from_epoch"] == 0:
         problems.append("nodeloss: node death never interrupted the run "
                         "(scenario did not bite)")
-    worker_spread = max(
-        (n for cls, n in multi["actor_node_spread"].items()
-         if "Worker" in cls or "Shard" in cls),
-        default=0,
-    )
+    worker_spread = multi["actor_node_spread"]["CrawlWorker"]
     if worker_spread < min(3, n_nodes - 1):
         problems.append(f"crawl actors spread over only {worker_spread} nodes")
+    spread = multi["actor_node_spread"]
+    if spread["owner_nodes"] < min(spread["owners"], n_nodes):
+        problems.append(f"{spread['owners']} frontier owners on only "
+                        f"{spread['owner_nodes']} nodes")
 
     verdict = {
         "metric": "multinode_sim",
@@ -338,9 +341,9 @@ def main() -> int:
                 f" ({multi['crawl']['sec']}s multi vs {single['crawl']['sec']}s single-node),\n"
                 f"  minhash_pairs + exact_dedup + the incremental dedup-index\n"
                 f"  add/query cycle at sf0.01 — all four value-hash\n"
-                f"  IDENTICAL to the single-node 32-CPU run; crawl worker/shard\n"
+                f"  IDENTICAL to the single-node 32-CPU run; crawl worker\n"
                 f"  actors placed across {worker_spread} distinct nodes\n"
-                f"  (spread per class: {multi['actor_node_spread']}). Behavioral\n"
+                f"  (spread: {multi['actor_node_spread']}). Behavioral\n"
                 f"  multi-node evidence only — all simulated nodes share one DRAM\n"
                 f"  bus, so throughput is governed by the BASELINE.md bus ceiling.\n"
                 f"- node-loss drill on the same cluster: one of the four nodes\n"

@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     # physical execution
     p.add_argument("--workers", type=int, default=None, help="fetch worker actors")
     p.add_argument("--num-shards", type=int, default=8,
-                   help="frontier partitions (url_key %% N); held by one shard "
-                        "actor per four cluster CPUs")
+                   help="frontier partitions (url_key %% N); held by the first "
+                        "crawl workers, one per four cluster CPUs")
     p.add_argument("--routing", choices=["bucket", "host"], default="bucket")
     p.add_argument("--resume", action="store_true", help="resume from checkpoints in workdir")
     p.add_argument("--num-cpus", type=int, default=None, help="ray.init num_cpus (local mode)")

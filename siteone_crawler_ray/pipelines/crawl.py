@@ -5,16 +5,18 @@ crawler.rs:222-369) becomes a bulk-synchronous wave loop with identical
 output under the canonical (workers=1-equivalent) ordering contract of
 SURVEY.md §3.2:
 
-    wave e = drain(shard actors) sorted by priority
+    wave e = drain(owners) sorted by priority
     fused  = CrawlWorker.process_shared (stages/worker.py), one call per
              wave chunk: fetch → write visited parquet part (the
              checkpointed lineage) → explode_spans → candidate gauntlet
              → candidates split by frontier partition.  Every wave fans
-             out to the first K = clamp(ceil(sqrt(W/16))) of the
-             persistent worker actors created once per run
-    ingest = every shard actor takes its own partition range of those
-             parts: skips first-wins, then admit (dedup first-wins by
-             priority → shard contains → caps → offer)
+             out over the persistent worker actors created once per
+             run: to the workers holding the corpus buckets it touches
+             (bucket routing) or to the first K = clamp(ceil(sqrt(W/16)))
+             workers (host routing)
+    ingest = every owner takes its own partition range of those parts:
+             skips first-wins, then admit (dedup first-wins by priority
+             → shard contains → caps → offer)
 
 Priority packs (source wave position, span extraction index); visited
 ``seq`` is the wave-sorted global rank — equal to the reference's FIFO
@@ -31,13 +33,15 @@ gauntlet (deterministic refinement of the reference's racy counter —
 SURVEY.md §7.5).
 
 Frontier: ``num_shards`` partitions (``url_key % num_shards``) held by
-``stages/frontier.shard_actor_count`` shard actors, each owning a
-contiguous partition range; the driver routes keys partition → actor
-and calls each actor once per step, never once per partition.
+the first H = min(``stages/frontier.shard_actor_count``, pool size)
+crawl workers (the OWNERS, ``_shards``), each a contiguous partition
+range; the driver routes keys partition → owner and calls each owner
+once per step, never once per partition.  The crawl starts one actor
+pool, no other actor.
 
-Checkpoint/resume: per-epoch manifests with per-actor seen deltas,
+Checkpoint/resume: per-epoch manifests with per-owner seen deltas,
 pending queues, visited/skipped parquet and metric lineage; resume
-restores the latest complete epoch — with any actor count, since the
+restores the latest complete epoch — with any owner count, since the
 files are named by partition range — and reproduces the uninterrupted
 run byte-for-byte (tested).
 """
@@ -59,8 +63,9 @@ from ..functions import urls as U
 from ..functions.hashing import uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
-from ..stages.frontier import make_shard_actors, partition_owner, shard_of
-from ..stages.worker import adaptive_worker_count, clamp_worker_count, make_crawl_workers
+from ..stages import frontier
+from ..stages.frontier import partition_bounds, partition_owner, shard_of
+from ..stages.worker import clamp_worker_count, make_crawl_workers
 from ..types import UrlSource
 
 
@@ -106,8 +111,8 @@ class CrawlConfig:
     # parquet codec for the visited-part writes (--result-storage-compression
     # analogue; "none" = uncompressed, README.md:562-565)
     storage_compression: str = "snappy"
-    # frontier partitions (url_key % num_shards), not processes: they are
-    # spread over stages/frontier.shard_actor_count actors
+    # frontier partitions (url_key % num_shards), not processes: the
+    # first stages/frontier.shard_actor_count crawl workers hold them
     num_shards: int = 8
     fetch_concurrency: int | None = None  # None → adaptive to cluster CPUs
     filter_capacity: int = 1 << 20
@@ -123,7 +128,7 @@ class CrawlResult:
     workdir: str
     visited_dir: str
     skipped: pa.Table
-    # per-shard-actor seen-set snapshots as ObjectRefs of uint64 ndarrays.
+    # per-owner seen-set snapshots as ObjectRefs of uint64 ndarrays.
     # Kept as refs so run() never concatenates
     # the full seen set on the driver — at 10^10 keys that is an 80 GB
     # materialization whose only consumers are parity tests.
@@ -133,10 +138,10 @@ class CrawlResult:
 
     @property
     def seen_keys(self) -> np.ndarray:
-        """Sorted uint64 seen set, gathered lazily from the per-actor
+        """Sorted uint64 seen set, gathered lazily from the per-owner
         snapshot refs.  O(total-seen) on the driver — opt-in for parity
         tests / small crawls only; scale consumers should ray.get and
-        process ``seen_parts`` actor by actor."""
+        process ``seen_parts`` owner by owner."""
         if self._seen_cache is None:
             parts = ray.get(list(self.seen_parts))
             self._seen_cache = (
@@ -179,7 +184,7 @@ _DISPATCH_FIELDS = [
 
 
 class EpochCrawler:
-    """Driver object holding shard handles + loop state."""
+    """Driver object holding the worker pool handles + loop state."""
 
     def __init__(
         self,
@@ -207,33 +212,38 @@ class EpochCrawler:
         self.visited_count = 0
         self.basename_counts: dict[str, int] = {}
         self.metrics: dict = {"epochs": []}
+        # the crawl worker pool; its first H workers (_shards) own the
+        # frontier partitions
+        self._workers: list = []
         self._shards: list = []
         # partition → index into self._shards
         self._owner = np.zeros(0, np.int64)
-        self._workers: list = []
         self._blocklist: frozenset = frozenset()
         self._epoch_workers_used: list = []
         # fire-and-forget refs from the PREVIOUS epoch (fast-path ingest
-        # + shard checkpoint): Ray actor tasks run in submission order,
+        # + owner checkpoint): Ray actor tasks run in submission order,
         # so the next drain/admit already serializes behind them on each
-        # shard — the driver only collects them one epoch later for
+        # owner — the driver only collects them one epoch later for
         # error propagation and the deferred manifest write.
         self._ingest_refs: list = []
         self._pending_ckpt: tuple | None = None
 
     # -- shard plumbing -----------------------------------------------------
     def _make_shards(self):
-        self._shards = make_shard_actors(self.cfg.num_shards, self.cfg.filter_capacity)
-        self._owner = partition_owner(self.cfg.num_shards, len(self._shards))
+        """Start the worker pool; its first H workers own the frontier
+        partition ranges."""
         # clamp a user-requested pool to schedulable CPUs — an oversized
         # pool of 1-CPU actors would pend forever and deadlock the
         # warm-up ray.get (wizard Stress Test --workers=20 on a small box).
-        # 0 (no whole CPU left) still builds one zero-CPU worker.
-        k = clamp_worker_count(
-            self.cfg.fetch_concurrency or adaptive_worker_count(self.cfg.num_shards),
-            num_shards=self.cfg.num_shards)
+        # 0 (no whole CPU left) still builds one zero-CPU worker; unset,
+        # the pool takes every whole CPU but the driver's, up to 64.
+        k = clamp_worker_count(self.cfg.fetch_concurrency or 64)
+        H = min(frontier.shard_actor_count(self.cfg.num_shards), max(1, k))
+        b = partition_bounds(self.cfg.num_shards, H)
         self._workers = make_crawl_workers(
             k,
+            [range(lo, hi) for lo, hi in zip(b, b[1:])],
+            filter_capacity=self.cfg.filter_capacity,
             corpus_path=self.corpus_path,
             gauntlet_kwargs=self._gauntlet_kwargs(),
             max_reqs_per_sec=self.cfg.max_reqs_per_sec,
@@ -242,23 +252,25 @@ class EpochCrawler:
             budget_split=1 if self.cfg.routing == "host" else max(1, k),
             storage_compression=self.cfg.storage_compression,
         )
+        self._shards = self._workers[:H]
+        self._owner = partition_owner(self.cfg.num_shards, H)
 
     def _shard_call(self, method: str, *args, per_shard: list[tuple] | None = None) -> list:
-        """Call ``method`` on every shard actor and wait for the results:
-        with the same ``args`` everywhere, or with ``per_shard[j]`` on
-        actor j."""
+        """Call ``method`` on every owner and wait for the results: with
+        the same ``args`` everywhere, or with ``per_shard[j]`` on owner
+        j."""
         arg_lists = per_shard if per_shard is not None else [args] * len(self._shards)
         return ray.get(
             [getattr(s, method).remote(*a) for s, a in zip(self._shards, arg_lists)]
         )
 
     def _rows_by_actor(self, keys: np.ndarray) -> list[np.ndarray]:
-        """Row indices of ``keys`` per owning shard actor."""
+        """Row indices of ``keys`` per owner."""
         a = self._owner[shard_of(keys, self.cfg.num_shards)]
         return [np.nonzero(a == j)[0] for j in range(len(self._shards))]
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
-        """Batched membership across shard actors (one call each)."""
+        """Batched membership across owners (one call each)."""
         out = np.zeros(len(keys), dtype=bool)
         idxs = self._rows_by_actor(keys)
         res = self._shard_call("contains", per_shard=[(keys[ix],) for ix in idxs])
@@ -300,23 +312,23 @@ class EpochCrawler:
     def run_epoch(self) -> int:
         """Process one wave; returns number of pages visited (0 → done).
 
-        Every wave takes one path and never lands on the driver: shard
-        actor drains flow as object refs into
-        :meth:`FrontierShardState.assemble_wave` on actor 0, the first
-        K pool workers self-select rows from its output object, and
-        their per-partition candidate parts flow as refs straight to
-        the shard actors (each reads its own partition range from
-        plasma, zero-copy).  W decides only K.  The driver handles only
-        scalars: W, candidate counts, basename counts, timings."""
+        Every wave takes one path and never lands on the driver: owner
+        drains flow as object refs into
+        :meth:`FrontierShardState.assemble_wave` on owner 0, the
+        workers the routing picks self-select rows from its output
+        object, and their per-partition candidate parts flow as refs
+        straight to the owners (each reads its own partition range from
+        plasma, zero-copy).  The driver handles only scalars: W, the
+        routing summary, candidate counts, basename counts, timings."""
         t0 = time.perf_counter()
         want_hosts = self.cfg.routing == "host"
         part_refs = [s.drain.remote() for s in self._shards]
-        # assemble on shard actor 0, warm, not a task: a num_cpus=0
-        # task may land on a cold worker process whose first Arrow
-        # concat/sort measured ~0.6 s at 16 CPUs (epoch-0 critical
-        # path); actor 0 runs this between waves when it is idle.
+        # assemble on owner 0, warm, not a task: a num_cpus=0 task may
+        # land on a cold worker process whose first Arrow concat/sort
+        # measured ~0.6 s at 16 CPUs (epoch-0 critical path); owner 0
+        # runs this between waves when it is idle.
         meta_ref, wave = self._shards[0].assemble_wave.options(num_returns=2).remote(
-            self.visited_count, self.epoch, want_hosts, *part_refs
+            self.visited_count, self.epoch, want_hosts, self.num_buckets, *part_refs
         )
         meta = ray.get(meta_ref)
         W = meta["W"]
@@ -334,17 +346,13 @@ class EpochCrawler:
 
         t_fetch = time.perf_counter()
         t_dispatch_wall = time.time()
-        # K ≈ sqrt(W/16) balances per-actor dispatch+straggler cost
-        # (~10-15 ms) against W/K work: K = 1 up to 16 rows, big waves
-        # use every worker
-        workers = self._workers[: max(1, min(len(self._workers),
-                                             int(np.ceil(np.sqrt(W / 16)))))]
-        K = len(workers)
-        # bucket-affine routing: worker (url_key % NB) % K — each
-        # worker's corpus-bucket cache stays a fixed 1/K subset
-        # instead of every worker faulting in every bucket.
         salt_map = None
         if want_hosts:
+            # K ≈ sqrt(W/16) balances per-actor dispatch+straggler cost
+            # (~10-15 ms) against W/K work: K = 1 up to 16 rows, big
+            # waves use every worker
+            K = max(1, min(len(self._workers), int(np.ceil(np.sqrt(W / 16)))))
+            ids = range(K)
             # hot-host salting: a host holding more than 2 fair
             # shares of the wave spreads across S workers (rate/S
             # per bucket — SURVEY §7.5)
@@ -355,12 +363,20 @@ class EpochCrawler:
                 for h, c in zip(uniq, cnt)
                 if c > 2 * fair
             }
+        else:
+            # bucket-affine routing: worker (url_key % NB) % K over the
+            # whole pool, the worker whose warmup preloaded that bucket,
+            # so no bucket is ever read twice; the wave runs on the
+            # workers holding the buckets present in it
+            K = len(self._workers)
+            ids = np.unique(meta["buckets"] % K).tolist()
+        workers = [self._workers[i] for i in ids]
         triplets = [
             w.process_shared.options(num_returns=3).remote(
                 wave, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
                 self.cfg.num_shards,
             )
-            for i, w in enumerate(workers)
+            for i, w in zip(ids, workers)
         ]
         parts = [t[0] for t in triplets]
         non200_lists = ray.get([t[1] for t in triplets])
@@ -453,16 +469,16 @@ class EpochCrawler:
     def _ingest(self, parts: list, wave_size: int, n_ok: int) -> None:
         """Hand one wave's candidates to the frontier.  ``parts`` holds
         one object ref per worker call — its candidates split by
-        frontier partition — and every shard actor reads only its own
+        frontier partition — and every owner reads only its own
         partition range: skip records go to its first-wins skip set,
         ok-candidates to its two-phase admit.
 
         ``n_ok`` (Σ per-worker deduped ok counts) bounds the
         admissions.  When even admitting all of them cannot bind a cap,
-        each shard actor records and admits in ONE call; the driver does not
+        each owner records and admits in ONE call; the driver does not
         wait for it (actor task order runs the next drain and
         checkpoint behind it, and the refs are collected with the next
-        checkpoint).  Otherwise the actors stash their winners, the
+        checkpoint).  Otherwise the owners stash their winners, the
         driver sums their counts for the cap check, and either commits
         or falls back to the exact sequential simulation."""
         V, W, cfg = self.visited_count, wave_size, self.cfg
@@ -532,10 +548,10 @@ class EpochCrawler:
         return ok.take(pc.sort_indices(ok, sort_keys=[("priority", "ascending")]))
 
     def shutdown(self) -> None:
-        """Release the actor pools (a finished crawl would otherwise pin
-        ~K worker + shard actor processes until the driver exits;
-        results live in parquet, resume builds fresh actors)."""
-        for a in [*self._shards, *self._workers]:
+        """Release the worker pool (a finished crawl would otherwise pin
+        its processes until the driver exits; results live in parquet,
+        resume builds fresh actors)."""
+        for a in self._workers:
             try:
                 ray.kill(a)
             except Exception:
@@ -543,10 +559,10 @@ class EpochCrawler:
         self._shards, self._workers = [], []
 
     def _collect_skipped(self) -> pa.Table:
-        """Skip records from the per-actor per-epoch checkpoint deltas
+        """Skip records from the per-owner per-epoch checkpoint deltas
         (small: one row per distinct skipped URL), in (epoch, partition)
-        order — within a partition in priority order, as each actor
-        wrote them — whatever the actor count that wrote each epoch.  At
+        order — within a partition in priority order, as each owner
+        wrote them — whatever the owner count that wrote each epoch.  At
         10^10-URL scale consume them as a Dataset over the same glob
         instead."""
         parts = []
@@ -583,7 +599,7 @@ class EpochCrawler:
         }
         # async: flush the PREVIOUS epoch's refs (instant by now — actor
         # ordering ran them before this epoch's drain), then submit this
-        # epoch's shard actor checkpoints without waiting.  The manifest for
+        # epoch's owner checkpoints without waiting.  The manifest for
         # epoch e is written one epoch later (or at run() end); a crash
         # in that window loses only the newest manifest, and resume()
         # already prunes shard/visited dirs newer than the last manifest
@@ -604,7 +620,7 @@ class EpochCrawler:
         os.replace(tmp, os.path.join(self.workdir, f"manifest-epoch{e}.json"))
 
     def _flush_pending(self) -> None:
-        """Collect last epoch's fire-and-forget shard refs: propagate
+        """Collect last epoch's fire-and-forget owner refs: propagate
         any ingest error and write the deferred manifest."""
         if self._pending_ckpt is not None:
             e, manifest, refs, ingest_refs = self._pending_ckpt
@@ -635,8 +651,8 @@ class EpochCrawler:
             raise ValueError("checkpoint config fingerprint mismatch")
         self._make_shards()
         # delta-chain restore: every epoch's seen delta up to e, in
-        # order; each actor reads the range-named files overlapping its
-        # partitions, so the checkpoint may come from another actor count
+        # order; each owner reads the range-named files overlapping its
+        # partitions, so the checkpoint may come from another owner count
         sdirs = [os.path.join(self.workdir, "shards", f"epoch={i}") for i in range(e + 1)]
         self._shard_call("restore", sdirs, self.cfg.num_shards)
         self.epoch = e + 1
@@ -659,58 +675,51 @@ class EpochCrawler:
 
     # -- full run ------------------------------------------------------------
     def warmup(self) -> float:
-        """Readiness barrier on the shard and worker pools (actor
-        processes import, construct their corpus reader, preload their
-        buckets and run one throwaway page each).  Separates one-time
-        cluster spin-up from the sustained-throughput measurement — the
-        north rule's metric is *sustained* pages/s."""
+        """Readiness barrier on the worker pool (actor processes import,
+        construct their corpus reader, preload their buckets and run one
+        throwaway page each).  Separates one-time cluster spin-up from
+        the sustained-throughput measurement — the north rule's metric
+        is *sustained* pages/s."""
         t0 = time.perf_counter()
-        # warm the assemble path THROUGH the real kernels on every shard
-        # actor: a zero-part call short-circuits before Arrow
-        # concat/sort/np.unique, leaving ~0.6 s of cold first-touch on
-        # epoch 0 at 16 CPUs — one throwaway row exercises them.  The
-        # Arrow argument also makes each shard import ray.data/ray.air
-        # (~0.2 s) here instead of in epoch 0's ingest (a shard that got
-        # no seed rows first deserializes an Arrow table there).
-        # assemble_wave is pure, so no shard state is touched; submitted
-        # first so the imports overlap the workers' bucket preload.
+        # warm the assemble path THROUGH the real kernels on every owner:
+        # a zero-part call short-circuits before Arrow concat/sort/
+        # np.unique, leaving ~0.6 s of cold first-touch on epoch 0 at 16
+        # CPUs — one throwaway row exercises them.  assemble_wave is
+        # pure, so no frontier state is touched.
         warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
-        pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, True, warm)[0]
+        pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, True, 1, warm)[0]
                    for s in self._shards]
+        # bucket b on worker b % pool size, as bucket routing sends it
         K = len(self._workers)
         pending += [
             w.preload_buckets.remote([b for b in range(self.num_buckets) if b % K == i])
             for i, w in enumerate(self._workers)
         ]
-        ray.get(pending)
+        samples = ray.get(pending)[len(self._shards):]
         # First process() call per worker pays cold costs (parquet
         # writer import, Arrow kernel modules, first plasma map) —
         # measured ~0.2 s.  Adaptive fanout touches NEW workers on every
         # ramp-up epoch, so without this warm-up each ramp epoch pays it
-        # on its critical path.  One dummy wave through every worker
-        # moves it all here; the throwaway parts dir is deleted and no
-        # shard state is touched.
-        if self.seed_urls:
-            import shutil
+        # on its critical path.  One page from each worker's own buckets
+        # (the seed page for a worker with none) moves it all here
+        # without loading another bucket; the throwaway parts dir is
+        # deleted and no frontier state is touched.
+        u = self.seed_urls[0] if self.seed_urls else None
+        fallback = (u, xxh64_strings([u])[0]) if u else None
+        wdir = os.path.join(self.workdir, "warmup")
+        ray.get([w.process.remote(_warm_row(*(s or fallback)), wdir, i)
+                 for i, (w, s) in enumerate(zip(self._workers, samples)) if s or fallback])
+        import shutil
 
-            from ..functions.hashing import xxh64
-
-            u = self.seed_urls[0]
-            dummy = _dispatch_table([(u, xxh64(u), U.host_of(u), 0, 0, "", 0)])
-            dummy = dummy.append_column("seq", pa.array([0], pa.int64()))
-            dummy = dummy.append_column("wavepos", pa.array([0], pa.int64()))
-            dummy = dummy.append_column("epoch", pa.array([0], pa.int32()))
-            wdir = os.path.join(self.workdir, "warmup")
-            ray.get([w.process.remote(dummy, wdir, i) for i, w in enumerate(self._workers)])
-            shutil.rmtree(wdir, ignore_errors=True)
+        shutil.rmtree(wdir, ignore_errors=True)
         dt = time.perf_counter() - t0
         self.metrics["startup_sec"] = round(dt, 4)
         return dt
 
     def run(self, max_epochs: int = 10_000) -> CrawlResult:
-        # shut the actor pools down on the error path too: leaked shard
-        # and worker actors keep their CPUs, and the next crawl in the
-        # same Ray session then waits forever in warmup()
+        # shut the pool down on the error path too: leaked worker
+        # actors keep their CPUs, and the next crawl in the same Ray
+        # session then waits forever in warmup()
         try:
             if not self._shards:
                 self.seed()
@@ -722,7 +731,7 @@ class EpochCrawler:
             total = time.perf_counter() - t0
             self._flush_pending()  # final epoch's ingest/ckpt refs + manifest
             # snapshot refs only: the arrays stay in the object store
-            # (they outlive the shard actors as long as the result holds
+            # (they outlive the owners as long as the result holds
             # the refs); CrawlResult.seen_keys gathers on demand.
             seen_parts = [s.snapshot_seen.remote() for s in self._shards]
             ray.wait(seen_parts, num_returns=len(seen_parts), fetch_local=False)
@@ -750,6 +759,14 @@ def _dispatch_table(rows: list[tuple]) -> pa.Table:
     return pa.table(
         {name: pa.array(list(vals), type=typ) for (name, typ), vals in zip(_DISPATCH_FIELDS, cols)}
     )
+
+
+def _warm_row(url: str, key: int) -> pa.Table:
+    """One annotated wave row for ``url`` (warm-up only)."""
+    t = _dispatch_table([(url, int(key), U.host_of(url), 0, 0, "", 0)])
+    t = t.append_column("seq", pa.array([0], pa.int64()))
+    t = t.append_column("wavepos", pa.array([0], pa.int64()))
+    return t.append_column("epoch", pa.array([0], pa.int32()))
 
 
 def _empty_cand_table() -> pa.Table:

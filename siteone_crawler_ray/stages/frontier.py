@@ -1,14 +1,19 @@
 """Frontier shards — the distributed URL-seen set + sharded pending queue.
 
-The reference keeps queue ∪ visited in one in-process DashMap
-(crawler.rs:96-103, 1219-1243).  Here the same state is split into
-``num_shards`` logical PARTITIONS, ``url_key % num_shards`` (url_key =
-xxhash64 of the canonical URL), held by a smaller pool of shard ACTORS:
-actor j owns the contiguous partition range ``[lo_j, hi_j)``
-(:func:`partition_bounds`), one actor per four cluster CPUs and at
-least one per node (:func:`shard_actor_count`).  Partitioning is only
-a way to scale out; on a 4-CPU box all 8 default partitions live in one
-process, on 32 CPUs each of 8 actors owns one.  Each actor keeps
+The reference keeps queue ∪ visited in one in-process DashMap beside its
+workers (crawler.rs:96-103, 1219-1243).  Here the same state is split
+into ``num_shards`` logical PARTITIONS, ``url_key % num_shards`` (url_key
+= xxhash64 of the canonical URL), held by the first H crawl workers:
+``stages/worker.CrawlWorker`` is a :class:`FrontierShardState`, and
+worker j < H owns the contiguous partition range ``[lo_j, hi_j)``
+(:func:`partition_bounds`); H is one owner per four cluster CPUs, at
+least one per node (:func:`shard_actor_count`), never more than the
+pool.  Partitioning is only a way to scale out; on a 4-CPU box all 8
+default partitions live in worker 0, on 32 CPUs each of 8 owners holds
+one.  The frontier and the fetch/extract phases of an epoch never run
+at the same time, so they share the worker processes (as UbiCrawler
+and BUbiNG keep each hash range's frontier inside the agent that
+crawls it).  Each owner keeps
 
 - membership: cuckoo filter prefilter (bloom for shards flagged cold)
   + exact sorted-uint64 authority (state/filters.py) — filters are
@@ -19,14 +24,12 @@ process, on 32 CPUs each of 8 actors owns one.  Each actor keeps
 
 one structure each for its whole range: none of them depends on the
 partition.  The partition matters only for routing (the workers split
-their candidates by partition, each actor slices its range) and for
+their candidates by partition, each owner slices its range) and for
 the checkpoint files, which are named by range so a resume with a
-different actor count reads them back.
+different owner count reads them back.
 
-This is the one piece of the engine that is a raw Ray actor rather than
-a Dataset op: a shared mutable index that every epoch both reads and
-writes.  All calls are batch-level (numpy arrays / Arrow tables in and
-out), never per-URL.
+All calls are batch-level (numpy arrays / Arrow tables in and out),
+never per-URL.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
 class FrontierShardState:
     """Plain shard state for the partitions ``partitions`` (a range, or
-    one partition index); make_shard_actors wraps it as a Ray actor.
+    one partition index; an empty range holds nothing).  The crawl
+    workers inherit it (stages/worker.py::CrawlWorker).
     ``filter_capacity`` is per partition."""
 
     def __init__(self, partitions: range | int, filter_capacity: int = 1 << 20,
@@ -61,7 +65,7 @@ class FrontierShardState:
         # of a 10^10-key seen set every wave would dominate the crawl)
         self._delta: list[np.ndarray] = []
         # skip records: first-wins dedup lives HERE (same key → same
-        # partition → same actor), so the driver never holds the
+        # partition → same owner), so the driver never holds the
         # O(total-skips) set
         # (crawler.rs:1093-1124 skipped.contains_key semantics)
         self._skip_seen = ExactSeenSet()
@@ -70,15 +74,6 @@ class FrontierShardState:
     def _new_filter(self):
         return (BloomFilter(self.filter_capacity) if self.cold
                 else CuckooFilter(self.filter_capacity))
-
-    def node_id(self) -> str:
-        """Ray node this shard lives on (scripts/multinode_sim.py)."""
-        try:
-            import ray
-
-            return ray.get_runtime_context().get_node_id()
-        except Exception:  # noqa: BLE001 — not inside a Ray worker
-            return "driver"
 
     # -- membership ---------------------------------------------------------
     def contains(self, keys: np.ndarray) -> np.ndarray:
@@ -143,22 +138,24 @@ class FrontierShardState:
         self.pending = []
         return t
 
-    def assemble_wave(self, visited_count: int, epoch: int, want_hosts: bool, *parts):
-        """Wave assembly: concat every shard actor's drain output,
+    def assemble_wave(self, visited_count: int, epoch: int, want_hosts: bool,
+                      num_buckets: int, *parts):
+        """Wave assembly: concat every owner's drain output,
         priority-sort, annotate seq/wavepos/epoch.  The driver submits
-        this on actor 0 right after the drains; actor tasks run in
-        submission order, so actor 0's own drain ref is ready before
+        this on owner 0 right after the drains; actor tasks run in
+        submission order, so owner 0's own drain ref is ready before
         this executes (no deadlock).  The full wave table never lands
-        on the driver — it gets only (W, host histogram); workers
-        self-select rows straight from the call's output object
-        (plasma, zero-copy).
+        on the driver — it gets only W and the routing summary: the
+        host histogram (``want_hosts``) or the corpus buckets
+        (``url_key % num_buckets``) present; workers self-select rows
+        straight from the call's output object (plasma, zero-copy).
 
-        Running this on an ALREADY-WARM shard actor instead of a
-        detached ``num_cpus=0`` task matters on the epoch-0 critical
-        path: a task may land on any idle worker process, and the first
-        Arrow concat/sort/first-plasma-get on a cold process measured
-        ~0.6 s at 16 CPUs — an actor process that has been
-        offering/draining all along has those code paths hot."""
+        Running this on an ALREADY-WARM actor instead of a detached
+        ``num_cpus=0`` task matters on the epoch-0 critical path: a
+        task may land on any idle worker process, and the first Arrow
+        concat/sort/first-plasma-get on a cold process measured ~0.6 s
+        at 16 CPUs — an actor process that has been offering/draining
+        all along has those code paths hot."""
         import pyarrow.compute as pc
 
         parts = [p for p in parts if p is not None and p.num_rows]
@@ -174,6 +171,9 @@ class FrontierShardState:
         if want_hosts:
             uniq, cnt = np.unique(wave["host"].to_numpy(zero_copy_only=False), return_counts=True)
             meta["hosts"] = (uniq, cnt)
+        else:
+            keys = wave["url_key"].to_numpy(zero_copy_only=False)
+            meta["buckets"] = np.unique(keys % np.uint64(num_buckets)).astype(np.int64)
         return meta, wave
 
     # -- two-phase admit (the shard-parallel anti-join) ---------------------
@@ -206,7 +206,7 @@ class FrontierShardState:
 
     # -- part-based variants: the driver fans the SAME candidate parts
     # (object refs — plasma shared-memory reads, no driver copy) to
-    # every shard actor; each takes its own slice here
+    # every owner; each takes its own slice here
     def _partition_of(self, parts, tag: str) -> pa.Table | None:
         """This actor's ``tag`` rows of the workers' candidate parts.
         Each part is (candidates sorted by partition, per-partition
@@ -373,52 +373,26 @@ def node_cpus() -> list[int]:
     return [c for c in cpus if c > 0] or [4]
 
 
-# CPU reserved by ONE frontier shard actor — the single model both the
-# shard pool (make_shard_actors) and the crawl-worker pool
-# (stages/worker.py::_worker_slots) size from.  Shard work is
-# short-burst and interleaves fine; shard_actor_count keeps the pool's
-# total within a quarter of the cluster, so the 1-CPU crawl workers
-# always keep the rest.
-SHARD_CPU = 0.25
-
-
 def shard_actor_count(num_shards: int) -> int:
-    """H, the number of shard actors holding the ``num_shards``
-    partitions: one per four cluster CPUs, at least one per node so
-    SPREAD puts the frontier on every node, never more than the
-    partitions.  4 CPUs → 1, 2×2 CPUs → 2, 32 CPUs or 4×8 → 8 (one
-    partition each).  H × SHARD_CPU ≤ a quarter of the cluster, as
-    every node has at least one CPU."""
+    """H, the number of crawl workers owning the ``num_shards``
+    partitions (the crawl takes at most its pool size): one per four
+    cluster CPUs, at least one per node so SPREAD puts the frontier on
+    every node, never more than the partitions.  4 CPUs → 1, 2×2 CPUs
+    → 2, 32 CPUs or 4×8 → 8 (one partition each)."""
     cpus = node_cpus()
     return min(num_shards, max(len(cpus), sum(cpus) // 4))
 
 
 def partition_bounds(num_shards: int, num_actors: int) -> list[int]:
-    """Actor j owns partitions ``[b[j], b[j + 1])`` — contiguous and
+    """Owner j holds partitions ``[b[j], b[j + 1])`` — contiguous and
     balanced (sizes differ by at most one)."""
     return [j * num_shards // num_actors for j in range(num_actors + 1)]
 
 
 def partition_owner(num_shards: int, num_actors: int) -> np.ndarray:
-    """Partition → index of the actor that owns it."""
+    """Partition → index of the owner that holds it."""
     return np.repeat(np.arange(num_actors),
                      np.diff(partition_bounds(num_shards, num_actors)))
-
-
-def make_shard_actors(num_shards: int, filter_capacity: int = 1 << 20):
-    """:func:`shard_actor_count` Ray actors, actor j holding the
-    partitions ``partition_bounds(...)[j:j + 2]`` and reserving
-    ``SHARD_CPU``.  ``filter_capacity`` is per partition."""
-    import ray
-
-    H = shard_actor_count(num_shards)
-    # SPREAD across nodes: fractional-CPU shards otherwise all pack onto
-    # the head node (measured in scripts/multinode_sim.py), which on a
-    # real cluster funnels every offer/contains exchange through one
-    # node's NIC and loses the whole frontier if that node dies.
-    Actor = ray.remote(num_cpus=SHARD_CPU, scheduling_strategy="SPREAD")(FrontierShardState)
-    b = partition_bounds(num_shards, H)
-    return [Actor.remote(range(b[j], b[j + 1]), filter_capacity) for j in range(H)]
 
 
 def shard_of(keys: np.ndarray, num_shards: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Persistent crawl workers — fetch + span-explode + gauntlet fused.
+"""Persistent crawl workers — fetch + span-explode + gauntlet fused,
+and the frontier partitions beside them.
 
 The epoch loop re-enters the same stages every BFS wave; building a
 fresh Ray Data actor pool per stage per wave pays actor-startup and
@@ -7,6 +8,13 @@ efficiency (the fixed costs don't shrink with more CPUs).  A crawl
 worker is therefore a long-lived actor created ONCE per run — the
 "stateful stages are actor pools" rule applied across waves, which the
 Dataset API cannot express today (pools die with each execution).
+
+The pool is the crawl's only actor pool: :class:`CrawlWorker` is a
+:class:`~.frontier.FrontierShardState`, and the first H workers own
+the frontier partition ranges (the rest own an empty range).  Inside
+an epoch drain → assemble → workers → ingest → checkpoint run one
+after another, so the frontier never competes with the fetch/extract
+work for the workers' CPUs.
 
 Each ``process_shared`` call handles one wave chunk end-to-end:
 
@@ -18,12 +26,11 @@ Each ``process_shared`` call handles one wave chunk end-to-end:
     → explode spans → candidate gauntlet           stages/extract.py
     → return the candidates split by frontier partition + non-200 URLs
 
-Every wave, one row or millions, runs on the first K workers of the
-pool; the driver never fetches or extracts.  The candidate parts go to
-the frontier shard actors, each of which reads only its own partition
-range; the driver gets the non-200 URL lists and timings.  Page
-bodies/spans stay in the parquet partition.  The basename blocklist is
-re-broadcast only when it changes (rare).
+The driver never fetches or extracts.  The candidate parts go to the
+owners, each of which reads only its own partition range; the driver
+gets the non-200 URL lists and timings.  Page bodies/spans stay in the
+parquet partition.  The basename blocklist is re-broadcast only when
+it changes (rare).
 """
 
 from __future__ import annotations
@@ -37,19 +44,20 @@ import pyarrow.parquet as pq
 
 from .extract import CandidateGauntlet, explode_spans
 from .fetch import FetchStage
+from .frontier import FrontierShardState, node_cpus, shard_of
 
 EXTRACT_COLUMNS = ["doc_id", "spans", "wavepos", "depth", "uq_id"]
 
 
-class CrawlWorker:
+class CrawlWorker(FrontierShardState):
     """One fused fetch→extract→gauntlet pipeline instance, run as a
-    Ray actor (:func:`make_crawl_workers`).
+    Ray actor (:func:`make_crawl_workers`), holding the frontier
+    partitions ``partitions`` (empty for a worker that owns none).
 
-    Every wave goes through :meth:`process_shared` on the first K
-    actors of the pool (K = 1 for a narrow wave, which worker 0 takes
-    whole).  Each returns its per-partition candidate parts and a
-    timing dict; the driver hands the parts to the frontier shard
-    actors unchanged."""
+    Every wave goes through :meth:`process_shared` on the workers its
+    routing picks.  Each returns its per-partition candidate parts and
+    a timing dict; the driver hands the parts to the owners
+    unchanged."""
 
     def __init__(
         self,
@@ -58,7 +66,10 @@ class CrawlWorker:
         max_reqs_per_sec: float | None = None,
         budget_split: int = 1,
         storage_compression: str = "snappy",
+        partitions: range = range(0),
+        filter_capacity: int = 1 << 20,
     ):
+        super().__init__(partitions, filter_capacity)
         # parquet codec for visited parts ("none" → uncompressed)
         self.storage_compression = (
             None if storage_compression == "none" else storage_compression
@@ -89,12 +100,17 @@ class CrawlWorker:
         """Pre-dedup candidates of the most recent process() call."""
         return self._last_full
 
-    def preload_buckets(self, bucket_ids: list[int]) -> int:
+    def preload_buckets(self, bucket_ids: list[int]) -> tuple[str, int] | None:
         """Fault in this worker's assigned corpus buckets during warmup
-        (bucket-affine routing keeps them the only ones it ever needs)."""
+        (bucket-affine routing keeps them the only ones it ever needs);
+        → (url, url_key) of one page they hold, for a warm-up row that
+        loads no other bucket, or None."""
+        sample = None
         for b in bucket_ids:
-            self.fetch.corpus._bucket(int(b))
-        return len(bucket_ids)
+            keys, t = self.fetch.corpus._bucket(int(b))
+            if sample is None and len(keys):
+                sample = (t["doc_id"][0].as_py(), int(keys[0]))
+        return sample
 
     def process_shared(
         self,
@@ -109,14 +125,14 @@ class CrawlWorker:
     ) -> tuple[tuple[pa.Table, list[int]] | None, list[str], dict]:
         """Self-selection from the shared wave table.
 
-        The wave is ONE object (shard actor 0's assemble_wave output,
+        The wave is ONE object (owner 0's assemble_wave output,
         zero-copy Arrow in the object store); each worker takes only its
         rows here, in parallel, instead of the driver cutting and
-        pickling K chunks serially.  A narrow wave (K = 1) goes whole
-        to worker 0.
+        pickling K chunks serially.
 
-        routing="bucket": worker = (url_key % num_buckets) % K —
-        corpus-cache affine, politeness budget split across workers.
+        routing="bucket": worker = (url_key % num_buckets) % K, K the
+        pool size — the worker whose warmup preloaded that bucket
+        (corpus-cache affine), politeness budget split across workers.
         routing="host": worker = (xxh64(host) + url_key % S_host) % K —
         a host's URLs land on ONE worker (politeness exact per host),
         except hot hosts salted across S workers with rate/S buckets
@@ -149,8 +165,8 @@ class CrawlWorker:
         timing["t_enter"] = t_enter
         timing["t_exit"] = time.time()
         # pre-partition by frontier partition HERE (29-way parallel) so
-        # each shard actor later slices only its own partition range
-        # instead of every actor re-scanning the full candidate set (H×
+        # each owner later slices only its own partition range instead
+        # of every owner re-scanning the full candidate set (H×
         # duplicated work — the big-wave frontier bottleneck)
         parts = _split_by_shard(cands, num_shards) if cands is not None and cands.num_rows else None
         return parts, non200, timing
@@ -218,12 +234,10 @@ def _split_by_shard(cands: pa.Table, num_shards: int) -> tuple[pa.Table, list[in
     """Partition a candidate table by frontier partition (``url_key %
     num_shards``): the rows sorted by partition (one stable argsort)
     plus num_shards + 1 offsets; partition i's rows are
-    [offs[i], offs[i+1]), so an actor's contiguous range is one slice.
+    [offs[i], offs[i+1]), so an owner's contiguous range is one slice.
     One table serializes cheaper than num_shards slices of it: putting
     300 candidates into the Ray object store took 1.7 ms this way and
     6.9 ms as 8 slices (4-vCPU x86 VM)."""
-    from .frontier import shard_of
-
     sh = shard_of(cands["url_key"].to_numpy(zero_copy_only=False), num_shards)
     order = np.argsort(sh, kind="stable")
     offs = np.concatenate([[0], np.cumsum(np.bincount(sh, minlength=num_shards))])
@@ -250,54 +264,37 @@ def _chunk_dedup(cands: pa.Table) -> pa.Table:
     return cands.take(pa.array(keep)) if len(keep) != m else cands
 
 
-def make_crawl_workers(num_workers: int, **kwargs):
-    """Create ``num_workers`` 1-CPU crawl worker actors.  The caller
+def make_crawl_workers(num_workers: int, ranges: list[range], **kwargs):
+    """Create ``num_workers`` 1-CPU crawl worker actors, SPREAD over
+    the nodes so the owners — worker j holds ``ranges[j]``, workers
+    past ``len(ranges)`` hold none — reach every node.  The caller
     sizes the pool with :func:`clamp_worker_count` first: the
     reference's workers are I/O tasks that oversubscribe freely
     (crawler.rs worker loop), ours are CPU-pinned actors, and a pool
     larger than the cluster would pend forever.  0 (no whole CPU left
-    after the shards) gives one worker that reserves no CPU, so the
+    beside the driver) gives one worker that reserves no CPU, so the
     crawl still has a pool to run on."""
     import ray
 
-    Actor = ray.remote(num_cpus=1 if num_workers else 0)(CrawlWorker)
-    return [Actor.remote(**kwargs) for _ in range(max(1, num_workers))]
+    Actor = ray.remote(num_cpus=1 if num_workers else 0,
+                       scheduling_strategy="SPREAD")(CrawlWorker)
+    return [Actor.remote(partitions=ranges[j] if j < len(ranges) else range(0), **kwargs)
+            for j in range(max(1, num_workers))]
 
 
-def _worker_slots(num_shards: int) -> int:
-    """How many 1-CPU worker actors can schedule alongside the SPREAD
-    frontier shard actors, reasoning PER NODE with the shard pool's own
-    actor count and per-actor reservation
-    (stages/frontier.py::shard_actor_count, SHARD_CPU): integer
-    workers pack into each node's residual after its shard share, so a
-    4×8-CPU cluster with 2 shard actors/node fits floor(8 − 0.5) = 7
-    workers per node (28 total), NOT the 30 a cluster-total count
-    suggests.  The cluster-total clamp deadlocked
-    exactly that way — 29 workers requested, 28 schedulable, warm-up
-    ray.get pending forever (reproduced by scripts/multinode_sim.py).
-    One slot is kept back as driver headroom unless it is the only
-    one.  0 means no whole CPU is left after the shards: the pool is
-    then one worker that reserves no CPU (:func:`make_crawl_workers`)."""
-    import math
-
-    from .frontier import SHARD_CPU, node_cpus, shard_actor_count
-
-    cpus = node_cpus()
-    # SPREAD round-robin worst case: ceil(H / num_nodes) actors per node
-    per_node_actors = math.ceil(shard_actor_count(num_shards) / len(cpus))
-    slots = sum(max(0, math.floor(c - SHARD_CPU * per_node_actors)) for c in cpus)
-    return max(1, slots - 1) if slots else 0
+def _worker_slots() -> int:
+    """How many 1-CPU worker actors the cluster holds: its whole CPUs,
+    minus one slot kept back for the driver.  Every actor books a
+    whole CPU, so any count up to the total packs node by node.  0
+    means no whole CPU is left beside the driver (a 1-CPU cluster):
+    the pool is then one worker that reserves no CPU
+    (:func:`make_crawl_workers`)."""
+    return sum(node_cpus()) - 1
 
 
-def clamp_worker_count(num_workers: int, num_shards: int = 8) -> int:
-    """Largest worker count that can actually schedule alongside the
-    driver and the fractional-CPU frontier shard actors (see
-    _worker_slots; without the clamp, 8 workers beside the shard actors
-    pend forever on an 8-CPU box).  0 when not even one worker fits."""
-    return min(max(1, num_workers), _worker_slots(num_shards))
+def clamp_worker_count(num_workers: int) -> int:
+    """Largest worker count that can actually schedule (see
+    _worker_slots; without the clamp a pool larger than the cluster
+    pends forever).  0 when not even one worker fits."""
+    return min(max(1, num_workers), _worker_slots())
 
-
-def adaptive_worker_count(num_shards: int, cap: int = 64) -> int:
-    """Size the pool to the cluster: leave headroom for the driver and
-    the (fractional-CPU) frontier shard actors, node by node."""
-    return min(cap, _worker_slots(num_shards))

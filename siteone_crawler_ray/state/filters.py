@@ -1,7 +1,7 @@
 """Approximate + exact membership state for the URL-seen set.
 
 The north rule mandates a cuckoo-filter URL-seen set with a bloom
-fallback for cold shards.  Each frontier shard actor owns:
+fallback for cold shards.  Each frontier owner (stages/frontier.py) holds:
 
 - a :class:`CuckooFilter` (hot shards — supports deletion-free batched
   lookups; 16-bit fingerprints, 4-slot buckets),

@@ -338,14 +338,19 @@ def test_ray_path_parity(tmp_workdir):
 ], ids=["k1-max_queue", "k1-max_visited", "k2-max_queue", "k2-max_visited"])
 def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, wide):
     """Caps binding mid-wave: the exact admit pulls full_candidates()
-    from the workers the wave ran on.  The caps are chosen so that every
-    binding wave of this graph is narrow (K = 1: worker 0 alone) or
-    every one is wide (K = 2: the whole 2-worker pool)."""
+    from the workers the wave ran on — exactly those that wrote a
+    visited part in that epoch.  The caps are chosen so that every
+    binding wave of this graph is narrow (8-15 rows) or every one is
+    wide (27-63 rows); with 4 corpus buckets on a 2-worker pool both
+    kinds touch both workers' buckets, so bucket routing runs them on
+    the whole pool (a wave on part of the pool:
+    test_exact_admit_reads_only_the_workers_a_wave_ran_on)."""
     workers_used = []
     admit_exact = EpochCrawler._admit_exact
 
     def spy(self, wave_size):
-        workers_used.append(len(self._epoch_workers_used))
+        vdir = os.path.join(self.workdir, "visited", f"epoch={self.epoch}")
+        workers_used.append((len(self._epoch_workers_used), len(os.listdir(vdir))))
         return admit_exact(self, wave_size)
 
     monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
@@ -354,7 +359,31 @@ def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, wide):
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert workers_used, "no cap bound: the exact admit never ran"
-    assert set(workers_used) == ({2} if wide else {1})
+    assert all(used == ran for used, ran in workers_used), workers_used
+    assert {used for used, _ in workers_used} == {2}
+
+
+def test_exact_admit_reads_only_the_workers_a_wave_ran_on(tmp_workdir, monkeypatch):
+    """A cap binding in a wave that ran on part of the pool: the exact
+    admit must gather full_candidates() from those workers only — the
+    others still hold the warm-up page's candidates.  Bucket routing
+    sends the 2 seed pages to the workers holding their buckets, at most 2
+    of the 3 workers."""
+    workers_used = []
+    admit_exact = EpochCrawler._admit_exact
+
+    def spy(self, wave_size):
+        vdir = os.path.join(self.workdir, "visited", f"epoch={self.epoch}")
+        workers_used.append((len(self._epoch_workers_used), len(os.listdir(vdir))))
+        return admit_exact(self, wave_size)
+
+    monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
+    tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
+    cfg = CrawlConfig(num_shards=2, fetch_concurrency=3, max_visited_urls=5)
+    res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
+    _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
+    assert workers_used and all(used == ran for used, ran in workers_used), workers_used
+    assert workers_used[0][0] < 3
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_workdir):

@@ -1,10 +1,12 @@
-"""Frontier partitions vs shard actors (stages/frontier.py).
+"""Frontier partitions vs their owners (stages/frontier.py).
 
-``num_shards`` partitions are held by ``shard_actor_count`` actors, each
-owning a contiguous partition range.  The crawl's output must not
-depend on that count: the skipped rows come out in the same order, and
-a checkpoint written with one actor count — or with the one-index file
-names of one actor per partition — resumes with another."""
+``num_shards`` partitions are held by the first H = min(
+``shard_actor_count``, pool size) crawl workers, each owning a
+contiguous partition range; the crawl starts no other actor.  The
+crawl's output must not depend on H: the skipped rows come out in the
+same order, and a checkpoint written with one owner count — or with the
+one-index file names of one owner per partition — resumes with
+another."""
 
 import os
 
@@ -156,6 +158,13 @@ def _force_actors(monkeypatch, H):
     monkeypatch.setattr(frontier, "shard_actor_count", lambda num_shards: H)
 
 
+def _pool_size():
+    """Workers a crawl starts in this Ray session (3 at 4 CPUs)."""
+    from siteone_crawler_ray.stages.worker import clamp_worker_count
+
+    return max(1, clamp_worker_count(64))
+
+
 def _crawl(corpus, workdir, cfg):
     cp, seeds, robots = corpus
     return EpochCrawler(cp, seeds, robots, workdir, cfg)
@@ -168,10 +177,39 @@ def _same_result(a, b):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_crawl_starts_one_pool_whose_first_workers_own_the_frontier(
+        monkeypatch, tmp_workdir, corpus):
+    """A crawl creates exactly its pool's actors, all CrawlWorkers, and
+    the owners are the pool's first workers — no separate shard
+    actors."""
+    import ray.actor
+
+    created = []
+    real = ray.actor.ActorClass._remote
+
+    def spy(self, *args, **kwargs):
+        created.append(self.__ray_metadata__.class_name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.actor.ActorClass, "_remote", spy)
+    c = _crawl(corpus, os.path.join(tmp_workdir, "pool"), CrawlConfig(num_shards=NUM_SHARDS))
+    try:
+        c.seed()
+        assert created == ["CrawlWorker"] * len(c._workers)
+        assert len(c._workers) == _pool_size()
+        assert 1 <= len(c._shards) <= len(c._workers)
+        assert all(s is w for s, w in zip(c._shards, c._workers))
+    finally:
+        c.shutdown()
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_skipped_order_does_not_depend_on_actor_count(monkeypatch, tmp_workdir, corpus):
-    cfg = CrawlConfig(num_shards=NUM_SHARDS)
+    # one partition per owner when every worker owns one
+    pool = _pool_size()
+    cfg = CrawlConfig(num_shards=pool)
     results = []
-    for H in (1, NUM_SHARDS):
+    for H in (1, pool):
         _force_actors(monkeypatch, H)
         c = _crawl(corpus, os.path.join(tmp_workdir, f"h{H}"), cfg)
         c.seed()
@@ -179,7 +217,7 @@ def test_skipped_order_does_not_depend_on_actor_count(monkeypatch, tmp_workdir, 
         results.append(c.run())
     one, every = results
     assert one.skipped.num_rows > 0
-    parts = shard_of(every.skipped["url_key"].to_numpy(), NUM_SHARDS)
+    parts = shard_of(every.skipped["url_key"].to_numpy(), pool)
     assert len(set(parts.tolist())) > 1  # the order check spans partitions
     _same_result(one, every)
 
@@ -208,13 +246,14 @@ def test_resume_with_a_changed_actor_count(monkeypatch, tmp_workdir, corpus, h_b
 
 @pytest.mark.usefixtures("ray_session")
 def test_resume_from_one_index_checkpoint_names(monkeypatch, tmp_workdir, corpus):
-    """A checkpoint written one actor per partition under the one-index
-    names (``seen-delta-003.parquet``) restores into a single actor."""
-    cfg = CrawlConfig(num_shards=NUM_SHARDS)
+    """A checkpoint written one owner per partition under the one-index
+    names (``seen-delta-002.parquet``) restores into a single owner."""
+    pool = _pool_size()
+    cfg = CrawlConfig(num_shards=pool)
     full = _crawl(corpus, os.path.join(tmp_workdir, "full"), cfg).run()
 
     part_dir = os.path.join(tmp_workdir, "part")
-    _force_actors(monkeypatch, NUM_SHARDS)
+    _force_actors(monkeypatch, pool)
     c1 = _crawl(corpus, part_dir, cfg)
     c1.seed()
     c1.run_epoch()

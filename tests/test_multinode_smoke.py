@@ -1,7 +1,8 @@
 """Fast multi-node smoke: a 2-node simulated cluster (subprocess —
 the session fixture owns this process's Ray) must reproduce the
 sequential oracle crawl (pipelines/oracle.py) exactly, with actors on
-both nodes — the frontier's one shard actor per node (2×2 CPUs) included.
+both nodes — the frontier's two owners (2×2 CPUs), the pool's first two
+workers, on distinct nodes.
 
 The full 4-node drill (scale crawl, exchange hashes, node-loss
 checkpoint resume) lives in scripts/multinode_sim.py; this guards the
@@ -35,8 +36,9 @@ cfg = CrawlConfig(num_shards=4)
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir, cfg)
 c.seed(); c.warmup()
 n_shards = len(c._shards)
-shard_nodes = set(ray.get([s.node_id.remote() for s in c._shards]))
-nodes = set(ray.get([w.node_id.remote() for w in c._workers])) | shard_nodes
+worker_nodes = ray.get([w.node_id.remote() for w in c._workers])
+shard_nodes = set(worker_nodes[:n_shards])  # the owners are the first workers
+nodes = set(worker_nodes)
 res = c.run()
 t = res.visited_table(columns=["url", "depth", "status_code"])
 rows = sorted(zip(t["url"].to_pylist(), t["depth"].to_pylist(),
@@ -71,7 +73,7 @@ def test_two_node_cluster_matches_single_process(tmp_workdir):
     assert lines, f"child failed:\n{p.stdout[-2000:]}\n{p.stderr[-2000:]}"
     got = json.loads(lines[-1][len("SMOKE_JSON "):])
     assert got["nodes"] == 2, f"actors did not spread: {got['nodes']} node(s)"
-    assert got["shards"] == 2 and got["shard_nodes"] == 2, got
+    assert got["shards"] == 2 and got["shard_nodes"] == 2, f"owners share a node: {got}"
     assert got["visited"] == rt.num_rows
     assert got["n"] == len(ref_rows)
     assert [tuple(r) for r in got["rows_tail"]] == ref_rows[-5:]

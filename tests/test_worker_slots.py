@@ -1,16 +1,14 @@
-"""Per-node worker-pool sizing (stages/worker.py::_worker_slots), the
-frontier shard-actor count and the crawl-worker actor's process tuning.
+"""Worker-pool sizing (stages/worker.py::_worker_slots), the count of
+frontier owners and the crawl-worker actor's process tuning.
 
-The clamp must reason node-by-node: integer 1-CPU workers pack into
-each node's residual after its SPREAD shard share.  A cluster-total
-count over-provisions multi-node clusters (29 asked, 28 schedulable →
-warm-up ray.get pends forever — reproduced on the simulated 4-node
-cluster before this existed).  The shard share is the one the shard
-pool itself books: stages/frontier.py::shard_actor_count actors of
-SHARD_CPU each."""
+The crawl runs one actor pool: one 1-CPU worker per whole cluster CPU,
+minus one slot kept back for the driver, SPREAD over the nodes; its
+first H = min(shard_actor_count, pool) workers own the frontier
+partitions.  Every actor books a whole CPU, so the pool packs node by
+node (the per-node reasoning once needed for fractional-CPU shard
+actors beside the workers is gone with them)."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -32,29 +30,20 @@ def _fake_nodes(monkeypatch, cpus_per_node):
 def test_single_node_matches_historical_formula(monkeypatch):
     from siteone_crawler_ray.stages.worker import _worker_slots
 
+    # every whole CPU but the driver's: 32 - 1 = 31, 4 - 1 = 3
     _fake_nodes(monkeypatch, [32])
-    # floor(32 - 8*0.25) - 1 = 29: the recorded 32-CPU pool size
-    assert _worker_slots(8) == 29
+    assert _worker_slots() == 31
     _fake_nodes(monkeypatch, [4])
-    assert _worker_slots(4) == 2
-    # 8 partitions on one shard actor booking 0.25 CPU: floor(4 - 0.25) - 1
-    assert _worker_slots(8) == 2
+    assert _worker_slots() == 3
 
 
 def test_four_by_eight_cluster_packs_per_node(monkeypatch):
-    from siteone_crawler_ray.stages.worker import (
-        _worker_slots,
-        adaptive_worker_count,
-        clamp_worker_count,
-    )
+    from siteone_crawler_ray.stages.worker import _worker_slots, clamp_worker_count
 
     _fake_nodes(monkeypatch, [8, 8, 8, 8])
-    # 2 shards/node -> floor(8 - 0.5) = 7 workers/node, 28 total, -1 driver
-    assert _worker_slots(8) == 27
-    assert clamp_worker_count(64, 8) == 27
-    assert adaptive_worker_count(8) == 27
-    # the old cluster-total formula said 32 - 2 - 1 = 29 > 28 schedulable
-    assert _worker_slots(8) < 29
+    # 32 whole CPUs - 1 driver slot: SPREAD packs 8, 8, 8 and 7 workers
+    assert _worker_slots() == 31
+    assert clamp_worker_count(64) == 31
 
 
 def test_more_nodes_than_shards_and_dead_nodes(monkeypatch):
@@ -67,72 +56,75 @@ def test_more_nodes_than_shards_and_dead_nodes(monkeypatch):
         lambda: [{"Alive": True, "Resources": {"CPU": 8.0}},
                  {"Alive": False, "Resources": {"CPU": 8.0}},
                  {"Alive": True, "Resources": {}}])
-    # one live CPU-bearing node of 8 CPUs: 2 shard actors there
-    assert _worker_slots(8) == 6  # floor(8 - 2 * 0.25) - 1
+    # one live CPU-bearing node of 8 CPUs
+    assert _worker_slots() == 7
 
 
 def test_tiny_cluster_never_returns_zero(monkeypatch):
     from siteone_crawler_ray.stages.worker import _worker_slots
 
-    # the smallest clusters with a whole CPU left after the shard
-    # reservation keep that CPU as a worker instead of driver headroom
+    # the smallest clusters with a whole CPU beside the driver's keep it
     _fake_nodes(monkeypatch, [2])
-    assert _worker_slots(8) == 1
+    assert _worker_slots() == 1
     _fake_nodes(monkeypatch, [3])
-    assert _worker_slots(8) == 1
+    assert _worker_slots() == 2
 
 
 def test_no_whole_cpu_left_means_no_remote_workers(monkeypatch):
-    from siteone_crawler_ray.stages.worker import (
-        _worker_slots,
-        adaptive_worker_count,
-        clamp_worker_count,
-    )
+    from siteone_crawler_ray.stages.worker import _worker_slots, clamp_worker_count
 
-    # the shard actor books 0.25 CPU of 1: a 1-CPU worker could never schedule
-    # (make_crawl_workers then builds one zero-CPU worker instead)
+    # a 1-CPU cluster has no CPU beside the driver's slot: a 1-CPU
+    # worker could never schedule (make_crawl_workers then builds one
+    # zero-CPU worker instead)
     _fake_nodes(monkeypatch, [1])
-    assert _worker_slots(8) == 0
-    assert clamp_worker_count(4, 8) == 0
-    assert adaptive_worker_count(8) == 0
+    assert _worker_slots() == 0
+    assert clamp_worker_count(4) == 0
+
+
+def _spread(pool: int, node_cpus: list[int]) -> list[int]:
+    """Node of each of ``pool`` 1-CPU actors placed the SPREAD way:
+    round-robin over the nodes that still have a free CPU."""
+    free, nodes, n = list(node_cpus), [], 0
+    for _ in range(pool):
+        while not free[n % len(free)]:
+            n += 1
+        free[n % len(free)] -= 1
+        nodes.append(n % len(free))
+        n += 1
+    return nodes
 
 
 @pytest.mark.parametrize("node_cpus", [[1], [2], [4], [8], [16], [32], [8, 8, 8, 8]])
 @pytest.mark.parametrize("num_shards", [1, 2, 4, 8, 16, 29])
 def test_pool_fits_beside_shards_on_every_node(monkeypatch, node_cpus, num_shards):
-    """The reservation the H shard actors book plus K whole-CPU
-    workers, packed node by node, fits every node's CPUs, and the shard
-    actors book at most a quarter of the cluster."""
-    from siteone_crawler_ray.stages.frontier import SHARD_CPU, shard_actor_count
+    """Every node holds its workers: the pool of 1-CPU workers, placed
+    the SPREAD way, fits every node's CPUs with one CPU left for the
+    driver, and the H owners among them sit on min(H, nodes) distinct
+    nodes."""
+    from siteone_crawler_ray.stages.frontier import shard_actor_count
     from siteone_crawler_ray.stages.worker import _worker_slots
 
     _fake_nodes(monkeypatch, node_cpus)
-    k = _worker_slots(num_shards)
-    H = shard_actor_count(num_shards)
+    k = _worker_slots()
+    assert k == sum(node_cpus) - 1
+    if k == 0:  # one zero-CPU worker
+        return
+    nodes = _spread(k, node_cpus)
+    for n, c in enumerate(node_cpus):
+        assert nodes.count(n) <= c
+    H = min(shard_actor_count(num_shards), k)
     assert 1 <= H <= num_shards
-    assert H >= min(num_shards, len(node_cpus))  # SPREAD reaches every node
-    share = SHARD_CPU
-    assert share * H <= sum(node_cpus) / 4
-    per_node = math.ceil(H / len(node_cpus))
-    free = [c - share * per_node for c in node_cpus]
-    assert min(free) >= 0
-    placed = 0
-    for f in free:  # greedy: whole workers into each node's residual
-        placed += min(k - placed, math.floor(f))
-    assert placed == k
-    if len(node_cpus) == 1:
-        assert share * H + k <= node_cpus[0]
+    assert H >= min(num_shards, len(node_cpus), k)  # the frontier reaches every node
+    assert len(set(nodes[:H])) == min(H, len(node_cpus))
 
 
-def test_pool_sizes_unchanged_at_8_16_32_cpus(monkeypatch):
-    # 8 and 16 CPUs run 2 and 4 shard actors of 0.25 CPU (8 and 16 did
-    # when each of the 8 partitions was its own actor: 5 and 13 workers);
-    # 32 CPUs run 8, the one-partition-per-actor layout
+def test_pool_sizes_at_8_16_32_cpus(monkeypatch):
+    # every whole CPU but the driver's
     from siteone_crawler_ray.stages.worker import _worker_slots
 
-    for cpus, want in [(8, 6), (16, 14), (32, 29)]:
+    for cpus, want in [(8, 7), (16, 15), (32, 31)]:
         _fake_nodes(monkeypatch, [cpus])
-        assert _worker_slots(8) == want, cpus
+        assert _worker_slots() == want, cpus
 
 
 @pytest.mark.parametrize("node_cpus,want", [
@@ -140,9 +132,9 @@ def test_pool_sizes_unchanged_at_8_16_32_cpus(monkeypatch):
     ([64], 8),
 ])
 def test_shard_actor_count_per_cluster_shape(monkeypatch, node_cpus, want):
-    """One shard actor per four CPUs, at least one per node, at most one
-    per partition (8): a 4-CPU crawl runs one frontier process, 32 CPUs
-    keep one partition per actor."""
+    """One owner per four CPUs, at least one per node, at most one per
+    partition (8): a 4-CPU crawl keeps the frontier in one worker, 32
+    CPUs keep one partition per owner."""
     from siteone_crawler_ray.stages.frontier import shard_actor_count
 
     _fake_nodes(monkeypatch, node_cpus)
