@@ -114,8 +114,7 @@ def _run_crawl(sf_dir: str):
         shutil.rmtree(workdir)
     # multi-host corpus: allow all hosts via the reference's
     # --allowed-domain wildcard semantics (crawler.rs:1871-1880)
-    cfg = CrawlConfig(num_shards=8,
-                      allowed_domains_crawl=("*",), allowed_domains_static=("*",),
+    cfg = CrawlConfig(allowed_domains_crawl=("*",), allowed_domains_static=("*",),
                       max_visited_urls=10_000_000, max_queue_length=10_000_000)
     return EpochCrawler(path, seeds, robots, workdir, cfg).run()
 

@@ -315,7 +315,7 @@ def run_crawl_child(sf_dir: str, num_cpus: int, scale: bool = False) -> dict:
         workdir = f"/tmp/graft_scale_work_{num_cpus}"
         if os.path.exists(workdir):
             shutil.rmtree(workdir)
-        cfg = CrawlConfig(num_shards=8, allowed_domains_crawl=("*",),
+        cfg = CrawlConfig(allowed_domains_crawl=("*",),
                           allowed_domains_static=("*",),
                           max_visited_urls=10_000_000, max_queue_length=10_000_000)
         res = EpochCrawler(path, seeds, robots, workdir, cfg).run()
@@ -339,32 +339,33 @@ def run_crawl_child(sf_dir: str, num_cpus: int, scale: bool = False) -> dict:
     }
 
 
-def run_frontier_bench(num_shards: int = 8, total_keys: int = 4_000_000,
+def run_frontier_bench(num_owners: int | None = None, total_keys: int = 4_000_000,
                        batch: int = 100_000) -> dict:
-    """Frontier micro-benchmark for the 10^10-URL claim: feed the shard
-    pool `total_keys` synthetic url_keys in offer/contains rounds (each
-    key routed partition → owning actor, one call per actor) and report
-    ops/s + memory per key, then extrapolate per-node capacity."""
+    """Frontier micro-benchmark for the 10^10-URL claim: feed
+    ``num_owners`` frontier-only actors (default: as many as a crawl's
+    owners on this cluster) `total_keys` synthetic url_keys in
+    offer/contains rounds (each key routed to the owner of its key
+    range, one call per actor) and report ops/s + memory per key, then
+    extrapolate per-node capacity."""
     import numpy as np
 
     _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     from siteone_crawler_ray.stages.frontier import (
-        FrontierShardState, partition_bounds, partition_owner, shard_actor_count, shard_of)
+        FrontierShardState, key_bounds, shard_actor_count)
     import pyarrow as pa
     import ray
 
-    # frontier-only actors, as many as a crawl's owners, each one range
+    # frontier-only actors, each one key range; their filters grow
     Actor = ray.remote(num_cpus=1, scheduling_strategy="SPREAD")(FrontierShardState)
-    b = partition_bounds(num_shards, shard_actor_count(num_shards))
-    shards = [Actor.remote(range(lo, hi), total_keys // num_shards * 2)
-              for lo, hi in zip(b, b[1:])]
-    owner = partition_owner(num_shards, len(shards))
+    b = key_bounds(num_owners or shard_actor_count())
+    shards = [Actor.remote(lo, hi) for lo, hi in zip(b, b[1:])]
+    cuts = np.array(b[1:-1], dtype=np.uint64)
     rng = np.random.default_rng(11)
     t_offer = t_contains = 0.0
     n_rounds = total_keys // batch
     for r in range(n_rounds):
-        keys = rng.integers(0, 1 << 63, size=batch, dtype=np.uint64)
-        actor = owner[shard_of(keys, num_shards)]
+        keys = rng.integers(0, 1 << 64, size=batch, dtype=np.uint64)
+        actor = np.searchsorted(cuts, keys, side="right")
         t0 = time.perf_counter()
         refs = []
         for i, s in enumerate(shards):
@@ -387,14 +388,15 @@ def run_frontier_bench(num_shards: int = 8, total_keys: int = 4_000_000,
         ray.get([s.drain.remote() for s in shards])
         t_offer += time.perf_counter() - t0
     seen = sum(ray.get([s.seen_count.remote() for s in shards]))
-    # memory model: exact sorted uint64 (8 B) + cuckoo 16-bit fp × 4/0.7 ≈ 11.4 B/key
-    bytes_per_key = 8 + 16 / 8 / 0.7
+    # memory model: exact sorted uint64 (8 B) + cuckoo 16-bit fp × 4
+    # slots per 4 keys at the lowest load a doubling leaves (0.35):
+    # ≈ 13.7 B/key worst case
+    bytes_per_key = 8 + 16 / 8 / 0.35
     return {
         "metric": "frontier_ops_per_sec",
         "contains_ops_per_sec": round(total_keys / t_contains, 1),
         "offer_ops_per_sec": round(total_keys / t_offer, 1),
         "keys": int(seen),
-        "num_shards": num_shards,
         "num_actors": len(shards),
         "est_bytes_per_key": round(bytes_per_key, 1),
         "keys_per_128GiB_node": int(128 * 2**30 / bytes_per_key),

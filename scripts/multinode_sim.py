@@ -82,7 +82,7 @@ def run_nodeloss() -> dict:
     workdir = "/tmp/graft_multinode_work_nodeloss"
     if os.path.exists(workdir):
         shutil.rmtree(workdir)
-    cfg = CrawlConfig(num_shards=8, allowed_domains_crawl=("*",),
+    cfg = CrawlConfig(allowed_domains_crawl=("*",),
                       allowed_domains_static=("*",),
                       max_visited_urls=10_000_000, max_queue_length=10_000_000)
     crawler = EpochCrawler(path, seeds, robots, workdir, cfg)
@@ -190,7 +190,7 @@ def run_child(mode: str) -> dict:
     workdir = f"/tmp/graft_multinode_work_{mode}"
     if os.path.exists(workdir):
         shutil.rmtree(workdir)
-    cfg = CrawlConfig(num_shards=8, allowed_domains_crawl=("*",),
+    cfg = CrawlConfig(allowed_domains_crawl=("*",),
                       allowed_domains_static=("*",),
                       max_visited_urls=10_000_000, max_queue_length=10_000_000)
     crawler = EpochCrawler(path, seeds, robots, workdir, cfg)

@@ -106,7 +106,7 @@ def run_child(mode: str) -> dict:
     workdir = f"/tmp/graft_spill_work_{mode}"
     if os.path.exists(workdir):
         shutil.rmtree(workdir)
-    cfg = CrawlConfig(num_shards=8, allowed_domains_crawl=("*",),
+    cfg = CrawlConfig(allowed_domains_crawl=("*",),
                       allowed_domains_static=("*",),
                       max_visited_urls=10_000_000, max_queue_length=10_000_000)
     t0 = time.perf_counter()

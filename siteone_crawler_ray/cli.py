@@ -191,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Title(20),X-Cache,H1=xpath://h1/text()(40),...")
     # physical execution
     p.add_argument("--workers", type=int, default=None, help="fetch worker actors")
-    p.add_argument("--num-shards", type=int, default=8,
-                   help="frontier partitions (url_key %% N); held by the first "
-                        "crawl workers, one per four cluster CPUs")
     p.add_argument("--routing", choices=["bucket", "host"], default="bucket")
     p.add_argument("--resume", action="store_true", help="resume from checkpoints in workdir")
     p.add_argument("--num-cpus", type=int, default=None, help="ray.init num_cpus (local mode)")
@@ -592,7 +589,6 @@ def main(argv: list[str] | None = None, init_ray: bool = True) -> int:
         user_agent=args.user_agent,
         disable_files=args.disable_files,
         disable_fonts=args.disable_fonts,
-        num_shards=args.num_shards,
         fetch_concurrency=args.workers,
         routing=args.routing,
         storage_compression=args.result_storage_compression,

@@ -9,12 +9,12 @@ SURVEY.md §3.2:
     fused  = CrawlWorker.process_shared (stages/worker.py), one call per
              wave chunk: fetch → write visited parquet part (the
              checkpointed lineage) → explode_spans → candidate gauntlet
-             → candidates split by frontier partition.  Every wave fans
+             → candidates sorted by url_key.  Every wave fans
              out over the persistent worker actors created once per
              run: to the workers holding the corpus buckets it touches
              (bucket routing) or to the first K = clamp(ceil(sqrt(W/16)))
              workers (host routing)
-    ingest = every owner takes its own partition range of those parts:
+    ingest = every owner takes its own url_key range of those parts:
              skips first-wins, then admit (dedup first-wins by priority
              → shard contains → caps → offer)
 
@@ -32,18 +32,18 @@ counts aggregated per wave, blocklist broadcast to the next wave's
 gauntlet (deterministic refinement of the reference's racy counter —
 SURVEY.md §7.5).
 
-Frontier: ``num_shards`` partitions (``url_key % num_shards``) held by
-the first H = min(``stages/frontier.shard_actor_count``, pool size)
-crawl workers (the OWNERS, ``_shards``), each a contiguous partition
-range; the driver routes keys partition → owner and calls each owner
-once per step, never once per partition.  The crawl starts one actor
-pool, no other actor.
+Frontier: the first H = min(``stages/frontier.shard_actor_count``,
+pool size) crawl workers (the OWNERS, ``_shards``) each hold one
+contiguous url_key range (``stages/frontier.key_bounds``); the driver
+calls each owner once per step.  The crawl starts one actor pool, no
+other actor, and under bucket routing no more workers than the corpus
+has buckets (a worker past them would never receive a row).
 
 Checkpoint/resume: per-epoch manifests with per-owner seen deltas,
 pending queues, visited/skipped parquet and metric lineage; resume
 restores the latest complete epoch — with any owner count, since the
-files are named by partition range — and reproduces the uninterrupted
-run byte-for-byte (tested).
+files are named by key range — and reproduces the uninterrupted run
+byte-for-byte (tested).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from ..functions.hashing import uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
 from ..stages import frontier
-from ..stages.frontier import partition_bounds, partition_owner, shard_of
 from ..stages.worker import clamp_worker_count, make_crawl_workers
 from ..types import UrlSource
 
@@ -111,11 +110,7 @@ class CrawlConfig:
     # parquet codec for the visited-part writes (--result-storage-compression
     # analogue; "none" = uncompressed, README.md:562-565)
     storage_compression: str = "snappy"
-    # frontier partitions (url_key % num_shards), not processes: the
-    # first stages/frontier.shard_actor_count crawl workers hold them
-    num_shards: int = 8
     fetch_concurrency: int | None = None  # None → adaptive to cluster CPUs
-    filter_capacity: int = 1 << 20
 
     def fingerprint(self) -> str:
         from ..functions.hashing import xxh64
@@ -213,11 +208,10 @@ class EpochCrawler:
         self.basename_counts: dict[str, int] = {}
         self.metrics: dict = {"epochs": []}
         # the crawl worker pool; its first H workers (_shards) own the
-        # frontier partitions
+        # frontier's url_key ranges, split at _cuts
         self._workers: list = []
         self._shards: list = []
-        # partition → index into self._shards
-        self._owner = np.zeros(0, np.int64)
+        self._cuts = np.empty(0, np.uint64)
         self._blocklist: frozenset = frozenset()
         self._epoch_workers_used: list = []
         # fire-and-forget refs from the PREVIOUS epoch (fast-path ingest
@@ -230,20 +224,23 @@ class EpochCrawler:
 
     # -- shard plumbing -----------------------------------------------------
     def _make_shards(self):
-        """Start the worker pool; its first H workers own the frontier
-        partition ranges."""
+        """Start the worker pool; its first H workers own the frontier's
+        url_key ranges."""
         # clamp a user-requested pool to schedulable CPUs — an oversized
         # pool of 1-CPU actors would pend forever and deadlock the
         # warm-up ray.get (wizard Stress Test --workers=20 on a small box).
         # 0 (no whole CPU left) still builds one zero-CPU worker; unset,
         # the pool takes every whole CPU but the driver's, up to 64.
         k = clamp_worker_count(self.cfg.fetch_concurrency or 64)
-        H = min(frontier.shard_actor_count(self.cfg.num_shards), max(1, k))
-        b = partition_bounds(self.cfg.num_shards, H)
+        if self.cfg.routing == "bucket":
+            # bucket b runs on worker b % pool size: a worker past the
+            # bucket count would never receive a row
+            k = min(k, self.num_buckets)
+        H = min(frontier.shard_actor_count(), max(1, k))
+        b = frontier.key_bounds(H)
         self._workers = make_crawl_workers(
             k,
-            [range(lo, hi) for lo, hi in zip(b, b[1:])],
-            filter_capacity=self.cfg.filter_capacity,
+            b,
             corpus_path=self.corpus_path,
             gauntlet_kwargs=self._gauntlet_kwargs(),
             max_reqs_per_sec=self.cfg.max_reqs_per_sec,
@@ -253,7 +250,7 @@ class EpochCrawler:
             storage_compression=self.cfg.storage_compression,
         )
         self._shards = self._workers[:H]
-        self._owner = partition_owner(self.cfg.num_shards, H)
+        self._cuts = np.array(b[1:-1], dtype=np.uint64)
 
     def _shard_call(self, method: str, *args, per_shard: list[tuple] | None = None) -> list:
         """Call ``method`` on every owner and wait for the results: with
@@ -266,7 +263,7 @@ class EpochCrawler:
 
     def _rows_by_actor(self, keys: np.ndarray) -> list[np.ndarray]:
         """Row indices of ``keys`` per owner."""
-        a = self._owner[shard_of(keys, self.cfg.num_shards)]
+        a = np.searchsorted(self._cuts, np.asarray(keys, dtype=np.uint64), side="right")
         return [np.nonzero(a == j)[0] for j in range(len(self._shards))]
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
@@ -316,8 +313,8 @@ class EpochCrawler:
         drains flow as object refs into
         :meth:`FrontierShardState.assemble_wave` on owner 0, the
         workers the routing picks self-select rows from its output
-        object, and their per-partition candidate parts flow as refs
-        straight to the owners (each reads its own partition range from
+        object, and their key-sorted candidate parts flow as refs
+        straight to the owners (each reads its own key range from
         plasma, zero-copy).  The driver handles only scalars: W, the
         routing summary, candidate counts, basename counts, timings."""
         t0 = time.perf_counter()
@@ -374,7 +371,6 @@ class EpochCrawler:
         triplets = [
             w.process_shared.options(num_returns=3).remote(
                 wave, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
-                self.cfg.num_shards,
             )
             for i, w in zip(ids, workers)
         ]
@@ -401,7 +397,7 @@ class EpochCrawler:
                 "epoch": self.epoch - 1,
                 "wave": W,
                 # frontier-ops metric counts every gauntlet-emitted
-                # candidate (pre chunk-dedup): partition-invariant
+                # candidate (pre chunk-dedup): invariant under the pool size
                 "candidates": int(sum(t["cands_raw"] for t in timings)),
                 # gauntlet input rows judged per (href, base) pair in
                 # Python instead of by the column kernels
@@ -468,9 +464,9 @@ class EpochCrawler:
 
     def _ingest(self, parts: list, wave_size: int, n_ok: int) -> None:
         """Hand one wave's candidates to the frontier.  ``parts`` holds
-        one object ref per worker call — its candidates split by
-        frontier partition — and every owner reads only its own
-        partition range: skip records go to its first-wins skip set,
+        one object ref per worker call — its candidates sorted by
+        url_key — and every owner reads only its own key range: skip
+        records go to its first-wins skip set,
         ok-candidates to its two-phase admit.
 
         ``n_ok`` (Σ per-worker deduped ok counts) bounds the
@@ -560,11 +556,10 @@ class EpochCrawler:
 
     def _collect_skipped(self) -> pa.Table:
         """Skip records from the per-owner per-epoch checkpoint deltas
-        (small: one row per distinct skipped URL), in (epoch, partition)
-        order — within a partition in priority order, as each owner
-        wrote them — whatever the owner count that wrote each epoch.  At
-        10^10-URL scale consume them as a Dataset over the same glob
-        instead."""
+        (small: one row per distinct skipped URL) in discovery order:
+        epoch by epoch, each epoch's rows by priority, whatever the
+        owner count that wrote it.  At 10^10-URL scale consume them as
+        a Dataset over the same glob instead."""
         parts = []
         shards_root = os.path.join(self.workdir, "shards")
         epochs = os.listdir(shards_root) if os.path.isdir(shards_root) else []
@@ -574,8 +569,8 @@ class EpochCrawler:
                     for f in sorted(os.listdir(full)) if f.startswith("skips-")]
             if tabs:
                 t = pa.concat_tables(tabs)
-                p = shard_of(t["url_key"].to_numpy(zero_copy_only=False), self.cfg.num_shards)
-                parts.append(t.take(pa.array(np.argsort(p, kind="stable"))))
+                t = t.take(pc.sort_indices(t, sort_keys=[("priority", "ascending")]))
+                parts.append(t.drop(["priority"]))
         return pa.concat_tables(parts) if parts else _empty_skip_table()
 
     # -- checkpoint / resume -------------------------------------------------
@@ -652,9 +647,9 @@ class EpochCrawler:
         self._make_shards()
         # delta-chain restore: every epoch's seen delta up to e, in
         # order; each owner reads the range-named files overlapping its
-        # partitions, so the checkpoint may come from another owner count
+        # key range, so the checkpoint may come from another owner count
         sdirs = [os.path.join(self.workdir, "shards", f"epoch={i}") for i in range(e + 1)]
-        self._shard_call("restore", sdirs, self.cfg.num_shards)
+        self._shard_call("restore", sdirs)
         self.epoch = e + 1
         self.visited_count = manifest["visited_count"]
         self.basename_counts = dict(manifest["basename_counts"])

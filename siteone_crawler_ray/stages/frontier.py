@@ -1,32 +1,30 @@
 """Frontier shards — the distributed URL-seen set + sharded pending queue.
 
 The reference keeps queue ∪ visited in one in-process DashMap beside its
-workers (crawler.rs:96-103, 1219-1243).  Here the same state is split
-into ``num_shards`` logical PARTITIONS, ``url_key % num_shards`` (url_key
-= xxhash64 of the canonical URL), held by the first H crawl workers:
-``stages/worker.CrawlWorker`` is a :class:`FrontierShardState`, and
-worker j < H owns the contiguous partition range ``[lo_j, hi_j)``
-(:func:`partition_bounds`); H is one owner per four cluster CPUs, at
-least one per node (:func:`shard_actor_count`), never more than the
-pool.  Partitioning is only a way to scale out; on a 4-CPU box all 8
-default partitions live in worker 0, on 32 CPUs each of 8 owners holds
-one.  The frontier and the fetch/extract phases of an epoch never run
-at the same time, so they share the worker processes (as UbiCrawler
-and BUbiNG keep each hash range's frontier inside the agent that
-crawls it).  Each owner keeps
+workers (crawler.rs:96-103, 1219-1243).  Here the first H crawl workers
+(``stages/worker.CrawlWorker`` is a :class:`FrontierShardState`) each
+hold one contiguous range of url_key (xxhash64 of the canonical URL):
+owner j of H the keys ``[ceil(j·2^64/H), ceil((j+1)·2^64/H))``
+(:func:`key_bounds`).  H is one owner per four cluster CPUs, at least
+one per node (:func:`shard_actor_count`), never more than the pool.
+The frontier and the fetch/extract phases of an epoch never run at the
+same time, so they share the worker processes (as UbiCrawler and
+BUbiNG keep each hash range's frontier inside the agent that crawls
+it).  Each owner keeps
 
 - membership: cuckoo filter prefilter (bloom for shards flagged cold)
   + exact sorted-uint64 authority (state/filters.py) — filters are
   advisory because of false positives and non-idempotent inserts under
-  task retry; the exact set is what checkpoints,
+  task retry; the exact set is what checkpoints, and the filter grows
+  from it: :data:`FILTER_START` keys at first, rebuilt at ≥ 2× the size
+  before an add takes it past 0.7 load,
 - pending queue: list of Arrow tables of frontier entries
-  (priority-ordered at dispatch by the driver's wave sort),
+  (priority-ordered at dispatch by the driver's wave sort).
 
-one structure each for its whole range: none of them depends on the
-partition.  The partition matters only for routing (the workers split
-their candidates by partition, each owner slices its range) and for
-the checkpoint files, which are named by range so a resume with a
-different owner count reads them back.
+The range matters only for routing (workers sort their candidates by
+url_key, each owner slices its range by binary search) and for the
+checkpoint files, named by key range so a resume with a different
+owner count reads them back.
 
 All calls are batch-level (numpy arrays / Arrow tables in and out),
 never per-URL.
@@ -43,37 +41,54 @@ import pyarrow.parquet as pq
 
 from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
+KEY_SPACE = 1 << 64
+# keys a new owner's filter holds before its first rebuild
+FILTER_START = 1 << 10
+
+
+def key_bounds(num_owners: int) -> list[int]:
+    """Owner j holds url_keys ``[b[j], b[j + 1])``, ``b[j] =
+    ceil(j·2^64 / num_owners)``: contiguous, covering [0, 2^64), sizes
+    differing by at most one."""
+    return [-(-j * KEY_SPACE // num_owners) for j in range(num_owners + 1)]
+
+
+def key_span(sorted_keys: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Index span ``[a, b)`` of the keys in ``[lo, hi)`` within an
+    ascending uint64 array."""
+    if lo >= hi:
+        return 0, 0
+    return (int(np.searchsorted(sorted_keys, np.uint64(lo))),
+            int(np.searchsorted(sorted_keys, np.uint64(hi - 1), side="right")))
+
 
 class FrontierShardState:
-    """Plain shard state for the partitions ``partitions`` (a range, or
-    one partition index; an empty range holds nothing).  The crawl
-    workers inherit it (stages/worker.py::CrawlWorker).
-    ``filter_capacity`` is per partition."""
+    """Plain shard state for the url_keys ``[lo, hi)`` (an empty range
+    holds nothing).  The crawl workers inherit it
+    (stages/worker.py::CrawlWorker)."""
 
-    def __init__(self, partitions: range | int, filter_capacity: int = 1 << 20,
-                 cold: bool = False):
-        if isinstance(partitions, int):
-            partitions = range(partitions, partitions + 1)
-        self.lo, self.hi = partitions.start, partitions.stop
-        self.filter_capacity = filter_capacity * len(partitions)
+    def __init__(self, lo: int = 0, hi: int = KEY_SPACE, cold: bool = False):
+        self.lo, self.hi = lo, hi
         self.cold = cold
-        self.filter = self._new_filter()
         self.exact = ExactSeenSet()
+        self._rebuild_filter()
         self.pending: list[pa.Table] = []
         # keys admitted since the last checkpoint — checkpoints are
         # per-epoch DELTAS (O(wave), not O(total-seen); a full snapshot
         # of a 10^10-key seen set every wave would dominate the crawl)
         self._delta: list[np.ndarray] = []
         # skip records: first-wins dedup lives HERE (same key → same
-        # partition → same owner), so the driver never holds the
-        # O(total-skips) set
+        # owner), so the driver never holds the O(total-skips) set
         # (crawler.rs:1093-1124 skipped.contains_key semantics)
         self._skip_seen = ExactSeenSet()
         self._skip_parts: list[pa.Table] = []
 
-    def _new_filter(self):
-        return (BloomFilter(self.filter_capacity) if self.cold
-                else CuckooFilter(self.filter_capacity))
+    def _rebuild_filter(self) -> None:
+        """A filter sized for the exact set's keys, filled from it."""
+        n = max(FILTER_START, len(self.exact))
+        self.filter = BloomFilter(n) if self.cold else CuckooFilter(n)
+        if len(self.exact):
+            self.filter.add_batch(self.exact.snapshot())
 
     # -- membership ---------------------------------------------------------
     def contains(self, keys: np.ndarray) -> np.ndarray:
@@ -87,8 +102,11 @@ class FrontierShardState:
 
     def add_seen(self, keys: np.ndarray) -> None:
         keys = np.asarray(keys, dtype=np.uint64)
-        self.filter.add_batch(keys)
         self.exact.add_batch(keys)
+        if self.filter.count + len(keys) > self.filter.capacity:
+            self._rebuild_filter()  # past 0.7 load: ≥ 2× the size
+        else:
+            self.filter.add_batch(keys)
 
     def seen_count(self) -> int:
         return len(self.exact)
@@ -105,7 +123,9 @@ class FrontierShardState:
         self.pending.append(entries)
         return entries.num_rows
 
-    SKIP_COLS = ["url", "url_key", "reason", "source_uq_id", "source_attr"]
+    # priority rides along so the run's skipped rows come back in
+    # discovery order (pipelines/crawl.py::EpochCrawler._collect_skipped)
+    SKIP_COLS = ["url", "url_key", "reason", "source_uq_id", "source_attr", "priority"]
 
     def record_skips(self, sk: pa.Table) -> int:
         """First-wins (priority order) dedup of this actor's skip
@@ -207,19 +227,22 @@ class FrontierShardState:
     # -- part-based variants: the driver fans the SAME candidate parts
     # (object refs — plasma shared-memory reads, no driver copy) to
     # every owner; each takes its own slice here
-    def _partition_of(self, parts, tag: str) -> pa.Table | None:
-        """This actor's ``tag`` rows of the workers' candidate parts.
-        Each part is (candidates sorted by partition, per-partition
-        offsets) — stages/worker.py::_split_by_shard — so the actor's
-        contiguous range is ONE slice ``offs[lo]:offs[hi]`` instead of a
-        re-scan of all candidates; a worker without candidates sends
+    def _own_slice(self, parts, tag: str) -> pa.Table | None:
+        """This owner's ``tag`` rows of the workers' candidate parts.
+        Each part is a candidate table sorted by url_key
+        (stages/worker.py::CrawlWorker.process_shared), so the owner's
+        key range is ONE slice found by two binary searches instead of
+        a re-scan of all candidates; a worker without candidates sends
         None."""
         import pyarrow.compute as pc
 
-        lo, hi = self.lo, self.hi
-        mine = [t.slice(offs[lo], offs[hi] - offs[lo]) for t, offs in
-                (p for p in parts if p is not None)]
-        mine = [t for t in mine if t.num_rows]
+        mine = []
+        for t in parts:
+            if t is None:
+                continue
+            a, b = key_span(t["url_key"].to_numpy(), self.lo, self.hi)
+            if b > a:
+                mine.append(t.slice(a, b - a))
         if not mine:
             return None
         t = pa.concat_tables(mine)
@@ -227,14 +250,14 @@ class FrontierShardState:
         return t if t.num_rows else None
 
     def admit_direct_parts(self, *parts) -> int:
-        sub = self._partition_of(parts, "ok")
+        sub = self._own_slice(parts, "ok")
         if sub is None:
             self._stash = None
             return 0
         return self.admit_direct(sub)
 
     def try_admit_parts(self, *parts) -> int:
-        sub = self._partition_of(parts, "ok")
+        sub = self._own_slice(parts, "ok")
         if sub is None:
             self._stash = None
             return 0
@@ -248,7 +271,7 @@ class FrontierShardState:
         return self.admit_direct_parts(*parts)
 
     def record_skips_parts(self, *parts) -> int:
-        sub = self._partition_of(parts, "skip")
+        sub = self._own_slice(parts, "skip")
         if sub is None:
             return 0
         return self.record_skips(sub)
@@ -274,12 +297,12 @@ class FrontierShardState:
 
     # -- checkpoint ---------------------------------------------------------
     def _ckpt_path(self, directory: str, kind: str) -> str:
-        return os.path.join(directory, f"{kind}-{self.lo:03d}-{self.hi:03d}.parquet")
+        return os.path.join(directory, f"{kind}-{self.lo:020d}-{self.hi:020d}.parquet")
 
     def checkpoint(self, directory: str) -> dict:
         """Write the seen-key DELTA since the previous checkpoint plus
         the current pending queue (pending is O(wave)), one file per
-        kind named by this actor's partition range."""
+        kind named by this actor's key range."""
         os.makedirs(directory, exist_ok=True)
         delta = (
             np.concatenate(self._delta) if self._delta else np.empty(0, np.uint64)
@@ -297,7 +320,7 @@ class FrontierShardState:
             pq.write_table(skips, self._ckpt_path(directory, "skips"))
         self._skip_parts = []
         return {
-            "partitions": [self.lo, self.hi],
+            "keys": [self.lo, self.hi],
             "seen": int(self.seen_count()),
             "delta": int(len(delta)),
             "pending": int(pend.num_rows) if pend is not None else 0,
@@ -305,11 +328,11 @@ class FrontierShardState:
             "filter": "bloom" if self.cold else "cuckoo",
         }
 
-    def _own_rows(self, directory: str, kind: str, num_shards: int,
+    def _own_rows(self, directory: str, kind: str,
                   columns: list[str] | None = None) -> list[pa.Table]:
         """This actor's rows of every ``kind`` checkpoint file in
-        ``directory`` whose partition range overlaps its own — the
-        writer may have had a different actor count."""
+        ``directory`` whose key range overlaps its own — the writer may
+        have had a different owner count."""
         out = []
         if not os.path.isdir(directory):
             return out
@@ -319,49 +342,44 @@ class FrontierShardState:
                 continue
             t = pq.read_table(os.path.join(directory, f), columns=columns)
             if lo < self.lo or hi > self.hi:
-                p = shard_of(t["url_key"].to_numpy(zero_copy_only=False), num_shards)
-                t = t.filter(pa.array((p >= self.lo) & (p < self.hi)))
+                t = t.sort_by("url_key")
+                a, b = key_span(t["url_key"].to_numpy(), self.lo, self.hi)
+                t = t.slice(a, b - a)
             out.append(t)
         return out
 
-    def restore(self, directories: list[str] | str, num_shards: int) -> None:
+    def restore(self, directories: list[str] | str) -> None:
         """Rebuild from the delta chain: every checkpoint dir up to and
         including the resume epoch, in epoch order; pending comes only
-        from the final one."""
+        from the final one.  The filter is sized for the restored keys."""
         if isinstance(directories, str):
             directories = [directories]
         deltas = [t["url_key"].to_numpy() for d in directories
-                  for t in self._own_rows(d, "seen-delta", num_shards)]
-        keys = np.concatenate(deltas) if deltas else np.empty(0, np.uint64)
-        self.exact = ExactSeenSet(keys)
-        self.filter = self._new_filter()
-        base = self.exact.base
-        if len(base):
-            self.filter.add_batch(base)
+                  for t in self._own_rows(d, "seen-delta")]
+        self.exact = ExactSeenSet(np.concatenate(deltas) if deltas else None)
+        self._rebuild_filter()
         self._delta = []
-        self.pending = self._own_rows(directories[-1], "pending", num_shards)
+        self.pending = self._own_rows(directories[-1], "pending")
         # skip-dedup authority rebuilds from the skip-delta chain (keys only)
         self._skip_seen = ExactSeenSet()
         self._skip_parts = []
         skip_keys = [t["url_key"].to_numpy() for d in directories
-                     for t in self._own_rows(d, "skips", num_shards, columns=["url_key"])]
+                     for t in self._own_rows(d, "skips", columns=["url_key"])]
         if skip_keys:
             self._skip_seen.add_batch(np.concatenate(skip_keys).astype(np.uint64))
 
 
-_CKPT_NAME = re.compile(r"(seen-delta|pending|skips)-(\d+)(?:-(\d+))?\.parquet")
+_CKPT_NAME = re.compile(r"(seen-delta|pending|skips)-(\d+)-(\d+)\.parquet")
 
 
 def parse_ckpt_name(name: str) -> tuple[str, int, int]:
-    """``kind-LO-HI.parquet`` → (kind, lo, hi); a one-index name
-    ``kind-I.parquet`` (one actor per partition) is the range [I, I+1).
-    Any other name raises: a checkpoint file restore cannot place
-    would silently drop seen keys."""
+    """``kind-LO-HI.parquet`` → (kind, lo, hi), the url_key range
+    [lo, hi) its writer owned.  Any other name raises: a checkpoint
+    file restore cannot place would silently drop seen keys."""
     m = _CKPT_NAME.fullmatch(name)
     if m is None:
         raise ValueError(f"unrecognised frontier checkpoint file: {name!r}")
-    lo = int(m.group(2))
-    return m.group(1), lo, int(m.group(3)) if m.group(3) is not None else lo + 1
+    return m.group(1), int(m.group(2)), int(m.group(3))
 
 
 def node_cpus() -> list[int]:
@@ -373,27 +391,10 @@ def node_cpus() -> list[int]:
     return [c for c in cpus if c > 0] or [4]
 
 
-def shard_actor_count(num_shards: int) -> int:
-    """H, the number of crawl workers owning the ``num_shards``
-    partitions (the crawl takes at most its pool size): one per four
-    cluster CPUs, at least one per node so SPREAD puts the frontier on
-    every node, never more than the partitions.  4 CPUs → 1, 2×2 CPUs
-    → 2, 32 CPUs or 4×8 → 8 (one partition each)."""
+def shard_actor_count() -> int:
+    """H, the number of crawl workers owning a url_key range (the
+    crawl takes at most its pool size): one per four cluster CPUs, at
+    least one per node so SPREAD puts the frontier on every node.
+    4 CPUs → 1, 2×2 CPUs → 2, 32 CPUs or 4×8 → 8, 64 CPUs → 16."""
     cpus = node_cpus()
-    return min(num_shards, max(len(cpus), sum(cpus) // 4))
-
-
-def partition_bounds(num_shards: int, num_actors: int) -> list[int]:
-    """Owner j holds partitions ``[b[j], b[j + 1])`` — contiguous and
-    balanced (sizes differ by at most one)."""
-    return [j * num_shards // num_actors for j in range(num_actors + 1)]
-
-
-def partition_owner(num_shards: int, num_actors: int) -> np.ndarray:
-    """Partition → index of the owner that holds it."""
-    return np.repeat(np.arange(num_actors),
-                     np.diff(partition_bounds(num_shards, num_actors)))
-
-
-def shard_of(keys: np.ndarray, num_shards: int) -> np.ndarray:
-    return (np.asarray(keys, dtype=np.uint64) % np.uint64(num_shards)).astype(np.int32)
+    return max(len(cpus), sum(cpus) // 4)

@@ -5,8 +5,8 @@ reference engine computes nothing comparable, this extends SURVEY §2.11
 like the dedup/sampling families).
 
 Scale shape: edges are partitioned ONCE by ``src mod P`` (dense int
-node ids; the same alignment rule as frontier.shard_of) with each input
-block split remotely — rows move once at setup.  The rank vector lives
+node ids) with each input block split remotely — rows move once at
+setup.  The rank vector lives
 partitioned by the SAME rule, so each iteration's contribution pass is
 partition-local (rank lookup is ``(src - p) // P`` indexing, no search)
 and only sparse ``(dst, partial-sum)`` pairs cross the wire — one

@@ -1,5 +1,5 @@
 """Persistent crawl workers — fetch + span-explode + gauntlet fused,
-and the frontier partitions beside them.
+and the frontier key ranges beside them.
 
 The epoch loop re-enters the same stages every BFS wave; building a
 fresh Ray Data actor pool per stage per wave pays actor-startup and
@@ -11,7 +11,7 @@ Dataset API cannot express today (pools die with each execution).
 
 The pool is the crawl's only actor pool: :class:`CrawlWorker` is a
 :class:`~.frontier.FrontierShardState`, and the first H workers own
-the frontier partition ranges (the rest own an empty range).  Inside
+the frontier's url_key ranges (the rest own an empty range).  Inside
 an epoch drain → assemble → workers → ingest → checkpoint run one
 after another, so the frontier never competes with the fetch/extract
 work for the workers' CPUs.
@@ -22,12 +22,12 @@ Each ``process_shared`` call handles one wave chunk end-to-end:
     → fetch (corpus lookup, politeness buckets)    stages/fetch.py
     → write its visited parquet part               (deterministic name
       per (epoch, chunk) → idempotent under re-execution; the file IS
-      the per-partition lineage the checkpoint manifest records)
+      the per-chunk lineage the checkpoint manifest records)
     → explode spans → candidate gauntlet           stages/extract.py
-    → return the candidates split by frontier partition + non-200 URLs
+    → return the candidates sorted by url_key + non-200 URLs
 
 The driver never fetches or extracts.  The candidate parts go to the
-owners, each of which reads only its own partition range; the driver
+owners, each of which slices only its own key range; the driver
 gets the non-200 URL lists and timings.  Page bodies/spans stay in the
 parquet partition.  The basename blocklist is re-broadcast only when
 it changes (rare).
@@ -44,18 +44,18 @@ import pyarrow.parquet as pq
 
 from .extract import CandidateGauntlet, explode_spans
 from .fetch import FetchStage
-from .frontier import FrontierShardState, node_cpus, shard_of
+from .frontier import FrontierShardState, node_cpus
 
 EXTRACT_COLUMNS = ["doc_id", "spans", "wavepos", "depth", "uq_id"]
 
 
 class CrawlWorker(FrontierShardState):
     """One fused fetch→extract→gauntlet pipeline instance, run as a
-    Ray actor (:func:`make_crawl_workers`), holding the frontier
-    partitions ``partitions`` (empty for a worker that owns none).
+    Ray actor (:func:`make_crawl_workers`), holding the frontier's
+    url_keys ``[lo, hi)`` (empty for a worker that owns none).
 
     Every wave goes through :meth:`process_shared` on the workers its
-    routing picks.  Each returns its per-partition candidate parts and
+    routing picks.  Each returns its candidates sorted by url_key and
     a timing dict; the driver hands the parts to the owners
     unchanged."""
 
@@ -66,10 +66,10 @@ class CrawlWorker(FrontierShardState):
         max_reqs_per_sec: float | None = None,
         budget_split: int = 1,
         storage_compression: str = "snappy",
-        partitions: range = range(0),
-        filter_capacity: int = 1 << 20,
+        lo: int = 0,
+        hi: int = 0,
     ):
-        super().__init__(partitions, filter_capacity)
+        super().__init__(lo, hi)
         # parquet codec for visited parts ("none" → uncompressed)
         self.storage_compression = (
             None if storage_compression == "none" else storage_compression
@@ -121,8 +121,7 @@ class CrawlWorker(FrontierShardState):
         vdir: str,
         routing: str,
         salt_map: dict | None,
-        num_shards: int,
-    ) -> tuple[tuple[pa.Table, list[int]] | None, list[str], dict]:
+    ) -> tuple[pa.Table | None, list[str], dict]:
         """Self-selection from the shared wave table.
 
         The wave is ONE object (owner 0's assemble_wave output,
@@ -164,12 +163,14 @@ class CrawlWorker(FrontierShardState):
         cands, non200, timing = self.process(chunk, vdir, worker_id)
         timing["t_enter"] = t_enter
         timing["t_exit"] = time.time()
-        # pre-partition by frontier partition HERE (29-way parallel) so
-        # each owner later slices only its own partition range instead
-        # of every owner re-scanning the full candidate set (H×
-        # duplicated work — the big-wave frontier bottleneck)
-        parts = _split_by_shard(cands, num_shards) if cands is not None and cands.num_rows else None
-        return parts, non200, timing
+        # sort by url_key HERE, in parallel, so each owner slices its
+        # key range instead of re-scanning every candidate.  One table
+        # serializes cheaper than H slices of it: 300 candidates took
+        # 1.7 ms whole and 6.9 ms as 8 slices (4-vCPU x86 VM).
+        if cands is None or not cands.num_rows:
+            return None, non200, timing
+        cands = cands.take(pc.sort_indices(cands, sort_keys=[("url_key", "ascending")]))
+        return cands, non200, timing
 
     def process(
         self, chunk: pa.Table, vdir: str, part: int
@@ -230,20 +231,6 @@ class CrawlWorker(FrontierShardState):
         return cands, non200, timing
 
 
-def _split_by_shard(cands: pa.Table, num_shards: int) -> tuple[pa.Table, list[int]]:
-    """Partition a candidate table by frontier partition (``url_key %
-    num_shards``): the rows sorted by partition (one stable argsort)
-    plus num_shards + 1 offsets; partition i's rows are
-    [offs[i], offs[i+1]), so an owner's contiguous range is one slice.
-    One table serializes cheaper than num_shards slices of it: putting
-    300 candidates into the Ray object store took 1.7 ms this way and
-    6.9 ms as 8 slices (4-vCPU x86 VM)."""
-    sh = shard_of(cands["url_key"].to_numpy(zero_copy_only=False), num_shards)
-    order = np.argsort(sh, kind="stable")
-    offs = np.concatenate([[0], np.cumsum(np.bincount(sh, minlength=num_shards))])
-    return cands.take(pa.array(order)), offs.tolist()
-
-
 def _chunk_dedup(cands: pa.Table) -> pa.Table:
     """Within-chunk first-wins dedup per (tag, url_key), min priority.
 
@@ -264,11 +251,12 @@ def _chunk_dedup(cands: pa.Table) -> pa.Table:
     return cands.take(pa.array(keep)) if len(keep) != m else cands
 
 
-def make_crawl_workers(num_workers: int, ranges: list[range], **kwargs):
+def make_crawl_workers(num_workers: int, bounds: list[int], **kwargs):
     """Create ``num_workers`` 1-CPU crawl worker actors, SPREAD over
-    the nodes so the owners — worker j holds ``ranges[j]``, workers
-    past ``len(ranges)`` hold none — reach every node.  The caller
-    sizes the pool with :func:`clamp_worker_count` first: the
+    the nodes so the owners — worker j holds the url_keys
+    ``[bounds[j], bounds[j + 1])``, workers past ``len(bounds) - 1``
+    hold none — reach every node.  The caller sizes the pool with
+    :func:`clamp_worker_count` first: the
     reference's workers are I/O tasks that oversubscribe freely
     (crawler.rs worker loop), ours are CPU-pinned actors, and a pool
     larger than the cluster would pend forever.  0 (no whole CPU left
@@ -278,8 +266,9 @@ def make_crawl_workers(num_workers: int, ranges: list[range], **kwargs):
 
     Actor = ray.remote(num_cpus=1 if num_workers else 0,
                        scheduling_strategy="SPREAD")(CrawlWorker)
-    return [Actor.remote(partitions=ranges[j] if j < len(ranges) else range(0), **kwargs)
-            for j in range(max(1, num_workers))]
+    owned = list(zip(bounds, bounds[1:]))
+    owned += [(0, 0)] * (max(1, num_workers) - len(owned))
+    return [Actor.remote(lo=lo, hi=hi, **kwargs) for lo, hi in owned]
 
 
 def _worker_slots() -> int:

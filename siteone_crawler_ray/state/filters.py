@@ -11,7 +11,8 @@ fallback for cold shards.  Each frontier owner (stages/frontier.py) holds:
   would wrongly drop never-seen URLs, and (b) cuckoo inserts are not
   idempotent under Ray task re-execution (SURVEY.md §7.5).  The exact
   set is what gets checkpointed (a sorted uint64 key array per shard in
-  parquet) and rebuilt on resume; filters are reconstructed from it.
+  parquet) and rebuilt on resume; filters are rebuilt from it, also at
+  twice the size when an add would take them past their ``capacity``.
 
 All batch operations take/return numpy uint64 arrays — no per-row
 Python on the lookup path.  Only cuckoo *insertion* walks items in
@@ -24,6 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 _FP_MULT = np.uint64(0x5BD1E995)
+
+
+def _remix(keys: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer: every output bit depends on every key bit."""
+    z = keys.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
 
 def _next_pow2(n: int) -> int:
@@ -41,18 +51,20 @@ class CuckooFilter:
     bucket = ``i ^ H(fp)``.  ~98% load capacity in theory; sized at 0.7
     target load.  False-positive rate ≈ 2·4/2^16 ≈ 1.2e-4.
 
-    Key bits: the fingerprint is bits 48-63 and the primary bucket bits
-    16-47, so neither reuses the low bits the frontier partitioner
-    (``url_key % num_shards``) fixes for every key on one partition —
-    a primary index taken from them used 1/8 of the buckets at 8
-    partitions (5× the false positives of uniform keys).
+    Key bits: fingerprint and primary bucket come from a splitmix64
+    remix of the key.  A frontier owner's keys share their high bits
+    (one contiguous url_key range); raw fingerprint bits 48-63 with the
+    top 3 bits fixed gave 7× the false positives of uniform keys.
+    ``capacity`` is the key count the table holds at 0.7 load.
     """
 
     SLOTS = 4
     MAX_KICKS = 500
 
     def __init__(self, capacity: int, rng_seed: int = 0):
-        self.nbuckets = min(_next_pow2(max(8, int(capacity / (self.SLOTS * 0.7)))), 1 << 32)
+        need = int(np.ceil(capacity / (self.SLOTS * 0.7)))  # buckets at 0.7 load
+        self.nbuckets = min(_next_pow2(max(8, need)), 1 << 32)
+        self.capacity = int(self.nbuckets * self.SLOTS * 0.7)
         self._mask = np.uint64(self.nbuckets - 1)
         self.table = np.zeros((self.nbuckets, self.SLOTS), dtype=np.uint16)
         self._rng = np.random.default_rng(rng_seed)
@@ -62,13 +74,13 @@ class CuckooFilter:
         # not the inserted key, is what must stay findable
         self.spill: set[tuple[int, int]] = set()
 
-    def _fp(self, keys: np.ndarray) -> np.ndarray:
-        fp = (keys >> np.uint64(48)).astype(np.uint16)
+    def _fp_i1(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fingerprint, primary bucket) per key: bits 48-63 and the low
+        bits of the remixed key."""
+        h = _remix(keys)
+        fp = (h >> np.uint64(48)).astype(np.uint16)
         fp[fp == 0] = 1
-        return fp
-
-    def _i1(self, keys: np.ndarray) -> np.ndarray:
-        return ((keys >> np.uint64(16)) & self._mask).astype(np.int64)
+        return fp, (h & self._mask).astype(np.int64)
 
     def _alt(self, i: np.ndarray, fp: np.ndarray) -> np.ndarray:
         h = (fp.astype(np.uint64) * _FP_MULT) & self._mask
@@ -78,8 +90,7 @@ class CuckooFilter:
         """Vectorized 'maybe present' test → bool array."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        fp = self._fp(keys)
-        i1 = self._i1(keys)
+        fp, i1 = self._fp_i1(keys)
         i2 = self._alt(i1, fp)
         hit = (self.table[i1] == fp[:, None]).any(axis=1)
         hit |= (self.table[i2] == fp[:, None]).any(axis=1)
@@ -97,8 +108,7 @@ class CuckooFilter:
         Python only for the rare eviction chains."""
         if len(keys) == 0:
             return
-        fp_all = self._fp(keys)
-        i1_all = self._i1(keys)
+        fp_all, i1_all = self._fp_i1(keys)
         i2_all = self._alt(i1_all, fp_all)
         table = self.table
         pending = np.arange(len(keys))
@@ -124,8 +134,7 @@ class CuckooFilter:
         self._add_slow(keys[pending])
 
     def _add_slow(self, keys: np.ndarray) -> None:
-        fp_arr = self._fp(keys)
-        i1_arr = self._i1(keys)
+        fp_arr, i1_arr = self._fp_i1(keys)
         table = self.table
         for j in range(len(keys)):
             fp = fp_arr[j]
@@ -169,6 +178,8 @@ class BloomFilter:
     handful of numpy passes."""
 
     def __init__(self, capacity: int, fp_rate: float = 1e-4):
+        self.capacity = capacity
+        self.count = 0
         nbits = _next_pow2(max(64, int(-capacity * np.log(fp_rate) / (np.log(2) ** 2))))
         self.nbits = nbits
         self._mask = np.uint64(nbits - 1)
@@ -183,6 +194,7 @@ class BloomFilter:
         return h & self._mask
 
     def add_batch(self, keys: np.ndarray) -> None:
+        self.count += len(keys)
         with np.errstate(over="ignore"):
             for i in range(self.k):
                 pos = self._probes(keys, i)

@@ -89,7 +89,7 @@ def _crawl_visited(tmp_path, seed=23, hosts=2, pages=200):
     write_corpus(tabs["documents"], cp, num_buckets=4)
     robots = dict(zip(tabs["robots"]["host"].to_pylist(),
                       tabs["robots"]["body"].to_pylist()))
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     res = EpochCrawler(cp, tabs["seeds"]["url"].to_pylist(), robots,
                        os.path.join(str(tmp_path), "w"), cfg).run()
     return res.visited_table(columns=[

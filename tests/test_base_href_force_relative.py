@@ -110,7 +110,7 @@ def test_engine_oracle_parity_with_force_relative(tmp_path, ray_session):
     write_corpus(tabs["documents"], cp, num_buckets=4)
     robots = dict(zip(tabs["robots"]["host"].to_pylist(), tabs["robots"]["body"].to_pylist()))
     seeds = tabs["seeds"]["url"].to_pylist()
-    cfg = CrawlConfig(num_shards=4, force_relative_urls=True)
+    cfg = CrawlConfig(force_relative_urls=True)
     res = EpochCrawler(cp, seeds, robots, str(tmp_path / "work"), cfg).run()
     orc = run_oracle(tabs["documents"], seeds, robots, cfg)
     assert res.visited_table(columns=["url"])["url"].to_pylist() == [

@@ -50,7 +50,7 @@ def _run_engine(tmp, tabs, cfg, num_buckets=4):
 
 def test_tiny_single_host_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=7, hosts=1, total_pages=50, out_degree=4)
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert res.metrics["visited"] > 10
@@ -58,7 +58,7 @@ def test_tiny_single_host_parity(tmp_workdir):
 
 def test_small_multi_host_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=500, out_degree=6)
-    cfg = CrawlConfig(num_shards=4)
+    cfg = CrawlConfig()
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     oracle = run_oracle(tabs["documents"], seeds, robots, cfg)
     _assert_parity(res, oracle)
@@ -70,10 +70,10 @@ def test_small_multi_host_parity(tmp_workdir):
 def test_limits_truncate_identically(tmp_workdir):
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
     for cfg in [
-        CrawlConfig(num_shards=2, max_visited_urls=40),
-        CrawlConfig(num_shards=2, max_queue_length=15),
-        CrawlConfig(num_shards=2, max_depth=2),
-        CrawlConfig(num_shards=2, max_url_length=60),
+        CrawlConfig(max_visited_urls=40),
+        CrawlConfig(max_queue_length=15),
+        CrawlConfig(max_depth=2),
+        CrawlConfig(max_url_length=60),
     ]:
         res, (seeds, robots) = _run_engine(
             os.path.join(tmp_workdir, f"lim{cfg.max_visited_urls}-{cfg.max_queue_length}-{cfg.max_depth}-{cfg.max_url_length}"),
@@ -85,7 +85,7 @@ def test_limits_truncate_identically(tmp_workdir):
 
 def test_query_param_filtering_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=13, hosts=2, total_pages=200, out_degree=5)
-    cfg = CrawlConfig(num_shards=2, remove_query_params=True)
+    cfg = CrawlConfig(remove_query_params=True)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
 
@@ -96,17 +96,17 @@ def test_disable_assets_and_regex_only_pages_parity(tmp_workdir):
     (crawler.rs:1316-1318: static files bypass include/ignore) must
     truncate identically in engine and oracle."""
     tabs = make_graph_corpus(seed=17, hosts=2, total_pages=300, out_degree=5)
-    base_cfg = CrawlConfig(num_shards=2)
+    base_cfg = CrawlConfig()
     base, (seeds, robots) = _run_engine(os.path.join(tmp_workdir, "base"), tabs, base_cfg)
 
-    cfg = CrawlConfig(num_shards=2,
+    cfg = CrawlConfig(
                       disabled_span_kinds=("img", "script", "css", "media"))
     res, _ = _run_engine(os.path.join(tmp_workdir, "noassets"), tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert res.metrics["visited"] < base.metrics["visited"], \
         "disabling every asset kind must shrink the crawl"
 
-    cfg2 = CrawlConfig(num_shards=2,
+    cfg2 = CrawlConfig(
                        ignore_regex=(r"\.(js|png|css)$", r"/p/00"),
                        regex_filtering_only_for_pages=True)
     res2, _ = _run_engine(os.path.join(tmp_workdir, "regexpages"), tabs, cfg2)
@@ -130,7 +130,7 @@ def test_single_page_and_single_foreign_page_parity(tmp_workdir):
     tabs = make_graph_corpus(seed=23, hosts=3, total_pages=300, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
 
-    sp_cfg = CrawlConfig(num_shards=2, single_page=True)
+    sp_cfg = CrawlConfig(single_page=True)
     res = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "sp"), sp_cfg).run()
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, sp_cfg))
     # only the seed page + its direct assets: nothing at depth 2+, and no
@@ -143,11 +143,11 @@ def test_single_page_and_single_foreign_page_parity(tmp_workdir):
                  if ct == ContentType.HTML]
     assert html_rows == [u for u in html_rows if u in seeds] or len(html_rows) <= len(seeds) + 1
 
-    sf_cfg = CrawlConfig(num_shards=2, single_foreign_page=True,
+    sf_cfg = CrawlConfig(single_foreign_page=True,
                          allowed_domains_crawl=("*",))
     res2 = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "sf"), sf_cfg).run()
     _assert_parity(res2, run_oracle(tabs["documents"], seeds, robots, sf_cfg))
-    full_cfg = CrawlConfig(num_shards=2, allowed_domains_crawl=("*",))
+    full_cfg = CrawlConfig(allowed_domains_crawl=("*",))
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), full_cfg).run()
     # foreign pages are reachable but never expand → strictly fewer visits
     assert 0 < res2.metrics["visited"] < full.metrics["visited"]
@@ -186,7 +186,7 @@ def test_sitemap_only_mode_parity(tmp_workdir):
     seeds = ["https://a.test/sitemap.xml"]
     cp = os.path.join(tmp_workdir, "corpus")
     write_corpus(docs, cp, num_buckets=2)
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     res = EpochCrawler(cp, seeds, {}, os.path.join(tmp_workdir, "work"), cfg).run()
     _assert_parity(res, run_oracle(docs, seeds, {}, cfg))
     urls = set(res.visited_table(columns=["url"])["url"].to_pylist())
@@ -241,14 +241,14 @@ def test_disable_files_and_fonts_parity(tmp_workdir):
     cp = os.path.join(tmp_workdir, "corpus")
     write_corpus(docs, cp, num_buckets=2)
 
-    base_cfg = CrawlConfig(num_shards=2)
+    base_cfg = CrawlConfig()
     base = EpochCrawler(cp, seeds, {}, os.path.join(tmp_workdir, "base"), base_cfg).run()
     _assert_parity(base, run_oracle(docs, seeds, {}, base_cfg))
     base_urls = set(base.visited_table(columns=["url"])["url"].to_pylist())
     assert {"https://a.test/doc.pdf", "https://a.test/f.woff2",
             "https://a.test/page.html"} <= base_urls
 
-    cfg = CrawlConfig(num_shards=2, disable_files=True, disable_fonts=True)
+    cfg = CrawlConfig(disable_files=True, disable_fonts=True)
     res = EpochCrawler(cp, seeds, {}, os.path.join(tmp_workdir, "gated"), cfg).run()
     _assert_parity(res, run_oracle(docs, seeds, {}, cfg))
     urls = set(res.visited_table(columns=["url"])["url"].to_pylist())
@@ -287,7 +287,7 @@ def test_single_foreign_page_gates_before_dedup(tmp_workdir):
         schema=DOCUMENTS_SCHEMA,
     )
     seeds = ["https://a.test/p/00000"]
-    cfg = CrawlConfig(num_shards=2, single_foreign_page=True,
+    cfg = CrawlConfig(single_foreign_page=True,
                       allowed_domains_crawl=("*",))
     cp = os.path.join(tmp_workdir, "corpus")
     write_corpus(docs, cp, num_buckets=2)
@@ -301,7 +301,7 @@ def test_span_sequence_equality(tmp_workdir):
     """Per-row invariant from BASELINE.json input_hint: output spans must
     equal corpus spans in (kind, text, media_ref, order)."""
     tabs = make_graph_corpus(seed=7, hosts=2, total_pages=100, out_degree=4)
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     res, _ = _run_engine(tmp_workdir, tabs, cfg)
     vt = res.visited_table(columns=["seq", "doc_id", "spans"])
     vt = vt.filter(pa.compute.is_valid(vt["doc_id"]))
@@ -325,7 +325,7 @@ def test_ray_path_parity(tmp_workdir):
     """The distributed path (Ray Data fetch/extract + shard actors) must
     produce the identical canonical order."""
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=150, out_degree=4)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2)
+    cfg = CrawlConfig(fetch_concurrency=2)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
 
@@ -355,7 +355,7 @@ def test_ray_limits_truncate_identically(tmp_workdir, monkeypatch, caps, wide):
 
     monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
-    cfg = CrawlConfig(num_shards=2, fetch_concurrency=2, **caps)
+    cfg = CrawlConfig(fetch_concurrency=2, **caps)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert workers_used, "no cap bound: the exact admit never ran"
@@ -379,7 +379,7 @@ def test_exact_admit_reads_only_the_workers_a_wave_ran_on(tmp_workdir, monkeypat
 
     monkeypatch.setattr(EpochCrawler, "_admit_exact", spy)
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=300, out_degree=6)
-    cfg = CrawlConfig(num_shards=2, fetch_concurrency=3, max_visited_urls=5)
+    cfg = CrawlConfig(fetch_concurrency=3, max_visited_urls=5)
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
     assert workers_used and all(used == ran for used, ran in workers_used), workers_used
@@ -389,7 +389,7 @@ def test_exact_admit_reads_only_the_workers_a_wave_ran_on(tmp_workdir, monkeypat
 def test_resume_reproduces_uninterrupted_run(tmp_workdir):
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(num_shards=4)
+    cfg = CrawlConfig()
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
 
@@ -423,7 +423,7 @@ def test_deferred_manifest_snapshots_basename_counts(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2)
+    cfg = CrawlConfig(fetch_concurrency=2)
     wdir = os.path.join(tmp_workdir, "w")
     c = EpochCrawler(cp, seeds, robots, wdir, cfg)
     c.seed()
@@ -449,7 +449,7 @@ def test_ray_async_checkpoint_crash_window_resume(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2)
+    cfg = CrawlConfig(fetch_concurrency=2)
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
 
@@ -519,7 +519,7 @@ def test_resume_prunes_stale_shard_epoch_dirs(tmp_workdir):
 
     tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
-    cfg = CrawlConfig(num_shards=4)
+    cfg = CrawlConfig()
 
     full = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "full"), cfg).run()
 
@@ -556,7 +556,6 @@ def test_depth_include_ignore_transform_parity(tmp_workdir):
     (crawler.rs:1146-1338, 1680-1724)."""
     tabs = make_graph_corpus(seed=13, hosts=3, total_pages=300)
     cfg = CrawlConfig(
-        num_shards=4,
         allowed_domains_crawl=("*",), allowed_domains_static=("*",),
         max_depth=3,
         include_regex=(r"site-00[012]\.test",),
@@ -576,7 +575,7 @@ def test_redirect_pages_parity(tmp_workdir):
     target with source_attr=80 (crawler.rs:733-755); transport-error
     docs visit with their negative code (visited_url.rs:13-17)."""
     tabs = make_graph_corpus(seed=21, hosts=2, total_pages=400)
-    cfg = CrawlConfig(num_shards=4,
+    cfg = CrawlConfig(
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
@@ -653,7 +652,7 @@ def test_host_routing_output_invariance(tmp_workdir):
     """routing='host' (politeness-exact, salted hot hosts) must produce
     the identical visited order/seen set as bucket routing."""
     tabs = make_graph_corpus(seed=31, hosts=3, total_pages=600)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=3, routing="host",
+    cfg = CrawlConfig(fetch_concurrency=3, routing="host",
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
     _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
@@ -666,7 +665,7 @@ def test_host_routing_politeness_rate_bound(tmp_workdir):
 
     tabs = make_graph_corpus(seed=11, hosts=2, total_pages=60)
     rate = 40.0
-    cfg = CrawlConfig(num_shards=2, routing="host", max_reqs_per_sec=rate,
+    cfg = CrawlConfig(routing="host", max_reqs_per_sec=rate,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     t0 = time.monotonic()
     res, _ = _run_engine(tmp_workdir, tabs, cfg)
@@ -745,7 +744,7 @@ def test_empty_seeds_and_all_404_corpus(tmp_workdir):
     cp, _, robots = _setup(tmp_workdir, tabs)
     import os
 
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     res = EpochCrawler(cp, [], robots, os.path.join(tmp_workdir, "w0"), cfg).run()
     assert res.metrics["visited"] == 0 and res.skipped.num_rows == 0
 
@@ -766,9 +765,9 @@ def test_resume_rejects_changed_config(tmp_workdir):
     tabs = make_graph_corpus(seed=4, hosts=2, total_pages=80)
     cp, seeds, robots = _setup(tmp_workdir, tabs)
     wd = os.path.join(tmp_workdir, "w")
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     EpochCrawler(cp, seeds, robots, wd, cfg).run()
-    other = CrawlConfig(num_shards=2, max_depth=1)
+    other = CrawlConfig(max_depth=1)
     c2 = EpochCrawler(cp, seeds, robots, wd, other)
     with pytest.raises(ValueError, match="fingerprint"):
         c2.resume()
@@ -785,7 +784,7 @@ def test_url_list_seeds_carry_url_list_source(tmp_workdir):
     extra = [u for u in docs if u not in seeds][:3]
     all_seeds = seeds + extra
     attrs = [UrlSource.INIT_URL] * len(seeds) + [UrlSource.URL_LIST] * len(extra)
-    cfg = CrawlConfig(num_shards=2)
+    cfg = CrawlConfig()
     res = EpochCrawler(cp, all_seeds, robots, os.path.join(tmp_workdir, "w"),
                        cfg, seed_attrs=attrs).run()
     oracle = run_oracle(tabs["documents"], all_seeds, robots, cfg, seed_attrs=attrs)

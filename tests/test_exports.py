@@ -151,7 +151,7 @@ def crawl_result(ray_session, tmp_path_factory):
     tabs = make_graph_corpus(seed=5, hosts=3, total_pages=400)
     cp = os.path.join(tmp, "corpus")
     write_corpus(tabs["documents"], cp, num_buckets=8)
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2,
+    cfg = CrawlConfig(fetch_concurrency=2,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     res = EpochCrawler(
         cp,
@@ -204,7 +204,7 @@ def test_redirect_parity_with_oracle(crawl_result):
     from siteone_crawler_ray.pipelines.oracle import run_oracle
 
     res, tabs = crawl_result
-    cfg = CrawlConfig(num_shards=4, fetch_concurrency=2,
+    cfg = CrawlConfig(fetch_concurrency=2,
                       allowed_domains_crawl=("*",), allowed_domains_static=("*",))
     orc = run_oracle(
         tabs["documents"],
@@ -591,7 +591,7 @@ def test_cli_end_to_end(ray_session, tmp_path):
         "--corpus", cp,
         "--workdir", str(tmp_path / "work"),
         "--allowed-domain", "*",
-        "--workers", "2", "--num-shards", "4",
+        "--workers", "2",
         "--extra-columns", "Title(30),Etag,P1=xpath://p/text()(40)",
         "--output-json-file", str(out / "report.json"),
         "--output-text-file", str(out / "report.txt"),
@@ -688,7 +688,7 @@ def test_cli_end_to_end(ray_session, tmp_path):
     rc10 = main([
         "--url", tabs["seeds"]["url"].to_pylist()[0],
         "--corpus", cp, "--workdir", str(tmp_path / "work2"),
-        "--allowed-domain", "*", "--workers", "2", "--num-shards", "4",
+        "--allowed-domain", "*", "--workers", "2",
         "--min-quality-score", "11.0",
     ], init_ray=False)
     assert rc10 == 10
@@ -696,7 +696,7 @@ def test_cli_end_to_end(ray_session, tmp_path):
     # re-crawling): permissive thresholds pass + write a JUnit report …
     common = ["--url", tabs["seeds"]["url"].to_pylist()[0],
               "--corpus", cp, "--workdir", str(tmp_path / "work"),
-              "--allowed-domain", "*", "--workers", "2", "--num-shards", "4",
+              "--allowed-domain", "*", "--workers", "2",
               "--result-storage-compression", "gzip", "--resume", "--ci"]
     rc_ci = main(common + [
         "--ci-min-score", "0", "--ci-max-404", "100000",
@@ -928,7 +928,7 @@ def test_offline_replace_content_cli(ray_session, tmp_path):
     rc = main([
         "--url", tabs["seeds"]["url"].to_pylist()[0],
         "--corpus", cp, "--workdir", str(tmp_path / "work"),
-        "--workers", "2", "--num-shards", "2",
+        "--workers", "2",
         "--offline-export-dir", str(out),
         "--replace-content", "data span -> DATA-SPAN",
         "--replace-content", "/crawl\\w*/ -> CRWL",
@@ -960,7 +960,7 @@ def test_debug_log_file_and_url_regex(ray_session, tmp_path):
     rc = main([
         "--url", tabs["seeds"]["url"].to_pylist()[0],
         "--corpus", cp, "--workdir", str(tmp_path / "work"),
-        "--workers", "2", "--num-shards", "2",
+        "--workers", "2",
         "--debug-log-file", str(log),
         "--debug-url-regex", r"/p/0000[12]",
     ], init_ray=False)
@@ -987,7 +987,7 @@ def test_output_json_prints_report_to_stdout(ray_session, tmp_path, capsys):
         json.dump({}, f)
     rc = main(["--url", tabs["seeds"]["url"].to_pylist()[0],
                "--corpus", cp, "--workdir", str(tmp_path / "work"),
-               "--workers", "2", "--num-shards", "2", "--output", "json"],
+               "--workers", "2", "--output", "json"],
               init_ray=False)
     assert rc == 0
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -1013,7 +1013,7 @@ def test_analyzer_filter_regex_limits_report_tables(ray_session, tmp_path, capsy
     out = tmp_path / "report.json"
     rc = main(["--url", tabs["seeds"]["url"].to_pylist()[0],
                "--corpus", cp, "--workdir", str(tmp_path / "work"),
-               "--workers", "2", "--num-shards", "2",
+               "--workers", "2",
                "--analyzer-filter-regexp", "content-types|caching",
                "--output-json-file", str(out)],
               init_ray=False)

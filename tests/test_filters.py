@@ -79,3 +79,28 @@ def test_cuckoo_fp_rate_ignores_partition_bits():
         rates.append(cf.contains_batch(f(probe)).mean())
     uniform, partition = rates
     assert 0 < uniform and partition <= 2 * uniform, (uniform, partition)
+
+
+def test_cuckoo_fp_rate_ignores_key_range_bits():
+    """Keys of one frontier owner lie in one contiguous url_key range,
+    so they share their high bits.  Fingerprint and bucket come from a
+    remixed key, so such keys see the false-positive rate of uniform
+    keys (raw fingerprint bits 48-63 with the top 3 bits fixed gave
+    ~7× the rate)."""
+    rng = np.random.default_rng(8)
+
+    def full(n):
+        return rng.integers(0, 2**64, size=n, dtype=np.uint64)
+
+    def in_range(k):  # the top 3 bits fixed: one of 8 equal key ranges
+        return (k >> np.uint64(3)) | np.uint64(5 << 61)
+
+    ins, probe = full(8000), full(2_000_000)
+    rates = []
+    for f in (lambda k: k, in_range):
+        cf = CuckooFilter(capacity=1 << 14)
+        cf.add_batch(f(ins))
+        assert cf.contains_batch(f(ins)).all()
+        rates.append(cf.contains_batch(f(probe)).mean())
+    uniform, key_range = rates
+    assert 0 < uniform and key_range <= 2 * uniform, (uniform, key_range)

@@ -1,12 +1,11 @@
-"""Frontier partitions vs their owners (stages/frontier.py).
+"""Frontier key ranges vs their owners (stages/frontier.py).
 
-``num_shards`` partitions are held by the first H = min(
-``shard_actor_count``, pool size) crawl workers, each owning a
-contiguous partition range; the crawl starts no other actor.  The
+The first H = min(``shard_actor_count``, pool size) crawl workers each
+own one contiguous url_key range; the crawl starts no other actor.  The
 crawl's output must not depend on H: the skipped rows come out in the
-same order, and a checkpoint written with one owner count — or with the
-one-index file names of one owner per partition — resumes with
-another."""
+oracle's discovery order, and a checkpoint written with one owner count
+resumes with another.  An owner's cuckoo filter sizes itself from its
+exact seen set."""
 
 import os
 
@@ -18,10 +17,18 @@ import pytest
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
 from siteone_crawler_ray.stages import frontier
-from siteone_crawler_ray.stages.frontier import FrontierShardState, parse_ckpt_name, shard_of
+from siteone_crawler_ray.stages.frontier import (
+    FILTER_START, FrontierShardState, key_bounds, parse_ckpt_name)
 
 VISITED_COLS = ["seq", "url", "uq_id", "source_uq_id", "source_attr", "epoch", "status_code", "depth"]
-NUM_SHARDS = 4
+# four owners' ranges; tests split and merge them
+B4 = key_bounds(4)
+
+
+def in_key_range(keys, lo, hi):
+    """Mask of the uint64 ``keys`` in [lo, hi), in Python ints (hi may
+    be 2^64)."""
+    return np.array([lo <= int(k) < hi for k in keys], dtype=bool)
 
 
 def _entries(keys):
@@ -37,7 +44,7 @@ def _entries(keys):
     })
 
 
-def _skips(keys):
+def _skips(keys, priority=None):
     n = len(keys)
     return pa.table({
         "url": [f"https://s/{k}" for k in keys],
@@ -45,32 +52,35 @@ def _skips(keys):
         "reason": pa.array(np.ones(n), pa.int8()),
         "source_uq_id": [""] * n,
         "source_attr": pa.array(np.zeros(n), pa.int8()),
-        "priority": pa.array(np.arange(n), pa.int64()),
+        "priority": pa.array(np.arange(n) if priority is None else priority, pa.int64()),
     })
 
 
-def _state_with(lo, hi, keys, cap=1 << 10):
-    """A shard state for [lo, hi) holding the given keys of its own
-    partitions as seen, pending and skipped."""
-    s = FrontierShardState(range(lo, hi), cap)
-    mine = keys[(shard_of(keys, NUM_SHARDS) >= lo) & (shard_of(keys, NUM_SHARDS) < hi)]
+def _state_with(lo, hi, keys):
+    """A shard state for the keys [lo, hi) holding the given keys of its
+    own range as seen, pending and skipped."""
+    s = FrontierShardState(lo, hi)
+    mine = keys[in_key_range(keys, lo, hi)]
     s.offer(_entries(mine))
     s.record_skips(_skips(mine))
     return s, mine
 
 
 def test_checkpoint_names_carry_the_partition_range(tmp_path):
+    """The files are named by the owner's url_key range, 2^64 included."""
     keys = np.random.default_rng(1).integers(0, 2**64, 200, dtype=np.uint64)
-    s, _ = _state_with(1, 3, keys)
-    assert s.filter_capacity == 2 << 10  # per-partition capacity × 2 partitions
-    out = s.checkpoint(str(tmp_path))
-    assert out["partitions"] == [1, 3]
-    assert sorted(os.listdir(tmp_path)) == [
-        "pending-001-003.parquet", "seen-delta-001-003.parquet", "skips-001-003.parquet"]
-    assert parse_ckpt_name("seen-delta-001-003.parquet") == ("seen-delta", 1, 3)
-    assert parse_ckpt_name("pending-003.parquet") == ("pending", 3, 4)
+    for lo, hi in ((B4[1], B4[3]), (B4[3], B4[4])):
+        d = tmp_path / f"{lo}"
+        s, mine = _state_with(lo, hi, keys)
+        assert len(mine)
+        out = s.checkpoint(str(d))
+        assert out["keys"] == [lo, hi]
+        assert sorted(os.listdir(d)) == [
+            f"{k}-{lo:020d}-{hi:020d}.parquet" for k in ("pending", "seen-delta", "skips")]
+        assert parse_ckpt_name(f"seen-delta-{lo:020d}-{hi:020d}.parquet") == ("seen-delta", lo, hi)
+    # a name without both range bounds is rejected
     for bad in ("seen-delta.parquet", "skips-a-1.parquet", "pending-001-003.parquet.tmp",
-                "notes.txt"):
+                "pending-003.parquet", "notes.txt"):
         with pytest.raises(ValueError):
             parse_ckpt_name(bad)
 
@@ -82,20 +92,21 @@ def test_checkpoint_names_carry_the_partition_range(tmp_path):
     ([0, 3, 4], [0, 1, 2, 3, 4]),
 ])
 def test_restore_reads_overlapping_ranges_only_its_own_rows(tmp_path, write_bounds, read_bounds):
+    """Bounds index into the four-owner key ranges ``B4``."""
     keys = np.random.default_rng(2).integers(0, 2**64, 400, dtype=np.uint64)
     d0, d1 = str(tmp_path / "e0"), str(tmp_path / "e1")
-    writers = [_state_with(lo, hi, keys[:200]) for lo, hi in zip(write_bounds, write_bounds[1:])]
+    writers = [_state_with(B4[lo], B4[hi], keys[:200])
+               for lo, hi in zip(write_bounds, write_bounds[1:])]
     for s, _ in writers:
         s.checkpoint(d0)
     for s, _ in writers:  # second epoch: more seen keys, a new pending queue
         s.drain()
-        mine = keys[200:][np.isin(shard_of(keys[200:], NUM_SHARDS), range(s.lo, s.hi))]
-        s.offer(_entries(mine))
+        s.offer(_entries(keys[200:][in_key_range(keys[200:], s.lo, s.hi)]))
         s.checkpoint(d1)
     for lo, hi in zip(read_bounds, read_bounds[1:]):
-        r = FrontierShardState(range(lo, hi), 1 << 10)
-        r.restore([d0, d1], NUM_SHARDS)
-        own = np.isin(shard_of(keys, NUM_SHARDS), range(lo, hi))
+        r = FrontierShardState(B4[lo], B4[hi])
+        r.restore([d0, d1])
+        own = in_key_range(keys, B4[lo], B4[hi])
         assert np.array_equal(r.snapshot_seen(), np.sort(keys[own]))
         pend = r.drain()
         assert sorted(pend["url_key"].to_pylist()) == sorted(keys[200:][own[200:]].tolist())
@@ -104,41 +115,63 @@ def test_restore_reads_overlapping_ranges_only_its_own_rows(tmp_path, write_boun
         assert r.record_skips(_skips(keys[:200][own[:200]])) == 0
 
 
-def test_restore_reads_one_index_names_and_rejects_unknown_files(tmp_path):
+def test_restore_rejects_unknown_checkpoint_files(tmp_path):
     keys = np.random.default_rng(3).integers(0, 2**64, 300, dtype=np.uint64)
     d = str(tmp_path / "e0")
-    for i in range(NUM_SHARDS):  # one actor per partition, one-index names
-        s, _ = _state_with(i, i + 1, keys)
-        s.checkpoint(d)
-    for f in os.listdir(d):
-        kind, lo, hi = parse_ckpt_name(f)
-        os.rename(os.path.join(d, f), os.path.join(d, f"{kind}-{lo:03d}.parquet"))
-    r = FrontierShardState(range(0, NUM_SHARDS), 1 << 10)
-    r.restore([d], NUM_SHARDS)
+    s, _ = _state_with(0, 2**64, keys)
+    s.checkpoint(d)
+    r = FrontierShardState()
+    r.restore([d])
     assert np.array_equal(r.snapshot_seen(), np.sort(keys))
-    assert r.drain().num_rows == len(keys)
     pq.write_table(pa.table({"url_key": pa.array([1], pa.uint64())}),
                    os.path.join(d, "seen-keys.parquet"))
     with pytest.raises(ValueError, match="unrecognised"):
-        FrontierShardState(range(0, NUM_SHARDS), 1 << 10).restore([d], NUM_SHARDS)
+        FrontierShardState().restore([d])
 
 
-def test_collect_skipped_orders_by_epoch_then_partition(tmp_path):
-    """Skip rows come back in (epoch, partition) order — numeric epoch
-    order, so epoch 10 follows epoch 2 — with each partition's rows in
-    the priority order the actor wrote them."""
+def test_collect_skipped_orders_by_epoch_then_priority(tmp_path):
+    """Skip rows come back in numeric epoch order — epoch 10 follows
+    epoch 2 — and within an epoch in priority (discovery) order across
+    every owner's file, without the priority column."""
     from types import SimpleNamespace
 
-    keys = np.arange(40, 60, dtype=np.uint64)  # partitions 0..3 interleaved
-    for e, ks in ((2, keys[:10]), (10, keys[10:])):
+    keys = np.arange(40, 60, dtype=np.uint64)
+    prio = np.random.default_rng(4).permutation(20)
+    for e, sl in ((2, slice(0, 10)), (10, slice(10, 20))):
         d = tmp_path / "shards" / f"epoch={e}"
         d.mkdir(parents=True)
-        pq.write_table(_skips(ks).drop(["priority"]), str(d / "skips-000-004.parquet"))
-    fake = SimpleNamespace(workdir=str(tmp_path), cfg=CrawlConfig(num_shards=NUM_SHARDS))
-    got = EpochCrawler._collect_skipped(fake)["url_key"].to_numpy()
-    want = [k for ks in (keys[:10], keys[10:])
-            for k in sorted(ks.tolist(), key=lambda k: k % NUM_SHARDS)]
-    assert got.tolist() == want
+        half = (sl.start + sl.stop) // 2  # two owners' files per epoch
+        for lo, hi in ((sl.start, half), (half, sl.stop)):
+            pq.write_table(_skips(keys[lo:hi], prio[lo:hi]),
+                           str(d / f"skips-{lo:020d}-{hi:020d}.parquet"))
+    fake = SimpleNamespace(workdir=str(tmp_path))
+    got = EpochCrawler._collect_skipped(fake)
+    assert "priority" not in got.column_names
+    want = [int(k) for sl in (slice(0, 10), slice(10, 20))
+            for _, k in sorted(zip(prio[sl], keys[sl]))]
+    assert got["url_key"].to_pylist() == want
+
+
+def test_filter_grows_from_the_exact_set(tmp_path):
+    """Fed 64× its first filter's size in batches, an owner's cuckoo
+    filter stays at or below 0.7 load with nothing spilled and no false
+    negative after every add — and so after a checkpoint and restore."""
+    s = FrontierShardState()
+    first_slots = s.filter.nbuckets * s.filter.SLOTS
+    assert s.filter.capacity >= FILTER_START
+    keys = np.random.default_rng(5).integers(0, 2**64, 64 * first_slots, dtype=np.uint64)
+    added = 0
+    for batch in np.array_split(keys, 24):
+        s.offer(_entries(batch))
+        added += len(batch)
+        assert not s.filter.spill and s.filter.load_factor <= 0.7
+        assert s.contains(keys[:added]).all()
+    assert s.filter.nbuckets * s.filter.SLOTS >= 64 * first_slots
+    s.checkpoint(str(tmp_path))
+    r = FrontierShardState()
+    r.restore([str(tmp_path)])
+    assert not r.filter.spill and r.filter.load_factor <= 0.7
+    assert r.contains(keys).all()
 
 
 # -- crawls at forced actor counts ------------------------------------------
@@ -155,7 +188,7 @@ def corpus(tmp_workdir):
 
 
 def _force_actors(monkeypatch, H):
-    monkeypatch.setattr(frontier, "shard_actor_count", lambda num_shards: H)
+    monkeypatch.setattr(frontier, "shard_actor_count", lambda: H)
 
 
 def _pool_size():
@@ -192,7 +225,7 @@ def test_crawl_starts_one_pool_whose_first_workers_own_the_frontier(
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(ray.actor.ActorClass, "_remote", spy)
-    c = _crawl(corpus, os.path.join(tmp_workdir, "pool"), CrawlConfig(num_shards=NUM_SHARDS))
+    c = _crawl(corpus, os.path.join(tmp_workdir, "pool"), CrawlConfig())
     try:
         c.seed()
         assert created == ["CrawlWorker"] * len(c._workers)
@@ -205,27 +238,38 @@ def test_crawl_starts_one_pool_whose_first_workers_own_the_frontier(
 
 @pytest.mark.usefixtures("ray_session")
 def test_skipped_order_does_not_depend_on_actor_count(monkeypatch, tmp_workdir, corpus):
-    # one partition per owner when every worker owns one
+    """At one owner and at one per pool worker the skipped rows equal
+    the sequential oracle's, row for row and in order."""
+    from siteone_crawler_ray.pipelines.oracle import run_oracle
+
+    cp, seeds, robots = corpus
+    tabs = make_graph_corpus(seed=42, hosts=4, total_pages=200, out_degree=5)
+    want = run_oracle(tabs["documents"], seeds, robots, CrawlConfig()).skipped
     pool = _pool_size()
-    cfg = CrawlConfig(num_shards=pool)
     results = []
     for H in (1, pool):
         _force_actors(monkeypatch, H)
-        c = _crawl(corpus, os.path.join(tmp_workdir, f"h{H}"), cfg)
+        c = _crawl(corpus, os.path.join(tmp_workdir, f"h{H}"), CrawlConfig())
         c.seed()
         assert len(c._shards) == H
         results.append(c.run())
     one, every = results
     assert one.skipped.num_rows > 0
-    parts = shard_of(every.skipped["url_key"].to_numpy(), pool)
-    assert len(set(parts.tolist())) > 1  # the order check spans partitions
+    cuts = np.array(key_bounds(pool)[1:-1], np.uint64)
+    owners = np.searchsorted(cuts, every.skipped["url_key"].to_numpy(), side="right")
+    assert len(set(owners.tolist())) > 1  # the order check spans owners
+    for res in (one, every):
+        got = res.skipped.to_pylist()
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"skipped row {i} of {len(want)} differs: {g} != {w}"
+        assert len(got) == len(want)
     _same_result(one, every)
 
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("h_before,h_after", [(2, 1), (1, 2)])
 def test_resume_with_a_changed_actor_count(monkeypatch, tmp_workdir, corpus, h_before, h_after):
-    cfg = CrawlConfig(num_shards=NUM_SHARDS)
+    cfg = CrawlConfig()
     full = _crawl(corpus, os.path.join(tmp_workdir, "full"), cfg).run()
 
     part_dir = os.path.join(tmp_workdir, "part")
@@ -241,34 +285,4 @@ def test_resume_with_a_changed_actor_count(monkeypatch, tmp_workdir, corpus, h_b
     c2 = _crawl(corpus, part_dir, cfg)
     assert c2.resume()
     assert len(c2._shards) == h_after
-    _same_result(full, c2.run())
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_resume_from_one_index_checkpoint_names(monkeypatch, tmp_workdir, corpus):
-    """A checkpoint written one owner per partition under the one-index
-    names (``seen-delta-002.parquet``) restores into a single owner."""
-    pool = _pool_size()
-    cfg = CrawlConfig(num_shards=pool)
-    full = _crawl(corpus, os.path.join(tmp_workdir, "full"), cfg).run()
-
-    part_dir = os.path.join(tmp_workdir, "part")
-    _force_actors(monkeypatch, pool)
-    c1 = _crawl(corpus, part_dir, cfg)
-    c1.seed()
-    c1.run_epoch()
-    c1.run_epoch()
-    c1._flush_pending()
-    c1.shutdown()
-    shards_root = os.path.join(part_dir, "shards")
-    for d in os.listdir(shards_root):
-        for f in os.listdir(os.path.join(shards_root, d)):
-            kind, lo, hi = parse_ckpt_name(f)
-            assert hi == lo + 1
-            os.rename(os.path.join(shards_root, d, f),
-                      os.path.join(shards_root, d, f"{kind}-{lo:03d}.parquet"))
-
-    _force_actors(monkeypatch, 1)
-    c2 = _crawl(corpus, part_dir, cfg)
-    assert c2.resume()
     _same_result(full, c2.run())

@@ -32,7 +32,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 cp, workdir, seeds_json, robots_json = sys.argv[1:5]
-cfg = CrawlConfig(num_shards=4)
+cfg = CrawlConfig()
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir, cfg)
 c.seed(); c.warmup()
 n_shards = len(c._shards)
@@ -60,7 +60,7 @@ def test_two_node_cluster_matches_single_process(tmp_workdir):
     robots = dict(zip(tabs["robots"]["host"].to_pylist(),
                       tabs["robots"]["body"].to_pylist()))
 
-    rt = run_oracle(tabs["documents"], seeds, robots, CrawlConfig(num_shards=4)).visited_table()
+    rt = run_oracle(tabs["documents"], seeds, robots, CrawlConfig()).visited_table()
     ref_rows = sorted(zip(rt["url"].to_pylist(), rt["depth"].to_pylist(),
                           rt["status_code"].to_pylist()))
 

@@ -19,7 +19,7 @@ def crawl(tmp_path_factory, ray_session):
     seeds = tabs["seeds"]["url"].to_pylist()
     robots = dict(zip(tabs["robots"]["host"].to_pylist(), tabs["robots"]["body"].to_pylist()))
     res = EpochCrawler(cp, seeds, robots, os.path.join(tmp, "work"),
-                       CrawlConfig(num_shards=4)).run()
+                       CrawlConfig()).run()
     import ray.data as rd
 
     ds = rd.read_parquet(res.visited_dir, file_extensions=["parquet"])

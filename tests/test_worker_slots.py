@@ -1,10 +1,12 @@
 """Worker-pool sizing (stages/worker.py::_worker_slots), the count of
-frontier owners and the crawl-worker actor's process tuning.
+frontier owners, their url_key ranges and the crawl-worker actor's
+process tuning.
 
 The crawl runs one actor pool: one 1-CPU worker per whole cluster CPU,
-minus one slot kept back for the driver, SPREAD over the nodes; its
-first H = min(shard_actor_count, pool) workers own the frontier
-partitions.  Every actor books a whole CPU, so the pool packs node by
+minus one slot kept back for the driver — under bucket routing no more
+than the corpus has buckets — SPREAD over the nodes; its first
+H = min(shard_actor_count, pool) workers own the frontier's url_key
+ranges.  Every actor books a whole CPU, so the pool packs node by
 node (the per-node reasoning once needed for fractional-CPU shard
 actors beside the workers is gone with them)."""
 
@@ -95,26 +97,26 @@ def _spread(pool: int, node_cpus: list[int]) -> list[int]:
 
 
 @pytest.mark.parametrize("node_cpus", [[1], [2], [4], [8], [16], [32], [8, 8, 8, 8]])
-@pytest.mark.parametrize("num_shards", [1, 2, 4, 8, 16, 29])
-def test_pool_fits_beside_shards_on_every_node(monkeypatch, node_cpus, num_shards):
-    """Every node holds its workers: the pool of 1-CPU workers, placed
-    the SPREAD way, fits every node's CPUs with one CPU left for the
-    driver, and the H owners among them sit on min(H, nodes) distinct
-    nodes."""
+@pytest.mark.parametrize("num_buckets", [1, 2, 4, 8, 16, 29])
+def test_pool_fits_beside_shards_on_every_node(monkeypatch, node_cpus, num_buckets):
+    """Every node holds its workers: the pool of 1-CPU workers — at
+    most one per corpus bucket under bucket routing — placed the SPREAD
+    way, fits every node's CPUs with one CPU left for the driver, and
+    the H owners among them sit on min(H, nodes) distinct nodes."""
     from siteone_crawler_ray.stages.frontier import shard_actor_count
     from siteone_crawler_ray.stages.worker import _worker_slots
 
     _fake_nodes(monkeypatch, node_cpus)
-    k = _worker_slots()
-    assert k == sum(node_cpus) - 1
+    assert _worker_slots() == sum(node_cpus) - 1
+    k = min(_worker_slots(), num_buckets)  # as EpochCrawler._make_shards
     if k == 0:  # one zero-CPU worker
         return
     nodes = _spread(k, node_cpus)
     for n, c in enumerate(node_cpus):
         assert nodes.count(n) <= c
-    H = min(shard_actor_count(num_shards), k)
-    assert 1 <= H <= num_shards
-    assert H >= min(num_shards, len(node_cpus), k)  # the frontier reaches every node
+    H = min(shard_actor_count(), k)
+    assert 1 <= H <= k
+    assert H >= min(len(node_cpus), k)  # the frontier reaches every node
     assert len(set(nodes[:H])) == min(H, len(node_cpus))
 
 
@@ -129,32 +131,74 @@ def test_pool_sizes_at_8_16_32_cpus(monkeypatch):
 
 @pytest.mark.parametrize("node_cpus,want", [
     ([1], 1), ([4], 1), ([8], 2), ([16], 4), ([2, 2], 2), ([32], 8), ([8, 8, 8, 8], 8),
-    ([64], 8),
+    ([64], 16),
 ])
 def test_shard_actor_count_per_cluster_shape(monkeypatch, node_cpus, want):
-    """One owner per four CPUs, at least one per node, at most one per
-    partition (8): a 4-CPU crawl keeps the frontier in one worker, 32
-    CPUs keep one partition per owner."""
+    """One owner per four CPUs, at least one per node: a 4-CPU crawl
+    keeps the frontier in one worker, 32 CPUs in 8, 64 CPUs in 16 (the
+    crawl caps it at its pool size)."""
     from siteone_crawler_ray.stages.frontier import shard_actor_count
 
     _fake_nodes(monkeypatch, node_cpus)
-    assert shard_actor_count(8) == want
-    assert shard_actor_count(1) == 1
+    assert shard_actor_count() == want
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 5, 8, 29])
-def test_partition_ranges_are_contiguous_and_balanced(num_shards):
-    from siteone_crawler_ray.stages.frontier import partition_bounds, partition_owner
+@pytest.mark.parametrize("num_owners", [1, 2, 5, 8, 29])
+def test_partition_ranges_are_contiguous_and_balanced(num_owners):
+    """Owner j of H holds url_keys [ceil(j·2^64/H), ceil((j+1)·2^64/H)):
+    the ranges cover [0, 2^64), their sizes differ by at most one, and
+    every key at a range edge lies in exactly one range — by binary
+    search and by the driver's routing."""
+    import numpy as np
 
-    for H in range(1, num_shards + 1):
-        b = partition_bounds(num_shards, H)
-        assert b[0] == 0 and b[-1] == num_shards
-        sizes = [hi - lo for lo, hi in zip(b, b[1:])]
-        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        owner = partition_owner(num_shards, H)
-        assert list(owner) == sorted(owner) and len(owner) == num_shards
-        for j in range(H):
-            assert set(range(b[j], b[j + 1])) == set((owner == j).nonzero()[0])
+    from siteone_crawler_ray.stages.frontier import key_bounds, key_span
+
+    b = key_bounds(num_owners)
+    assert len(b) == num_owners + 1 and b[0] == 0 and b[-1] == 2**64
+    sizes = [hi - lo for lo, hi in zip(b, b[1:])]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    edges = np.array(sorted({x for lo, hi in zip(b, b[1:]) for x in (lo, lo + 1, hi - 1)}),
+                     dtype=np.uint64)
+    masks = [np.array([lo <= int(k) < hi for k in edges]) for lo, hi in zip(b, b[1:])]
+    assert (np.sum(masks, axis=0) == 1).all()
+    route = np.searchsorted(np.array(b[1:-1], np.uint64), edges, side="right")
+    for j, ((lo, hi), m) in enumerate(zip(zip(b, b[1:]), masks)):
+        a, z = key_span(edges, lo, hi)
+        assert np.array_equal(np.arange(a, z), np.nonzero(m)[0])
+        assert np.array_equal(route == j, m)
+
+
+def test_bucket_routing_starts_no_more_workers_than_buckets(tmp_workdir):
+    """Under bucket routing bucket b runs on worker b % pool size, so a
+    worker past the bucket count never receives a row: a 2-bucket
+    corpus on the 4-CPU session (3 worker slots) starts 2 workers, host
+    routing all 3; the capped crawl still matches the oracle."""
+    from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
+    from siteone_crawler_ray.pipelines.oracle import run_oracle
+    from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
+    from siteone_crawler_ray.stages.worker import clamp_worker_count
+
+    assert clamp_worker_count(64) == 3
+    tabs = make_graph_corpus(seed=11, hosts=3, total_pages=120, out_degree=4)
+    cp = os.path.join(tmp_workdir, "corpus")
+    write_corpus(tabs["documents"], cp, num_buckets=2)
+    seeds = tabs["seeds"]["url"].to_pylist()
+    robots = dict(zip(tabs["robots"]["host"].to_pylist(),
+                      tabs["robots"]["body"].to_pylist()))
+    host = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "host"),
+                        CrawlConfig(routing="host"))
+    try:
+        host.seed()
+        assert len(host._workers) == 3
+    finally:
+        host.shutdown()
+    c = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "bucket"), CrawlConfig())
+    c.seed()
+    pool = len(c._workers)
+    got = c.run().visited_table(columns=["url"])["url"].to_pylist()  # run() frees the pool
+    assert pool == 2
+    want = run_oracle(tabs["documents"], seeds, robots, CrawlConfig()).visited_table()
+    assert got == want["url"].to_pylist() and len(got) > 20
 
 
 def _tiny_crawl(tmp):
@@ -177,7 +221,7 @@ DataContext.get_current().enable_progress_bars = False
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 cp, workdir, seeds_json, robots_json = sys.argv[1:5]
 c = EpochCrawler(cp, json.loads(seeds_json), json.loads(robots_json), workdir,
-                 CrawlConfig(num_shards=8))
+                 CrawlConfig())
 c.seed()
 n_workers = len(c._workers)
 res = c.run()
@@ -190,7 +234,7 @@ ray.shutdown()
 
 
 def test_one_cpu_cluster_crawls_on_one_zero_cpu_worker(tmp_workdir):
-    """8 shards leave no whole CPU on a 1-CPU cluster: the pool must be
+    """A 1-CPU cluster has no whole CPU beside the driver: the pool must be
     one worker that reserves no CPU (a pending 1-CPU actor hung
     warm-up), and the crawl, every wave on it, must match the oracle."""
     from siteone_crawler_ray.pipelines.crawl import CrawlConfig
@@ -207,7 +251,7 @@ def test_one_cpu_cluster_crawls_on_one_zero_cpu_worker(tmp_workdir):
     line = next((ln for ln in out.stdout.splitlines() if ln.startswith("ONE_CPU_JSON ")), None)
     assert line, out.stderr[-3000:]
     got = json.loads(line[len("ONE_CPU_JSON "):])
-    oracle = run_oracle(tabs["documents"], seeds, robots, CrawlConfig(num_shards=8))
+    oracle = run_oracle(tabs["documents"], seeds, robots, CrawlConfig())
     assert got["workers"] == 1
     assert got["urls"] == oracle.visited_table()["url"].to_pylist()
     assert set(got["seen"]) == oracle.seen_keys
