@@ -68,8 +68,6 @@ DEFERRED = {
     "sources.http_cache": "tests/test_http_cache.py",
     "stages.phash.hamming_neardup_pairs": "tests/test_phash.py",
     "stages.phash.image_neardup_pairs": "tests/test_phash.py",
-    "stages.sketch.KLLSketch": "tests/test_sketch.py",
-    "stages.sketch.approx_quantiles": "tests/test_sketch.py",
 }
 
 

@@ -5,15 +5,18 @@ crawler.rs:222-369) becomes a bulk-synchronous wave loop with identical
 output under the canonical (workers=1-equivalent) ordering contract of
 SURVEY.md §3.2:
 
-    wave e = drain(owners) sorted by priority
+    wave e = drain(owners) sorted by priority, routed on owner 0
+             (FrontierShardState.assemble_wave): every row gets a worker
+             of the whole pool of P — (url_key % num_buckets) % P, the
+             worker holding its corpus bucket (bucket routing), or
+             (xxh64(host) + url_key % S_h) % P, one fixed worker per
+             host, S_h > 1 only for a hot host (host routing) — and,
+             with a rate, every host its split (the number of workers
+             its rows run on; each fetches it at rate / split)
     fused  = CrawlWorker.process_shared (stages/worker.py), one call per
-             wave chunk: fetch → write visited parquet part (the
-             checkpointed lineage) → explode_spans → candidate gauntlet
-             → candidates sorted by url_key.  Every wave fans
-             out over the persistent worker actors created once per
-             run: to the workers holding the corpus buckets it touches
-             (bucket routing) or to the first K = clamp(ceil(sqrt(W/16)))
-             workers (host routing)
+             worker the wave routed rows to: fetch → write visited
+             parquet part (the checkpointed lineage) → explode_spans →
+             candidate gauntlet → candidates sorted by url_key
     ingest = every owner takes its own url_key range of those parts:
              skips first-wins, then admit (dedup first-wins by priority
              → shard contains → caps → offer)
@@ -25,12 +28,12 @@ pop order for workers=1 with deterministic intra-page link order.
 Limit parity (crawler.rs:1219-1306): the reference checks
 ``queue+visited >= max_visited`` and ``queue >= max_queue_length`` at
 enqueue.  In wave order those conditions reduce to closed forms
-(derivation in select_accepted's docstring); when a cap can bind we run
-an exact sequential simulation over the epoch's candidates, otherwise a
-vectorized fast path.  The non-200 basename guard is epoch-consistent:
-counts aggregated per wave, blocklist broadcast to the next wave's
-gauntlet (deterministic refinement of the reference's racy counter —
-SURVEY.md §7.5).
+(stated where ``EpochCrawler._ingest`` tests them); when a cap can bind
+we run an exact sequential simulation over the epoch's candidates,
+otherwise a vectorized fast path.  The non-200 basename guard is
+epoch-consistent: counts aggregated per wave, blocklist broadcast to
+the next wave's gauntlet (deterministic refinement of the reference's
+racy counter — SURVEY.md §7.5).
 
 Frontier: the first H = min(``stages/frontier.shard_actor_count``,
 pool size) crawl workers (the OWNERS, ``_shards``) each hold one
@@ -104,8 +107,9 @@ class CrawlConfig:
     ignore_robots_txt: bool = False
     max_reqs_per_sec: float | None = None  # None → politeness off (corpus mode)
     # physical execution
-    # routing="bucket": corpus-cache affine (politeness budget split);
-    # routing="host": host-affine (politeness exact; hot hosts salted)
+    # routing="bucket": corpus-cache affine (a host's rate split over
+    # the workers its rows run on); routing="host": one fixed worker
+    # per host (hot hosts salted) — stages/frontier.py::route_wave
     routing: str = "bucket"
     # parquet codec for the visited-part writes (--result-storage-compression
     # analogue; "none" = uncompressed, README.md:562-565)
@@ -244,9 +248,6 @@ class EpochCrawler:
             corpus_path=self.corpus_path,
             gauntlet_kwargs=self._gauntlet_kwargs(),
             max_reqs_per_sec=self.cfg.max_reqs_per_sec,
-            # host routing gives each host ONE worker's bucket; bucket
-            # routing splits the budget across the pool (ADVICE r1)
-            budget_split=1 if self.cfg.routing == "host" else max(1, k),
             storage_compression=self.cfg.storage_compression,
         )
         self._shards = self._workers[:H]
@@ -312,20 +313,20 @@ class EpochCrawler:
         Every wave takes one path and never lands on the driver: owner
         drains flow as object refs into
         :meth:`FrontierShardState.assemble_wave` on owner 0, the
-        workers the routing picks self-select rows from its output
-        object, and their key-sorted candidate parts flow as refs
+        workers it routed rows to take them from its output object,
+        and their key-sorted candidate parts flow as refs
         straight to the owners (each reads its own key range from
         plasma, zero-copy).  The driver handles only scalars: W, the
-        routing summary, candidate counts, basename counts, timings."""
+        worker ids, each host's politeness split, candidate counts,
+        basename counts, timings."""
         t0 = time.perf_counter()
-        want_hosts = self.cfg.routing == "host"
         part_refs = [s.drain.remote() for s in self._shards]
         # assemble on owner 0, warm, not a task: a num_cpus=0 task may
         # land on a cold worker process whose first Arrow concat/sort
         # measured ~0.6 s at 16 CPUs (epoch-0 critical path); owner 0
         # runs this between waves when it is idle.
         meta_ref, wave = self._shards[0].assemble_wave.options(num_returns=2).remote(
-            self.visited_count, self.epoch, want_hosts, self.num_buckets, *part_refs
+            self.visited_count, self.epoch, *self._route_args(), *part_refs
         )
         meta = ray.get(meta_ref)
         W = meta["W"]
@@ -343,36 +344,10 @@ class EpochCrawler:
 
         t_fetch = time.perf_counter()
         t_dispatch_wall = time.time()
-        salt_map = None
-        if want_hosts:
-            # K ≈ sqrt(W/16) balances per-actor dispatch+straggler cost
-            # (~10-15 ms) against W/K work: K = 1 up to 16 rows, big
-            # waves use every worker
-            K = max(1, min(len(self._workers), int(np.ceil(np.sqrt(W / 16)))))
-            ids = range(K)
-            # hot-host salting: a host holding more than 2 fair
-            # shares of the wave spreads across S workers (rate/S
-            # per bucket — SURVEY §7.5)
-            uniq, cnt = meta["hosts"]
-            fair = max(1, -(-W // K))
-            salt_map = {
-                str(h): int(min(K, -(-c // fair)))
-                for h, c in zip(uniq, cnt)
-                if c > 2 * fair
-            }
-        else:
-            # bucket-affine routing: worker (url_key % NB) % K over the
-            # whole pool, the worker whose warmup preloaded that bucket,
-            # so no bucket is ever read twice; the wave runs on the
-            # workers holding the buckets present in it
-            K = len(self._workers)
-            ids = np.unique(meta["buckets"] % K).tolist()
-        workers = [self._workers[i] for i in ids]
+        workers = [self._workers[i] for i in meta["workers"]]
         triplets = [
-            w.process_shared.options(num_returns=3).remote(
-                wave, i, K, self.num_buckets, vdir, self.cfg.routing, salt_map,
-            )
-            for i, w in zip(ids, workers)
+            w.process_shared.options(num_returns=3).remote(wave, i, vdir, meta.get("split"))
+            for i, w in zip(meta["workers"], workers)
         ]
         parts = [t[0] for t in triplets]
         non200_lists = ray.get([t[1] for t in triplets])
@@ -432,6 +407,12 @@ class EpochCrawler:
         self.metrics["epochs"][-1]["ckpt_sec"] = round(time.perf_counter() - t_ck, 4)
         return W
 
+    def _route_args(self) -> tuple:
+        """assemble_wave's routing arguments: routing, num_buckets, the
+        pool size and whether the crawl has a politeness rate."""
+        return (self.cfg.routing, self.num_buckets, len(self._workers),
+                self.cfg.max_reqs_per_sec is not None)
+
     def _gauntlet_kwargs(self) -> dict:
         return dict(
             robots=self.robots,
@@ -479,6 +460,14 @@ class EpochCrawler:
         or falls back to the exact sequential simulation."""
         V, W, cfg = self.visited_count, wave_size, self.cfg
 
+        # When the reference pops the page at wave position p, the queue
+        # holds the W - 1 - p wave pages behind it plus the A candidates
+        # this wave already accepted, and queue + visited = V + W + A;
+        # it accepts a candidate iff V + W + A < max_visited_urls and
+        # (W - 1 - p) + A < max_queue_length (_admit_exact checks these
+        # row by row).  n candidates all pass iff the last one does at
+        # its worst, A = n - 1 and p = 0:
+        #   V + W + n <= max_visited_urls  and  (W - 1) + n <= max_queue_length
         def fits(n: int) -> bool:
             return V + W + n <= cfg.max_visited_urls and (W - 1) + n <= cfg.max_queue_length
 
@@ -682,20 +671,19 @@ class EpochCrawler:
         # CPUs — one throwaway row exercises them.  assemble_wave is
         # pure, so no frontier state is touched.
         warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
-        pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, True, 1, warm)[0]
+        pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, *self._route_args(), warm)[0]
                    for s in self._shards]
-        # bucket b on worker b % pool size, as bucket routing sends it
-        K = len(self._workers)
-        pending += [
-            w.preload_buckets.remote([b for b in range(self.num_buckets) if b % K == i])
-            for i, w in enumerate(self._workers)
-        ]
+        # each bucket on the worker bucket routing sends its rows to
+        home = frontier.bucket_workers(np.arange(self.num_buckets), self.num_buckets,
+                                       len(self._workers))
+        pending += [w.preload_buckets.remote(np.nonzero(home == i)[0].tolist())
+                    for i, w in enumerate(self._workers)]
         samples = ray.get(pending)[len(self._shards):]
         # First process() call per worker pays cold costs (parquet
         # writer import, Arrow kernel modules, first plasma map) —
-        # measured ~0.2 s.  Adaptive fanout touches NEW workers on every
-        # ramp-up epoch, so without this warm-up each ramp epoch pays it
-        # on its critical path.  One page from each worker's own buckets
+        # measured ~0.2 s.  Small ramp-up waves reach a few workers
+        # each, so without this warm-up each worker's first wave pays
+        # it on its critical path.  One page from each worker's own buckets
         # (the seed page for a worker with none) moves it all here
         # without loading another bucket; the throwaway parts dir is
         # deleted and no frontier state is touched.

@@ -69,8 +69,8 @@ def flat_crawl(
         FetchStage,
         fn_constructor_kwargs=dict(
             corpus_path=corpus_path,
-            max_reqs_per_sec=max_reqs_per_sec,
-            budget_split=concurrency,
+            # any actor may get any host's rows: each gets rate / pool size
+            max_reqs_per_sec=None if max_reqs_per_sec is None else max_reqs_per_sec / concurrency,
             seed_host=seed_host,
         ),
         batch_format="pyarrow",

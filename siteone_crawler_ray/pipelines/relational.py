@@ -348,8 +348,7 @@ def p90_by_type(sf_dir: str) -> pa.Table:
     xxh64(event_type) instead — a group lives whole in one partition,
     so the identical kernel is exact per partition
     (``test_p90_by_type_scatter_path_matches``).  Skew note: a hot
-    group bounds one partition's size.  When approximate is enough,
-    ``stages/sketch.kll_quantiles`` is the no-co-location alternative.
+    group bounds one partition's size.
 
     The slot also carries ``approx_users`` — the grouped-HLL distinct
     user_id estimate per type (stages/sketch.approx_distinct_by): the

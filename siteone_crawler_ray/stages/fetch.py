@@ -11,10 +11,14 @@ concurrency=N, batch_size=B)``).
 
 Politeness: per-host token buckets (north rule).  The reference uses a
 single global limiter (crawler.rs:159, 553-568); here each actor holds
-buckets for the hosts it sees, and when one host's URLs spread over A
-actors each bucket gets ``rate / A`` — the budget-split scheme SURVEY
-§4.2 documents for salted hot hosts.  ``max_reqs_per_sec=None``
-disables waiting (corpus-backed bench is compute-bound).
+buckets for the hosts it sees, and when one wave's rows of a host run
+on A actors each bucket gets ``rate / A`` (A = the host's ``split``,
+which stages/frontier.py::assemble_wave computes with the routing), so
+the host's buckets sum to its rate — the budget-split scheme SURVEY
+§4.2 documents for salted hot hosts.  A Ray Data pool with no wave
+routing (pipelines/flat.py) divides its rate by the pool size instead.
+``max_reqs_per_sec=None`` disables waiting (corpus-backed bench is
+compute-bound).
 
 Responses are deterministic functions of (url, corpus) so the oracle
 can reproduce them exactly:
@@ -175,31 +179,32 @@ class TokenBucket:
 
 
 class FetchStage:
-    """map_batches actor: dispatch rows → visited rows (+spans for pages)."""
+    """map_batches actor: dispatch rows → visited rows (+spans for pages).
+
+    One token bucket per host (``buckets``), at ``rate / split[host]``:
+    ``split`` maps a host to the number of fetch actors its rows of the
+    current wave run on (stages/frontier.py::host_split, set per wave
+    by ``CrawlWorker.process_shared``; absent → 1)."""
 
     def __init__(
         self,
         corpus_path: str,
         max_reqs_per_sec: float | None = None,
-        budget_split: int = 1,
         seed_host: str = "",
     ):
         self.corpus = CorpusReader(corpus_path)
-        self.rate = None if max_reqs_per_sec is None else max_reqs_per_sec / max(1, budget_split)
+        self.rate = max_reqs_per_sec
         self.buckets: dict[str, TokenBucket] = {}
         self.seed_host = seed_host
-        # host → salt factor S for this wave: a salted host's URLs spread
-        # over S workers, so each worker's bucket gets rate/S (SURVEY
-        # §7.5 hot-host budget split); set per epoch by the driver
-        self.salt_map: dict[str, int] = {}
+        self.split: dict[str, int] = {}
 
     def _bucket(self, host: str) -> TokenBucket:
-        rate = self.rate / self.salt_map.get(host, 1)
+        rate = self.rate / self.split.get(host, 1)
         b = self.buckets.get(host)
         if b is None or abs(b.rate - rate) > 1e-12:
-            # carry accrued tokens across a rate change (salt-map
-            # flips) — a fresh full bucket would grant the host a
-            # burst above the politeness cap (ADVICE r1)
+            # carry accrued tokens across a rate change (the host's
+            # split changed) — a fresh full bucket would grant the host
+            # a burst above the politeness cap (ADVICE r1)
             nb = TokenBucket(rate, max(1.0, rate))
             if b is not None:
                 now = time.monotonic()

@@ -21,10 +21,15 @@ it).  Each owner keeps
 - pending queue: list of Arrow tables of frontier entries
   (priority-ordered at dispatch by the driver's wave sort).
 
-The range matters only for routing (workers sort their candidates by
+The range matters only for routing candidates (workers sort them by
 url_key, each owner slices its range by binary search) and for the
 checkpoint files, named by key range so a resume with a different
 owner count reads them back.
+
+Owner 0 also routes every wave to the fetch workers, the one place
+that decides it (:meth:`FrontierShardState.assemble_wave`,
+:func:`route_wave`): each row's worker of the whole pool and, with a
+politeness rate, each host's split (:func:`host_split`).
 
 All calls are batch-level (numpy arrays / Arrow tables in and out),
 never per-URL.
@@ -39,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..functions.hashing import xxh64_strings
 from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
 KEY_SPACE = 1 << 64
@@ -60,6 +66,50 @@ def key_span(sorted_keys: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
         return 0, 0
     return (int(np.searchsorted(sorted_keys, np.uint64(lo))),
             int(np.searchsorted(sorted_keys, np.uint64(hi - 1), side="right")))
+
+
+def bucket_workers(keys: np.ndarray, num_buckets: int, num_workers: int) -> np.ndarray:
+    """Bucket routing: url_key k runs on worker ``(k % num_buckets) %
+    num_workers``, the one whose ``warmup()`` preloaded k's corpus
+    bucket, so no bucket is read twice."""
+    b = np.asarray(keys, dtype=np.uint64) % np.uint64(num_buckets)
+    return (b % np.uint64(num_workers)).astype(np.int64)
+
+
+def route_wave(wave: pa.Table, routing: str, num_buckets: int,
+               num_workers: int) -> np.ndarray:
+    """Worker id of every row of a W-row wave over the whole pool of
+    P = ``num_workers``.
+
+    routing="bucket": :func:`bucket_workers`.
+    routing="host": ``(xxh64(host) + url_key % S_h) % P``.  A host's
+    rows land on one worker, the same in every wave, except a hot host
+    holding more than 2 fair shares (W/P) of the wave, salted over
+    S_h = min(P, ceil(rows / fair share)) consecutive workers from its
+    own — the fixed host→agent assignment of UbiCrawler/BUbiNG with
+    salted hot-host keys (SURVEY §7.5).  Each distinct host is hashed
+    once."""
+    keys = wave["url_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    if routing != "host":
+        return bucket_workers(keys, num_buckets, num_workers)
+    hosts, inv, cnt = np.unique(wave["host"].to_numpy(zero_copy_only=False),
+                                return_inverse=True, return_counts=True)
+    fair = max(1, -(-len(keys) // num_workers))
+    salt = np.where(cnt > 2 * fair, np.minimum(num_workers, -(-cnt // fair)), 1)
+    home = xxh64_strings(hosts)[inv]
+    return ((home + keys % salt.astype(np.uint64)[inv])
+            % np.uint64(num_workers)).astype(np.int64)
+
+
+def host_split(hosts: np.ndarray, worker: np.ndarray, num_workers: int) -> dict[str, int]:
+    """host → the number of distinct workers its rows of the wave
+    (``hosts``/``worker`` per row) run on.  Each of them fetches the
+    host at ``rate / split`` (stages/fetch.py::FetchStage), so the
+    host's buckets sum to its rate."""
+    uniq, inv = np.unique(hosts, return_inverse=True)
+    pairs = np.unique(inv.astype(np.int64) * num_workers + worker)
+    split = np.bincount(pairs // num_workers, minlength=len(uniq))
+    return {str(h): int(c) for h, c in zip(uniq, split)}
 
 
 class FrontierShardState:
@@ -158,16 +208,18 @@ class FrontierShardState:
         self.pending = []
         return t
 
-    def assemble_wave(self, visited_count: int, epoch: int, want_hosts: bool,
-                      num_buckets: int, *parts):
-        """Wave assembly: concat every owner's drain output,
-        priority-sort, annotate seq/wavepos/epoch.  The driver submits
+    def assemble_wave(self, visited_count: int, epoch: int, routing: str,
+                      num_buckets: int, num_workers: int, polite: bool, *parts):
+        """Wave assembly and routing, the one place a wave is routed:
+        concat every owner's drain output, priority-sort, annotate
+        seq/wavepos/epoch and each row's ``worker`` (:func:`route_wave`
+        over the whole pool of ``num_workers``).  The driver submits
         this on owner 0 right after the drains; actor tasks run in
         submission order, so owner 0's own drain ref is ready before
         this executes (no deadlock).  The full wave table never lands
-        on the driver — it gets only W and the routing summary: the
-        host histogram (``want_hosts``) or the corpus buckets
-        (``url_key % num_buckets``) present; workers self-select rows
+        on the driver — it gets only ``meta``: W, the worker ids
+        present and, for a crawl with a rate (``polite``), each host's
+        ``split`` (:func:`host_split`); workers take their rows
         straight from the call's output object (plasma, zero-copy).
 
         Running this on an ALREADY-WARM actor instead of a detached
@@ -187,14 +239,12 @@ class FrontierShardState:
         wave = wave.append_column("seq", pa.array(visited_count + np.arange(W), type=pa.int64()))
         wave = wave.append_column("wavepos", pa.array(np.arange(W), type=pa.int64()))
         wave = wave.append_column("epoch", pa.array(np.full(W, epoch), type=pa.int32()))
-        meta = {"W": W}
-        if want_hosts:
-            uniq, cnt = np.unique(wave["host"].to_numpy(zero_copy_only=False), return_counts=True)
-            meta["hosts"] = (uniq, cnt)
-        else:
-            keys = wave["url_key"].to_numpy(zero_copy_only=False)
-            meta["buckets"] = np.unique(keys % np.uint64(num_buckets)).astype(np.int64)
-        return meta, wave
+        worker = route_wave(wave, routing, num_buckets, num_workers)
+        meta = {"W": W, "workers": np.unique(worker).tolist()}
+        if polite:
+            meta["split"] = host_split(wave["host"].to_numpy(zero_copy_only=False),
+                                       worker, num_workers)
+        return meta, wave.append_column("worker", pa.array(worker, type=pa.int32()))
 
     # -- two-phase admit (the shard-parallel anti-join) ---------------------
     DISPATCH_COLS = ["url", "url_key", "host", "depth", "priority", "source_uq_id", "source_attr"]

@@ -390,135 +390,3 @@ def hll_grouped_oracle_sql(group_expr: str, key_expr: str, table_expr: str,
                        THEN {m} * ln({m}.0 / zeros) ELSE est END AS approx
         FROM hll
     )"""
-
-
-# ------------------------------------------------------------------ KLL
-# Mergeable quantile sketch (Karnin, Lang & Liberty 2016, FOCS —
-# "Optimal Quantile Approximation in Streams"), deterministic variant:
-# compaction keeps alternating items with a per-level parity flip
-# instead of a coin toss, which preserves the rank-error telescoping
-# (each compaction of a level shifts any rank by at most its weight)
-# while keeping a fixed input order bit-reproducible.  Rank error is
-# O(n/k) worst-case from the geometric capacity schedule; the pytest
-# pins ≤2% observed at k=200 and exactness below k.
-
-KLL_K = 200
-_KLL_C = 2.0 / 3.0
-
-
-class KLLSketch:
-    """Levels of value buffers; items at level i carry weight 2^i."""
-
-    def __init__(self, k: int = KLL_K):
-        self.k = k
-        self.levels: list[np.ndarray] = [np.empty(0, np.float64)]
-        self.n = 0
-        self.parity: list[int] = [0]
-
-    def _capacity(self, i: int) -> int:
-        # geometric schedule: top level gets k, lower levels shrink by c
-        h = len(self.levels)
-        return max(2, int(np.ceil(self.k * _KLL_C ** (h - 1 - i))))
-
-    def update(self, arr: np.ndarray) -> "KLLSketch":
-        arr = np.asarray(arr, np.float64)
-        arr = arr[~np.isnan(arr)]
-        if len(arr):
-            self.levels[0] = np.concatenate([self.levels[0], arr])
-            self.n += len(arr)
-            self._compress()
-        return self
-
-    def _compress(self) -> None:
-        while sum(len(lv) for lv in self.levels) > sum(
-                self._capacity(i) for i in range(len(self.levels))):
-            for i, lv in enumerate(self.levels):
-                if len(lv) > self._capacity(i):
-                    srt = np.sort(lv)
-                    keep = srt[self.parity[i]::2]
-                    self.parity[i] ^= 1
-                    if i + 1 == len(self.levels):
-                        self.levels.append(np.empty(0, np.float64))
-                        self.parity.append(0)
-                    self.levels[i] = np.empty(0, np.float64)
-                    self.levels[i + 1] = np.concatenate(
-                        [self.levels[i + 1], keep])
-                    break
-            else:
-                break
-
-    def merge(self, other: "KLLSketch") -> "KLLSketch":
-        while len(self.levels) < len(other.levels):
-            self.levels.append(np.empty(0, np.float64))
-            self.parity.append(0)
-        for i, lv in enumerate(other.levels):
-            if len(lv):
-                self.levels[i] = np.concatenate([self.levels[i], lv])
-        self.n += other.n
-        self._compress()
-        return self
-
-    def quantile(self, q: float) -> float:
-        if not any(len(lv) for lv in self.levels):
-            return float("nan")
-        items = np.concatenate([lv for lv in self.levels if len(lv)])
-        weights = np.concatenate([
-            np.full(len(lv), 1 << i, np.float64)
-            for i, lv in enumerate(self.levels) if len(lv)])
-        order = np.argsort(items, kind="stable")
-        items, weights = items[order], weights[order]
-        cum = np.cumsum(weights)
-        target = q * cum[-1]
-        return float(items[np.searchsorted(cum, target, side="left")
-                           .clip(0, len(items) - 1)])
-
-    # flat-array wire format for the remote tree: [k, L, len_0..len_{L-1},
-    # n, data...] — one list<double> cell per block partial
-    def serialize(self) -> np.ndarray:
-        head = [float(self.k), float(len(self.levels))]
-        head += [float(len(lv)) for lv in self.levels] + [float(self.n)]
-        return np.concatenate([np.array(head), *self.levels]) \
-            if any(len(lv) for lv in self.levels) else np.array(head)
-
-    @classmethod
-    def deserialize(cls, arr: np.ndarray) -> "KLLSketch":
-        arr = np.asarray(arr, np.float64)
-        k, nl = int(arr[0]), int(arr[1])
-        lens = arr[2:2 + nl].astype(np.int64)
-        s = cls(k)
-        s.n = int(arr[2 + nl])
-        pos = 3 + nl
-        s.levels, s.parity = [], []
-        for ln in lens:
-            s.levels.append(arr[pos:pos + ln].copy())
-            s.parity.append(0)
-            pos += ln
-        return s
-
-
-def approx_quantiles(ds, col: str, qs: list[float], k: int = KLL_K) -> list[float]:
-    """Distributed quantile estimates: one KLL partial per block, merged
-    through the remote tree (same path as approx_distinct), so any block
-    count reaches the driver as one O(k)-sized sketch."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        s = KLLSketch(k).update(batch[col].to_numpy(zero_copy_only=False))
-        return pa.table({"kll": pa.array([s.serialize()], pa.list_(pa.float64()))})
-
-    from ..functions.agg import block_refs
-
-    refs = block_refs(ds.map_batches(partial, batch_format="pyarrow"))
-    if not refs:
-        return [float("nan")] * len(qs)
-
-    def combine(arrs):
-        sketches = [KLLSketch.deserialize(a) for a in arrs if len(a) >= 4]
-        if not sketches:
-            return KLLSketch(k).serialize()
-        out = sketches[0]
-        for s in sketches[1:]:
-            out.merge(s)
-        return out.serialize()
-
-    merged = KLLSketch.deserialize(_tree_reduce(refs, combine, "kll"))
-    return [merged.quantile(q) for q in qs]

@@ -16,10 +16,14 @@ an epoch drain → assemble → workers → ingest → checkpoint run one
 after another, so the frontier never competes with the fetch/extract
 work for the workers' CPUs.
 
-Each ``process_shared`` call handles one wave chunk end-to-end:
+Owner 0's ``assemble_wave`` routes every wave (stages/frontier.py::
+route_wave): each row carries the id of the worker that fetches it,
+and each host its split, the number of workers its rows run on.  Each
+``process_shared`` call handles one worker's rows end-to-end:
 
-    select this worker's rows of the shared wave   (routing)
-    → fetch (corpus lookup, politeness buckets)    stages/fetch.py
+    take the rows whose ``worker`` is this one
+    → fetch (corpus lookup, per-host buckets at   stages/fetch.py
+      rate / split)
     → write its visited parquet part               (deterministic name
       per (epoch, chunk) → idempotent under re-execution; the file IS
       the per-chunk lineage the checkpoint manifest records)
@@ -54,17 +58,16 @@ class CrawlWorker(FrontierShardState):
     Ray actor (:func:`make_crawl_workers`), holding the frontier's
     url_keys ``[lo, hi)`` (empty for a worker that owns none).
 
-    Every wave goes through :meth:`process_shared` on the workers its
-    routing picks.  Each returns its candidates sorted by url_key and
-    a timing dict; the driver hands the parts to the owners
-    unchanged."""
+    Every wave goes through :meth:`process_shared` on the workers
+    ``assemble_wave`` routed its rows to; none decides routing itself.
+    Each returns its candidates sorted by url_key and a timing dict;
+    the driver hands the parts to the owners unchanged."""
 
     def __init__(
         self,
         corpus_path: str,
         gauntlet_kwargs: dict,
         max_reqs_per_sec: float | None = None,
-        budget_split: int = 1,
         storage_compression: str = "snappy",
         lo: int = 0,
         hi: int = 0,
@@ -80,8 +83,7 @@ class CrawlWorker(FrontierShardState):
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
         self.fetch = FetchStage(
-            corpus_path, max_reqs_per_sec, budget_split,
-            seed_host=gauntlet_kwargs.get("seed_host", ""),
+            corpus_path, max_reqs_per_sec, seed_host=gauntlet_kwargs.get("seed_host", ""),
         )
         self.gauntlet = CandidateGauntlet(**gauntlet_kwargs)
         self._last_full: pa.Table | None = None
@@ -116,50 +118,30 @@ class CrawlWorker(FrontierShardState):
         self,
         wave: pa.Table,
         worker_id: int,
-        num_workers: int,
-        num_buckets: int,
         vdir: str,
-        routing: str,
-        salt_map: dict | None,
+        split: dict[str, int] | None = None,
     ) -> tuple[pa.Table | None, list[str], dict]:
-        """Self-selection from the shared wave table.
+        """Self-selection from the shared wave table: this worker's rows
+        are those whose ``worker`` column is ``worker_id``.
 
         The wave is ONE object (owner 0's assemble_wave output,
-        zero-copy Arrow in the object store); each worker takes only its
+        zero-copy Arrow in the object store), routed there
+        (stages/frontier.py::route_wave); each worker takes only its
         rows here, in parallel, instead of the driver cutting and
-        pickling K chunks serially.
-
-        routing="bucket": worker = (url_key % num_buckets) % K, K the
-        pool size — the worker whose warmup preloaded that bucket
-        (corpus-cache affine), politeness budget split across workers.
-        routing="host": worker = (xxh64(host) + url_key % S_host) % K —
-        a host's URLs land on ONE worker (politeness exact per host),
-        except hot hosts salted across S workers with rate/S buckets
-        (salt_map from the driver)."""
+        pickling a chunk per worker serially.  ``split`` (host → the
+        number of workers its rows of this wave run on; None without a
+        rate) sets each host's share of its politeness rate."""
         import time
 
         t_enter = time.time()  # wall clock: driver-comparable dispatch latency
-        keys = wave["url_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        if routing == "host":
-            from ..functions.hashing import xxh64_strings
-
-            hosts = wave["host"].to_numpy(zero_copy_only=False)
-            hh = xxh64_strings(hosts)
-            salt = np.ones(len(keys), dtype=np.uint64)
-            if salt_map:
-                for h, s in salt_map.items():
-                    salt[hosts == h] = s
-            wid = ((hh + keys % salt) % np.uint64(num_workers)).astype(np.int64)
-            self.fetch.salt_map = dict(salt_map or {})
-        else:
-            wid = (keys % np.uint64(num_buckets)).astype(np.int64) % num_workers
-        idx = np.nonzero(wid == worker_id)[0]
+        self.fetch.split = split or {}
+        idx = np.nonzero(wave["worker"].to_numpy() == worker_id)[0]
         if not len(idx):
             self._last_full = None
             return None, [], {"rows": 0, "cands_raw": 0, "n_ok": 0, "fetch": 0.0,
                               "write": 0.0, "extract": 0.0, "gauntlet_fallback": 0,
                               "t_enter": t_enter, "t_exit": time.time()}
-        chunk = wave if len(idx) == len(keys) else wave.take(pa.array(idx))
+        chunk = wave if len(idx) == wave.num_rows else wave.take(pa.array(idx))
         cands, non200, timing = self.process(chunk, vdir, worker_id)
         timing["t_enter"] = t_enter
         timing["t_exit"] = time.time()

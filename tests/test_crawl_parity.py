@@ -680,6 +680,49 @@ def test_host_routing_politeness_rate_bound(tmp_workdir):
     assert res.metrics["visited"] == len(hosts)
 
 
+def test_host_routing_keeps_each_unsalted_host_on_one_worker(tmp_workdir):
+    """Host routing sends a host's rows to one fixed worker of the whole
+    pool, whatever the wave size W: over waves of W <= 16 up to W > 64,
+    every host that no wave salted (more than 2 fair shares, W/P rows)
+    has all its visited rows in the part files of one worker index —
+    so its politeness bucket never starts over full on another worker.
+    The crawl still equals the oracle."""
+    import glob
+    from collections import defaultdict
+
+    import pyarrow.parquet as pq
+
+    from siteone_crawler_ray.stages.worker import clamp_worker_count
+
+    tabs = make_graph_corpus(seed=23, hosts=8, total_pages=900)
+    cfg = CrawlConfig(fetch_concurrency=3, routing="host",
+                      allowed_domains_crawl=("*",), allowed_domains_static=("*",))
+    res, (seeds, robots) = _run_engine(tmp_workdir, tabs, cfg)
+    _assert_parity(res, run_oracle(tabs["documents"], seeds, robots, cfg))
+    P = clamp_worker_count(cfg.fetch_concurrency)
+    assert P == 3
+
+    parts_of, epochs_of, salted, waves = defaultdict(set), defaultdict(set), set(), []
+    for d in glob.glob(os.path.join(res.visited_dir, "epoch=*")):
+        e = int(d.rsplit("=", 1)[1])
+        rows = {}
+        for f in glob.glob(os.path.join(d, "part-*.parquet")):
+            worker = int(os.path.basename(f)[5:10])
+            for h in pq.read_table(f, columns=["host"])["host"].to_pylist():
+                parts_of[h].add(worker)
+                epochs_of[h].add(e)
+                rows[h] = rows.get(h, 0) + 1
+        W = sum(rows.values())
+        fair = -(-W // P)
+        salted |= {h for h, c in rows.items() if c > 2 * fair}
+        waves.append(W)
+    assert min(waves) <= 16 and max(waves) > 64, waves
+    checked = [h for h in parts_of if h not in salted and len(epochs_of[h]) > 1]
+    assert len(checked) >= 2, (checked, salted)
+    for h in checked:
+        assert len(parts_of[h]) == 1, (h, sorted(parts_of[h]))
+
+
 def test_flat_crawl_streams_all_urls(tmp_workdir):
     """flat (url-list) mode: pure Dataset pipeline visits every input
     URL exactly once with corpus-correct statuses."""
@@ -696,6 +739,29 @@ def test_flat_crawl_streams_all_urls(tmp_workdir):
     statuses = {r["status_code"] for r in rows}
     assert statuses <= {200, 301, -1, -2, -3}  # incl. transport-error docs
     assert len({r["url"] for r in rows}) == len(rows)
+
+
+def test_flat_crawl_gives_each_actor_its_share_of_the_rate(tmp_workdir, monkeypatch):
+    """flat_crawl has no wave routing — any fetch actor may get any
+    host's rows — so with ``max_reqs_per_sec=r`` and ``concurrency=c``
+    each actor's FetchStage runs at r / c."""
+    import ray.data as rd
+
+    from siteone_crawler_ray.pipelines import flat
+
+    class RateOf(flat.FetchStage):
+        def __call__(self, batch):
+            out = super().__call__(batch)
+            return out.append_column("actor_rate", pa.array([self.rate] * out.num_rows, pa.float64()))
+
+    monkeypatch.setattr(flat, "FetchStage", RateOf)
+    tabs = make_graph_corpus(seed=9, hosts=2, total_pages=60)
+    cp, _, _ = _setup(tmp_workdir, tabs)
+    urls = rd.from_arrow(pa.table({"url": tabs["documents"]["doc_id"]}))
+    out = flat.flat_crawl(cp, urls, max_reqs_per_sec=600.0, concurrency=2)
+    rows = out.select_columns(["actor_rate"]).take_all()
+    assert len(rows) == tabs["documents"].num_rows
+    assert {r["actor_rate"] for r in rows} == {300.0}
 
 
 def test_fetch_actor_pool_survives_actor_death(tmp_workdir, tmp_path):
@@ -726,7 +792,7 @@ def test_fetch_actor_pool_survives_actor_death(tmp_workdir, tmp_path):
     urls = rd.from_arrow(pa.table({"url": tabs["documents"]["doc_id"]})).repartition(8)
     out = urls.map_batches(prep_url_batch, batch_format="pyarrow").map_batches(
         DieOnceFetch,
-        fn_constructor_kwargs=dict(corpus_path=cp, budget_split=2),
+        fn_constructor_kwargs=dict(corpus_path=cp),
         batch_format="pyarrow",
         batch_size=64,
         concurrency=2,

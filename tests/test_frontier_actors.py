@@ -5,7 +5,7 @@ own one contiguous url_key range; the crawl starts no other actor.  The
 crawl's output must not depend on H: the skipped rows come out in the
 oracle's discovery order, and a checkpoint written with one owner count
 resumes with another.  An owner's cuckoo filter sizes itself from its
-exact seen set."""
+exact seen set.  Owner 0 also routes each wave (``assemble_wave``)."""
 
 import os
 
@@ -207,6 +207,50 @@ def _same_result(a, b):
     assert a.visited_table(columns=VISITED_COLS).equals(b.visited_table(columns=VISITED_COLS))
     assert np.array_equal(a.seen_keys, b.seen_keys)
     assert a.skipped.equals(b.skipped), "skipped rows differ (content or order)"
+
+
+@pytest.mark.parametrize("routing", ["host", "bucket"])
+def test_assemble_wave_splits_each_host_rate_over_its_workers(tmp_path, routing):
+    """assemble_wave routes a wave over the whole pool of P workers and
+    gives each host its split: the number of distinct workers its rows
+    land on.  In-process FetchStages, one per worker, each fetching its
+    rows, hold a host's buckets on exactly those workers at rates that
+    sum to ``max_reqs_per_sec`` — for a salted hot host under host
+    routing and for every host under bucket routing."""
+    import pyarrow.compute as pc
+
+    from siteone_crawler_ray.functions.hashing import xxh64_strings
+    from siteone_crawler_ray.stages.fetch import FetchStage
+
+    tabs = make_graph_corpus(seed=5, hosts=1, total_pages=20)
+    cp = str(tmp_path / "corpus")
+    write_corpus(tabs["documents"], cp, num_buckets=4)
+    P, rate = 3, 1000.0
+    # the hot host holds 40 of 50 rows: more than 2 fair shares (17)
+    hosts = ["hot.test"] * 40 + ["b.test"] * 6 + ["c.test"] * 4
+    n = len(hosts)
+    urls = [f"https://{h}/p{i}.html" for i, h in enumerate(hosts)]
+    drained = _entries(xxh64_strings(np.array(urls, dtype=object)))
+    drained = drained.set_column(0, "url", pa.array(urls)).set_column(2, "host", pa.array(hosts))
+    meta, wave = FrontierShardState().assemble_wave(0, 0, routing, 4, P, True, drained)
+    assert meta["W"] == n
+    worker = wave["worker"].to_numpy()
+    assert meta["workers"] == sorted(set(worker.tolist()))
+    stages = [FetchStage(cp, rate) for _ in range(P)]
+    for i, st in enumerate(stages):
+        st.split = meta["split"]
+        mine = wave.filter(pc.equal(wave["worker"], i))
+        if mine.num_rows:
+            st(mine)
+    wave_hosts = np.array(wave["host"].to_pylist())
+    for h in set(hosts):
+        on = set(worker[wave_hosts == h].tolist())
+        assert meta["split"][h] == len(on)
+        assert {i for i, st in enumerate(stages) if h in st.buckets} == on
+        assert sum(st.buckets[h].rate for st in stages if h in st.buckets) == pytest.approx(rate)
+    if routing == "host":
+        # salted over S = min(P, ceil(40 / 17)) = 3 workers; the others on one
+        assert meta["split"] == {"hot.test": 3, "b.test": 1, "c.test": 1}
 
 
 @pytest.mark.usefixtures("ray_session")
