@@ -66,8 +66,6 @@ KEEP = {
 # Unreached, with tests of their own; queued for deletion with those tests.
 DEFERRED = {
     "sources.http_cache": "tests/test_http_cache.py",
-    "stages.phash.hamming_neardup_pairs": "tests/test_phash.py",
-    "stages.phash.image_neardup_pairs": "tests/test_phash.py",
 }
 
 

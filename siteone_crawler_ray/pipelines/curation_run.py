@@ -1,25 +1,31 @@
 """Corpus curation run — the full make-training-data composition over
 any (id, group, text) document Dataset (a crawl's assembled pages, the
 ``documents`` table, an ingest increment), built entirely from this
-engine's operators:
+engine's operators, one Ray Data execution per pass over the rows:
 
-    annotate+filter   (langid / quality ratios / zlib compression —
-                       one fused map_batches, thresholds are knobs)
-      → exact dedup   (ONE content-hash exchange; min-id survivor per
-                       identical text, rows move once and STAY
-                       distributed as object-store refs)
+    annotate+filter   (langid / quality ratios / zlib compression and
+                       the content hash — one fused map_batches,
+                       thresholds are knobs)
+      → exact dedup   (ONE content-hash exchange over the gate's blocks;
+                       min-id survivor per identical text, rows move
+                       once and STAY distributed as object-store refs)
       → near dedup    (MinHash-LSH banded exchange → verified pairs →
                        drop the larger id; churn-sized drop set)
-      → decontaminate (benchmark n-gram semi-join — broadcast below
-                       the shard threshold, sharded exchange above)
-      → shard write   (seeded deterministic shuffle, resumable
-                       per-shard parquet, skip-existing)
+      → decontaminate (benchmark n-gram hashes collected once, in a
+                       second thread beside the passes above; the
+                       per-batch semi-join runs inside the shard-write
+                       pass below the broadcast threshold, as a sharded
+                       exchange before it above)
+      → shard write   (one pass drops the near-dup and contaminated
+                       docs and keys the rows for the seeded
+                       deterministic shuffle; resumable per-shard
+                       parquet, skip-existing)
 
 The driver only ever sees stage COUNTS and the shard manifest; full
 rows move through object-store exchanges and land in the shard files
 written by the partition tasks themselves.  Gates drop by broadcast
-sorted uint64 key arrays (8 B per dropped doc — churn-sized), never
-Python sets.
+sorted key arrays (8 B per dropped doc — churn-sized), never Python
+sets.
 
 Reference scope: the reference crawler ends at exports
 (`/root/reference/src/export/`); this composition is the SURVEY §2.11
@@ -28,29 +34,13 @@ training-data extension family end to end.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import xxh64_strings
-
-
-def _drop_by_keys(ds, drop_keys: np.ndarray, key_col: str):
-    """Filter out rows whose uint64 key is in the sorted drop array —
-    broadcast once, searchsorted per batch."""
-    import ray
-
-    if not len(drop_keys):
-        return ds
-    ref = ray.put(np.sort(drop_keys.astype(np.uint64)))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        dk = ray.get(ref)
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pos = np.minimum(np.searchsorted(dk, k), len(dk) - 1)
-        return batch.filter(pa.array(dk[pos] != k))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def curation_run(docs_ds, bench_ds, out_dir: str, *,
@@ -70,18 +60,18 @@ def curation_run(docs_ds, bench_ds, out_dir: str, *,
     import ray
     import ray.data as rd
 
+    from ..stages import sampling
     from ..stages.dedup import (
         _auto_partitions,
         _partitioned_exchange,
         minhash_dedup_pairs,
     )
-    from ..stages.sampling import benchmark_shingles, decontaminate, epoch_shuffle_write
     from ..stages.textstats import compression_ratio, quality_scores, token_counts
 
-    # -- stage 1: annotate + filter (one fused pass) ---------------------
+    # -- pass 1: annotate + filter + content hash ------------------------
     def gate(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return batch
+            return batch.append_column("__chash", pa.array([], pa.uint64()))
         shim = pa.table({"doc_id": batch[id_col].cast(pa.int64()),
                          "text": batch[text_col]})
         toks = token_counts(shim)["n_tokens"].to_numpy(zero_copy_only=False)
@@ -96,7 +86,17 @@ def curation_run(docs_ds, bench_ds, out_dir: str, *,
                 # degenerate-token guard (binary blobs / minified blobs
                 # masquerading as text read as very long avg tokens)
                 & (q["avg_tok_len"].to_numpy(zero_copy_only=False) <= 40.0))
-        return batch.filter(pa.array(keep))
+        kept = batch.filter(pa.array(keep))
+        return kept.append_column(
+            "__chash", pa.array(xxh64_strings(kept[text_col]), pa.uint64()))
+
+    # the benchmark hashes take an execution of their own over bench_ds:
+    # it runs in a second thread beside passes 1-3 (whose executions
+    # mostly wait on their tasks), and the last pass waits for it
+    pool = ThreadPoolExecutor(1)
+    bench_hashes = pool.submit(sampling.benchmark_shingles, bench_ds, n=decontam_n,
+                               text_col=text_col)
+    pool.shutdown(wait=False)
 
     filtered = docs_ds.map_batches(gate, batch_format="pyarrow").materialize()
     n_filtered = filtered.count()
@@ -105,11 +105,7 @@ def curation_run(docs_ds, bench_ds, out_dir: str, *,
                 "after_exact_dedup": 0, "near_dups_dropped": 0,
                 "contaminated_dropped": 0, "final": 0, "shards": []}
 
-    # -- stage 2: exact dedup, rows move once and stay distributed -------
-    def add_chash(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__chash", pa.array(xxh64_strings(batch[text_col]), pa.uint64()))
-
+    # -- exact dedup: one exchange, rows move once and stay distributed --
     def keep_min_per_hash(t: pa.Table) -> pa.Table:
         h = t["__chash"].to_numpy(zero_copy_only=False)
         ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -119,12 +115,12 @@ def curation_run(docs_ds, bench_ds, out_dir: str, *,
 
     P = num_partitions if num_partitions is not None else _auto_partitions(n_filtered)
     exact_refs = _partitioned_exchange(
-        filtered.map_batches(add_chash, batch_format="pyarrow"),
-        "__chash", keep_min_per_hash, num_partitions=P, return_refs=True)
+        filtered, "__chash", keep_min_per_hash, num_partitions=P, return_refs=True)
 
     # an empty exchange partition resolves to None — swap in an empty
     # table of the right schema so from_arrow_refs streams cleanly
-    empty_schema = filtered.schema().base_schema
+    schema = filtered.schema().base_schema
+    empty_schema = schema.remove(schema.get_field_index("__chash"))
 
     @ray.remote
     def _or_empty(t):
@@ -134,41 +130,61 @@ def curation_run(docs_ds, bench_ds, out_dir: str, *,
         [_or_empty.remote(r) for r in exact_refs]).materialize()
     n_exact = deduped.count()
 
-    # -- stage 3: near-dup pairs → drop the larger id ---------------------
+    # -- passes 2-3: MinHash-LSH near-dup pairs → drop the larger id ----
     pairs = minhash_dedup_pairs(deduped, id_col=id_col, text_col=text_col,
                                 threshold=dup_threshold)
-    ia = pairs["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ib = pairs["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    near_drop = np.unique(np.maximum(ia, ib))
-    nearless = _drop_by_keys(deduped, near_drop, id_col)
+    # a pair's id_a < id_b in the id column's own order, by construction
+    near_drop = np.unique(pairs["id_b"].to_numpy(zero_copy_only=False).astype(np.int64))
 
-    # -- stage 4: decontamination ----------------------------------------
-    bench_renamed = (bench_ds if text_col == "text" else bench_ds.map_batches(
-        lambda b: b.rename_columns(
-            ["text" if c == text_col else c for c in b.column_names]),
-        batch_format="pyarrow"))
-    bh = benchmark_shingles(bench_renamed, n=decontam_n)
-    contam = decontaminate(nearless.map_batches(
-        lambda b: pa.table({"doc_id": b[id_col].cast(pa.int64()),
-                            "text": b[text_col]}),
-        batch_format="pyarrow"), bh, n=decontam_n)
-    contam_blocks = [b["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                     for b in contam.iter_batches(batch_format="pyarrow")
-                     if b.num_rows]
-    contam_ids = (np.concatenate(contam_blocks) if contam_blocks
-                  else np.array([], np.uint64))
-    clean = _drop_by_keys(nearless, contam_ids, id_col).materialize()
-    n_clean = clean.count()
+    # -- benchmark n-gram hashes (the small side) ------------------------
+    bh = bench_hashes.result()
+    drop = near_drop
+    if len(bh) > sampling._BENCH_BROADCAST_MAX_HASHES:
+        # too many to broadcast: the sharded semi-join finds the
+        # contaminated ids first, and the last pass drops them by id
+        nearless = deduped.map_batches(
+            _cleaner(near_drop, bh[:0], decontam_n, text_col, id_col),
+            batch_format="pyarrow")
+        contam = sampling.sharded_bench_hits(nearless, bh, decontam_n, text_col, id_col)
+        drop = np.union1d(near_drop, contam["doc_id"].to_numpy(zero_copy_only=False))
+        bh = bh[:0]
 
-    # -- stage 5: deterministic shuffle + resumable shard sink -----------
-    shards = epoch_shuffle_write(
+    # -- last pass: drop near-dups + contaminated docs, shuffle, write ---
+    # lazy: it fuses with epoch_shuffle_write's keying map into one pass
+    clean = deduped.map_batches(_cleaner(drop, bh, decontam_n, text_col, id_col),
+                                batch_format="pyarrow")
+    shards = sampling.epoch_shuffle_write(
         clean, out_dir, num_shards=num_shards, seed=seed, key_col=id_col)
+    n_clean = int(pc.sum(shards["rows"]).as_py() or 0)
     return {
         "input": int(docs_ds.count()),
         "after_quality_filter": int(n_filtered),
         "after_exact_dedup": int(n_exact),
         "near_dups_dropped": int(len(near_drop)),
-        "contaminated_dropped": int(len(contam_ids)),
-        "final": int(n_clean),
+        "contaminated_dropped": int(n_exact - len(near_drop) - n_clean),
+        "final": n_clean,
         "shards": shards.to_pylist(),
     }
+
+
+def _cleaner(drop_ids: np.ndarray, bench_hashes: np.ndarray, n: int,
+             text_col: str, id_col: str):
+    """The last pass's per-batch filter: drop the rows whose id is in
+    the sorted int64 ``drop_ids`` and the docs sharing a word-``n``-gram
+    with the sorted ``bench_hashes`` (the broadcast decontamination
+    kernel).  Both arrays are broadcast once through the object store."""
+    import ray
+
+    from ..stages.sampling import bench_hits, in_sorted
+
+    drop_ref, bh_ref = ray.put(drop_ids), ray.put(bench_hashes)
+
+    def clean(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        gone = in_sorted(ray.get(drop_ref), ids)
+        bh = ray.get(bh_ref)
+        if len(bh):
+            gone |= np.isin(ids, bench_hits(batch, bh, n, text_col, id_col)["doc_id"])
+        return batch.filter(pa.array(~gone))
+
+    return clean

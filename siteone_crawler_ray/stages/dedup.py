@@ -319,23 +319,45 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     return rd.from_arrow(out)
 
 
+# docs per block of the MinHash permutation loop: a block's shingle
+# hashes (a few hundred per doc) stay cache-resident across all
+# num_perm passes instead of streaming the whole batch from DRAM each time
+_MINHASH_BLOCK_DOCS = 256
+
+
 def minhash_signatures(batch: pa.Table, *, id_col="doc_id", text_col="text",
                        num_perm=64, shingle_k=5, seed=7) -> pa.Table:
-    """Per-batch MinHash: (doc, num_perm) uint64 signature matrix."""
+    """Per-batch MinHash: (doc, num_perm) uint64 signature matrix,
+    ``mh{j}`` = min over the doc's shingle hashes x of
+    ``(a[j]·x + b[j]) & (2^61 - 1)``; a doc without shingles gets
+    ``2^61 - 1``.  The permutation loop runs per block of
+    ``_MINHASH_BLOCK_DOCS`` docs through one in-place buffer."""
     texts = batch[text_col].to_numpy(zero_copy_only=False)
     base, offsets = _shingle_hashes(texts, shingle_k)
     a, b = _perm_params(num_perm, seed)
     n = len(texts)
-    sig = np.empty((n, num_perm), dtype=np.uint64)
+    sig = np.empty((num_perm, n), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for j in range(num_perm):
-            h = (a[j] * base + b[j]) & _M61
-            sig[:, j] = np.minimum.reduceat(h, offsets[:-1]) if len(base) else 0
-            empty = offsets[:-1] == offsets[1:]
-            sig[empty, j] = _M61
+        for d0 in range(0, n, _MINHASH_BLOCK_DOCS):
+            d1 = min(d0 + _MINHASH_BLOCK_DOCS, n)
+            blk = base[offsets[d0]:offsets[d1]]
+            starts = offsets[d0:d1] - offsets[d0]
+            # empty docs at the block's end start past its last shingle:
+            # leave them out (reduceat would index past the buffer)
+            starts = starts[:np.searchsorted(starts, len(blk))]
+            if not len(starts):
+                continue
+            out = sig[:, d0:d0 + len(starts)]
+            buf = np.empty_like(blk)
+            for j in range(num_perm):
+                np.multiply(blk, a[j], out=buf)
+                np.add(buf, b[j], out=buf)
+                np.bitwise_and(buf, _M61, out=buf)
+                np.minimum.reduceat(buf, starts, out=out[j])
+    sig[:, offsets[:-1] == offsets[1:]] = _M61
     cols = {id_col: batch[id_col]}
     for j in range(num_perm):
-        cols[f"mh{j}"] = pa.array(sig[:, j], pa.uint64())
+        cols[f"mh{j}"] = pa.array(sig[j], pa.uint64())
     return pa.table(cols)
 
 

@@ -363,6 +363,15 @@ def _doc_shingle_pairs(batch: pa.Table, text_col: str, n: int,
     return ids[di[keep]], hi[keep]
 
 
+def in_sorted(sorted_keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Membership mask of ``x`` in the sorted array ``sorted_keys``
+    (one ``searchsorted``, no per-call sort of the big side)."""
+    if not len(sorted_keys):
+        return np.zeros(len(x), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, x), len(sorted_keys) - 1)
+    return sorted_keys[pos] == x
+
+
 def benchmark_shingles(ds, n: int = 3, text_col: str = "text") -> np.ndarray:
     """Sorted distinct word-n-gram hashes of the benchmark/eval split.
 
@@ -392,6 +401,60 @@ def benchmark_shingles(ds, n: int = 3, text_col: str = "text") -> np.ndarray:
 _BENCH_BROADCAST_MAX_HASHES = 16_000_000
 
 
+def _hits(bh: np.ndarray, ids: np.ndarray, h: np.ndarray) -> pa.Table:
+    """(doc_id, n_hits) for the docs whose distinct (doc, hash) pairs
+    hit the sorted benchmark hashes ``bh``."""
+    docs, counts = np.unique(ids[in_sorted(bh, h)], return_counts=True)
+    return pa.table({"doc_id": pa.array(docs.astype(np.int64)),
+                     "n_hits": pa.array(counts.astype(np.int64))})
+
+
+def bench_hits(batch: pa.Table, bh: np.ndarray, n: int = 3, text_col: str = "text",
+               id_col: str = "doc_id") -> pa.Table:
+    """One train batch's contaminated docs against the sorted benchmark
+    hashes ``bh``: (doc_id, n_hits), n_hits = DISTINCT shared
+    word-``n``-gram count — the per-batch kernel of the broadcast
+    decontamination."""
+    return _hits(bh, *_doc_shingle_pairs(batch, text_col, n, id_col))
+
+
+def sharded_bench_hits(train_ds, bh_sorted: np.ndarray, n: int = 3,
+                       text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
+    """:func:`bench_hits` over a whole Dataset without broadcasting the
+    benchmark set: it is hash-sharded (``h % S``) and the train
+    (doc, hash) pairs take one key exchange on the same hash, so every
+    partition semi-joins against ONE shard — no task ever holds the
+    whole benchmark index.  Returns the (doc_id, n_hits) table."""
+    import ray
+
+    from .dedup import _auto_partitions, _partitioned_exchange
+
+    S = _auto_partitions(len(bh_sorted),
+                         rows_per_partition=max(1, _BENCH_BROADCAST_MAX_HASHES // 8))
+    # per-shard arrays stay sorted: a sorted array filtered by a mask
+    # keeps its order
+    shard_refs = [ray.put(bh_sorted[bh_sorted % np.uint64(S) == np.uint64(s)])
+                  for s in range(S)]
+
+    def pairs_fn(batch: pa.Table) -> pa.Table:
+        ids, h = _doc_shingle_pairs(batch, text_col, n, id_col)
+        return pa.table({"doc_id": pa.array(ids.astype(np.int64)),
+                         "h": pa.array(h, pa.uint64())})
+
+    def shard_check(tbl: pa.Table) -> pa.Table:
+        h = tbl["h"].to_numpy(zero_copy_only=False)
+        s = int(h[0] % np.uint64(S))  # partition ⇒ single shard by construction
+        return _hits(ray.get(shard_refs[s]), tbl["doc_id"].to_numpy(zero_copy_only=False), h)
+
+    pairs_ds = train_ds.map_batches(pairs_fn, batch_format="pyarrow")
+    parts = _partitioned_exchange(pairs_ds, "h", shard_check, num_partitions=S)
+    if not parts:
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "n_hits": pa.array([], pa.int64())})
+    return pa.concat_tables(parts).group_by("doc_id", use_threads=False).aggregate(
+        [("n_hits", "sum")]).rename_columns(["doc_id", "n_hits"])
+
+
 def decontaminate(train_ds, bench_hashes: np.ndarray, n: int = 3,
                   text_col: str = "text") -> "object":
     """Mark training documents sharing any word-``n``-gram with the
@@ -400,72 +463,22 @@ def decontaminate(train_ds, bench_hashes: np.ndarray, n: int = 3,
     contaminated docs, n_hits = DISTINCT shared n-gram count.
 
     Scale shape: benchmark hashes ride the object store once
-    (``ray.put``); each train block computes its own distinct
-    (doc, hash) pairs and a vectorized ``searchsorted`` membership —
-    no shuffle, no driver funnel.  Above
-    ``_BENCH_BROADCAST_MAX_HASHES`` the benchmark set is hash-sharded
-    (``h % S``) and the train pairs take one key exchange on the same
-    hash, so every partition semi-joins against ONE shard — no task
-    ever holds the whole benchmark index."""
+    (``ray.put``); each train block runs :func:`bench_hits` (its own
+    distinct (doc, hash) pairs and a vectorized ``searchsorted``
+    membership) — no shuffle, no driver funnel.  Above
+    ``_BENCH_BROADCAST_MAX_HASHES`` it takes
+    :func:`sharded_bench_hits` instead."""
     import ray
 
     bh_sorted = np.sort(np.asarray(bench_hashes, dtype=np.uint64))
+    if len(bh_sorted) > _BENCH_BROADCAST_MAX_HASHES:
+        import ray.data as rd
 
-    def _hits(bh: np.ndarray, ids: np.ndarray, h: np.ndarray) -> pa.Table:
-        pos = np.searchsorted(bh, h)
-        pos[pos == len(bh)] = 0
-        hit = bh[pos] == h if len(bh) else np.zeros(len(h), dtype=bool)
-        docs, counts = np.unique(ids[hit], return_counts=True)
-        return pa.table({"doc_id": pa.array(docs.astype(np.int64)),
-                         "n_hits": pa.array(counts.astype(np.int64))})
-
-    _empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                       "n_hits": pa.array([], pa.int64())})
-
-    if len(bh_sorted) <= _BENCH_BROADCAST_MAX_HASHES:
-        ref = ray.put(bh_sorted)
-
-        def mark(batch: pa.Table) -> pa.Table:
-            bh = ray.get(ref)
-            ids, h = _doc_shingle_pairs(batch, text_col, n)
-            if len(h) == 0:
-                return _empty
-            return _hits(bh, ids, h)
-
-        return train_ds.map_batches(mark, batch_format="pyarrow")
-
-    # sharded semi-join path: shard the benchmark set by h % S, route
-    # train (doc, hash) pairs by the SAME key, check each partition
-    # against only its shard (per-shard arrays stay sorted — a sorted
-    # array filtered by a mask keeps its order)
-    import ray.data as rd
-
-    from .dedup import _auto_partitions, _partitioned_exchange
-
-    S = _auto_partitions(len(bh_sorted),
-                         rows_per_partition=max(1, _BENCH_BROADCAST_MAX_HASHES // 8))
-    shard_refs = [ray.put(bh_sorted[bh_sorted % np.uint64(S) == np.uint64(s)])
-                  for s in range(S)]
-
-    def pairs_fn(batch: pa.Table) -> pa.Table:
-        ids, h = _doc_shingle_pairs(batch, text_col, n)
-        return pa.table({"doc_id": pa.array(ids.astype(np.int64)),
-                         "h": pa.array(h, pa.uint64())})
-
-    def shard_check(tbl: pa.Table) -> pa.Table:
-        h = tbl["h"].to_numpy(zero_copy_only=False)
-        s = int(h[0] % np.uint64(S))  # partition ⇒ single shard by construction
-        bh = ray.get(shard_refs[s])
-        ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        return _hits(bh, ids, h)
-
-    pairs_ds = train_ds.map_batches(pairs_fn, batch_format="pyarrow")
-    parts = _partitioned_exchange(pairs_ds, "h", shard_check, num_partitions=S)
-    if not parts:
-        return rd.from_arrow(_empty)
-    merged = pa.concat_tables(parts).group_by("doc_id", use_threads=False).aggregate(
-        [("n_hits", "sum")]).rename_columns(["doc_id", "n_hits"])
-    return rd.from_arrow(merged)
+        return rd.from_arrow(sharded_bench_hits(train_ds, bh_sorted, n, text_col))
+    ref = ray.put(bh_sorted)
+    return train_ds.map_batches(
+        lambda batch: bench_hits(batch, ray.get(ref), n, text_col),
+        batch_format="pyarrow")
 
 
 # ------------------------------------------------------------ seq packing
