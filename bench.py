@@ -350,8 +350,8 @@ def run_frontier_bench(num_owners: int | None = None, total_keys: int = 4_000_00
     import numpy as np
 
     _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    from siteone_crawler_ray.stages.frontier import (
-        FrontierShardState, key_bounds, shard_actor_count)
+    from siteone_crawler_ray.functions.hashing import key_bounds, range_index
+    from siteone_crawler_ray.stages.frontier import FrontierShardState, shard_actor_count
     import pyarrow as pa
     import ray
 
@@ -359,13 +359,12 @@ def run_frontier_bench(num_owners: int | None = None, total_keys: int = 4_000_00
     Actor = ray.remote(num_cpus=1, scheduling_strategy="SPREAD")(FrontierShardState)
     b = key_bounds(num_owners or shard_actor_count())
     shards = [Actor.remote(lo, hi) for lo, hi in zip(b, b[1:])]
-    cuts = np.array(b[1:-1], dtype=np.uint64)
     rng = np.random.default_rng(11)
     t_offer = t_contains = 0.0
     n_rounds = total_keys // batch
     for r in range(n_rounds):
         keys = rng.integers(0, 1 << 64, size=batch, dtype=np.uint64)
-        actor = np.searchsorted(cuts, keys, side="right")
+        actor = range_index(keys, len(shards))
         t0 = time.perf_counter()
         refs = []
         for i, s in enumerate(shards):

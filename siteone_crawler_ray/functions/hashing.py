@@ -337,3 +337,34 @@ def md5_u64_strings(strings) -> np.ndarray:
         (int.from_bytes(md5(s.encode("utf-8")).digest()[:8], "big") for s in strings),
         dtype=np.uint64, count=len(strings),
     )
+
+
+# -- url_key ranges ----------------------------------------------------------
+# The one key partitioning of the crawl: corpus buckets
+# (sources/corpus.py), fetch workers and frontier owners
+# (stages/frontier.py) each cut the url_key space into n contiguous
+# ranges here.
+
+KEY_SPACE = 1 << 64
+
+
+def key_bounds(n: int) -> list[int]:
+    """Range j of n holds url_keys ``[b[j], b[j + 1])``, ``b[j] =
+    ceil(j·2^64 / n)``: contiguous, covering [0, 2^64), sizes differing
+    by at most one."""
+    return [-(-j * KEY_SPACE // n) for j in range(n + 1)]
+
+
+def range_index(keys, n: int) -> np.ndarray:
+    """Range of :func:`key_bounds` (n) holding each url_key."""
+    cuts = np.array(key_bounds(n)[1:-1], dtype=np.uint64)
+    return np.searchsorted(cuts, np.asarray(keys, dtype=np.uint64), side="right")
+
+
+def key_span(sorted_keys: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Index span ``[a, b)`` of the keys in ``[lo, hi)`` within an
+    ascending uint64 array."""
+    if lo >= hi:
+        return 0, 0
+    return (int(np.searchsorted(sorted_keys, np.uint64(lo))),
+            int(np.searchsorted(sorted_keys, np.uint64(hi - 1), side="right")))

@@ -7,8 +7,9 @@ SURVEY.md §3.2:
 
     wave e = drain(owners) sorted by priority, routed on owner 0
              (FrontierShardState.assemble_wave): every row gets a worker
-             of the whole pool of P — (url_key % num_buckets) % P, the
-             worker holding its corpus bucket (bucket routing), or
+             of the whole pool of P — the one whose url_key range of
+             key_bounds(P) holds it, which preloaded the corpus buckets
+             of that range (bucket routing), or
              (xxh64(host) + url_key % S_h) % P, one fixed worker per
              host, S_h > 1 only for a hot host (host routing) — and,
              with a rate, every host its split (the number of workers
@@ -37,10 +38,11 @@ racy counter — SURVEY.md §7.5).
 
 Frontier: the first H = min(``stages/frontier.shard_actor_count``,
 pool size) crawl workers (the OWNERS, ``_shards``) each hold one
-contiguous url_key range (``stages/frontier.key_bounds``); the driver
-calls each owner once per step.  The crawl starts one actor pool, no
-other actor, and under bucket routing no more workers than the corpus
-has buckets (a worker past them would never receive a row).
+contiguous url_key range (``functions/hashing.key_bounds``, the one
+key partitioning of the crawl: corpus buckets and fetch workers are
+cut the same way); the driver calls each owner once per step.  The
+crawl starts one actor pool, no other actor, whatever the corpus's
+bucket count.
 
 Checkpoint/resume: per-epoch manifests with per-owner seen deltas,
 pending queues, visited/skipped parquet and metric lineage; resume
@@ -63,7 +65,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions import urls as U
-from ..functions.hashing import uq_ids, xxh64_strings
+from ..functions.hashing import key_bounds, range_index, uq_ids, xxh64_strings
 from ..functions.robots import RobotsIndex
 from ..stages.extract import PRIO_SHIFT
 from ..stages import frontier
@@ -107,7 +109,7 @@ class CrawlConfig:
     ignore_robots_txt: bool = False
     max_reqs_per_sec: float | None = None  # None → politeness off (corpus mode)
     # physical execution
-    # routing="bucket": corpus-cache affine (a host's rate split over
+    # routing="bucket": url_key-range affine (a host's rate split over
     # the workers its rows run on); routing="host": one fixed worker
     # per host (hot hosts salted) — stages/frontier.py::route_wave
     routing: str = "bucket"
@@ -195,8 +197,6 @@ class EpochCrawler:
         seed_attrs: list[int] | None = None,
     ):
         self.corpus_path = corpus_path
-        with open(os.path.join(corpus_path, "_meta.json")) as f:
-            self.num_buckets = json.load(f)["num_buckets"]
         self.cfg = config or CrawlConfig()
         self.workdir = workdir
         os.makedirs(workdir, exist_ok=True)
@@ -212,10 +212,9 @@ class EpochCrawler:
         self.basename_counts: dict[str, int] = {}
         self.metrics: dict = {"epochs": []}
         # the crawl worker pool; its first H workers (_shards) own the
-        # frontier's url_key ranges, split at _cuts
+        # frontier's url_key ranges
         self._workers: list = []
         self._shards: list = []
-        self._cuts = np.empty(0, np.uint64)
         self._blocklist: frozenset = frozenset()
         self._epoch_workers_used: list = []
         # fire-and-forget refs from the PREVIOUS epoch (fast-path ingest
@@ -236,22 +235,16 @@ class EpochCrawler:
         # 0 (no whole CPU left) still builds one zero-CPU worker; unset,
         # the pool takes every whole CPU but the driver's, up to 64.
         k = clamp_worker_count(self.cfg.fetch_concurrency or 64)
-        if self.cfg.routing == "bucket":
-            # bucket b runs on worker b % pool size: a worker past the
-            # bucket count would never receive a row
-            k = min(k, self.num_buckets)
         H = min(frontier.shard_actor_count(), max(1, k))
-        b = frontier.key_bounds(H)
         self._workers = make_crawl_workers(
             k,
-            b,
+            key_bounds(H),
             corpus_path=self.corpus_path,
             gauntlet_kwargs=self._gauntlet_kwargs(),
             max_reqs_per_sec=self.cfg.max_reqs_per_sec,
             storage_compression=self.cfg.storage_compression,
         )
         self._shards = self._workers[:H]
-        self._cuts = np.array(b[1:-1], dtype=np.uint64)
 
     def _shard_call(self, method: str, *args, per_shard: list[tuple] | None = None) -> list:
         """Call ``method`` on every owner and wait for the results: with
@@ -264,7 +257,7 @@ class EpochCrawler:
 
     def _rows_by_actor(self, keys: np.ndarray) -> list[np.ndarray]:
         """Row indices of ``keys`` per owner."""
-        a = np.searchsorted(self._cuts, np.asarray(keys, dtype=np.uint64), side="right")
+        a = range_index(keys, len(self._shards))
         return [np.nonzero(a == j)[0] for j in range(len(self._shards))]
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
@@ -408,9 +401,9 @@ class EpochCrawler:
         return W
 
     def _route_args(self) -> tuple:
-        """assemble_wave's routing arguments: routing, num_buckets, the
-        pool size and whether the crawl has a politeness rate."""
-        return (self.cfg.routing, self.num_buckets, len(self._workers),
+        """assemble_wave's routing arguments: routing, the pool size and
+        whether the crawl has a politeness rate."""
+        return (self.cfg.routing, len(self._workers),
                 self.cfg.max_reqs_per_sec is not None)
 
     def _gauntlet_kwargs(self) -> dict:
@@ -673,10 +666,10 @@ class EpochCrawler:
         warm = _dispatch_table([("https://w/", 0, "w", 0, 0, "", 0)])
         pending = [s.assemble_wave.options(num_returns=2).remote(0, 0, *self._route_args(), warm)[0]
                    for s in self._shards]
-        # each bucket on the worker bucket routing sends its rows to
-        home = frontier.bucket_workers(np.arange(self.num_buckets), self.num_buckets,
-                                       len(self._workers))
-        pending += [w.preload_buckets.remote(np.nonzero(home == i)[0].tolist())
+        # each worker preloads the buckets of the url_key range bucket
+        # routing sends it
+        b = key_bounds(len(self._workers))
+        pending += [w.preload_buckets.remote(b[i], b[i + 1])
                     for i, w in enumerate(self._workers)]
         samples = ray.get(pending)[len(self._shards):]
         # First process() call per worker pays cold costs (parquet

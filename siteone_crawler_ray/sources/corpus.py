@@ -12,11 +12,13 @@ code 10), img/script/css/media spans carry asset refs (codes 20/30/50/24
 — /root/reference/src/engine/found_url.rs:12-29).  A "fetch" is a keyed
 lookup of the canonical URL in this corpus instead of a network call.
 
-Storage is hash-bucketed parquet (the Lance stand-in — ``lance`` is not
-installed here): ``bucket=XX/part.parquet`` with rows sorted by
-``url_key`` (xxhash64 of doc_id) and small row groups, so a keyed fetch
-reads only its bucket and prunes row groups via the sorted key column.
-At cluster scale each fetch actor caches only the buckets routed to it.
+Storage is key-range-bucketed parquet (the Lance stand-in — ``lance``
+is not installed here): bucket b of B holds the url_keys (xxhash64 of
+doc_id) in range b of ``functions/hashing.key_bounds(B)``, as
+``bucket=XX/part.parquet`` with rows sorted by ``url_key`` and small row
+groups, so a keyed fetch reads only its bucket and prunes row groups via
+the sorted key column.  Fetch workers own url_key ranges cut the same
+way, so each caches only the buckets overlapping its range.
 
 Generation follows FIXTURES.md §1: seeded link graph over H hosts with a
 Zipf host-size skew, ~80% same-host links, ~10% cross-host, ~5%
@@ -33,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.hashing import xxh64_strings
+from ..functions.hashing import key_bounds, key_span, range_index, xxh64_strings
 
 # bump when generation rules change — cached corpora under /tmp key on it
 # v2: redirect docs (p%43==11); v3: transport-error docs (p%89==7)
@@ -41,7 +43,8 @@ from ..functions.hashing import xxh64_strings
 #     (i%13==5 → extra link to a nonexistent page → 404), robots rule
 #     blocking host 1 /p/00009 — seeds the title-dup / 404 / skipped
 #     report tables with non-trivial rows (VERDICT r1 §wrong.7)
-GENERATOR_VERSION = 4
+# v5: buckets are url_key ranges, not url_key % num_buckets
+GENERATOR_VERSION = 5
 
 SPAN_TYPE = pa.struct(
     [
@@ -344,8 +347,8 @@ def interleaved_from_testdata(sf_dir: str, hosts: int = 8, out_degree: int = 6) 
 class BucketFormat:
     """Physical-format seam for the bucketed corpus store.
 
-    The logical layout — hash buckets on ``xxh64(doc_id)``, key-sorted
-    rows within a bucket, ``_meta.json`` at the root — is format-
+    The logical layout — url_key-range buckets on ``xxh64(doc_id)``,
+    key-sorted rows within a bucket, ``_meta.json`` at the root — is format-
     independent; an adapter only turns one bucket's table into/out of
     files under its ``bucket=XX/`` directory.  ``BASELINE.json`` names a
     Lance input: :class:`LanceBucketFormat` drops in wherever ``lance``
@@ -410,25 +413,27 @@ def get_bucket_format(name: str) -> BucketFormat:
 def write_corpus(
     documents: pa.Table, path: str, num_buckets: int = 16, bucket_format: str = "parquet"
 ) -> None:
-    """Write hash-bucketed, key-sorted buckets (one dir per bucket so a
-    failed run / a fetch actor touches only its buckets); the physical
-    file format inside a bucket is pluggable via ``bucket_format``."""
+    """Write key-sorted buckets, bucket b the url_keys in range b of
+    ``key_bounds(num_buckets)`` (one dir per bucket so a failed run / a
+    fetch actor touches only its buckets); the physical file format
+    inside a bucket is pluggable via ``bucket_format``."""
     fmt = get_bucket_format(bucket_format)
     keys = xxh64_strings(documents["doc_id"])
-    bucket = (keys % np.uint64(num_buckets)).astype(np.int32)
     t = documents.append_column("url_key", pa.array(keys, type=pa.uint64()))
+    t = t.take(pa.compute.sort_indices(t["url_key"]))
+    keys = t["url_key"].to_numpy()
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "_meta.json"), "w") as f:
         import json
 
-        json.dump({"num_buckets": num_buckets, "num_rows": t.num_rows, "format": fmt.name}, f)
+        json.dump({"num_buckets": num_buckets, "layout": "key_range",
+                   "num_rows": t.num_rows, "format": fmt.name}, f)
+    bounds = key_bounds(num_buckets)
     for b in range(num_buckets):
-        sub = t.filter(pa.array(bucket == b))
-        order = pa.compute.sort_indices(sub["url_key"])
-        sub = sub.take(order)
+        lo, hi = key_span(keys, bounds[b], bounds[b + 1])
         bdir = os.path.join(path, f"bucket={b:02d}")
         os.makedirs(bdir, exist_ok=True)
-        fmt.write_bucket(sub, bdir)
+        fmt.write_bucket(t.slice(lo, hi - lo), bdir)
 
 
 class CorpusReader:
@@ -436,14 +441,20 @@ class CorpusReader:
 
     Buckets load lazily and stay cached (searchsorted on the sorted
     ``url_key`` column → ``Table.take``).  One reader lives inside each
-    fetch actor; routing fetch batches by bucket keeps each actor's
-    cache to a subset of buckets at cluster scale."""
+    fetch actor; routing fetch batches by url_key range keeps each
+    actor's cache to the buckets overlapping its range
+    (:meth:`bucket_span`)."""
 
     def __init__(self, path: str):
         import json
 
         with open(os.path.join(path, "_meta.json")) as f:
             meta = json.load(f)
+        # a url_key % num_buckets corpus would silently miss most pages
+        if meta.get("layout") != "key_range":
+            raise ValueError(
+                f"corpus {path!r} has no key_range bucket layout (written "
+                "before GENERATOR_VERSION 5); rewrite it with write_corpus")
         self.path = path
         self.num_buckets = meta["num_buckets"]
         # pre-seam corpora have no "format" key → parquet
@@ -456,37 +467,33 @@ class CorpusReader:
             self._cache[b] = (t["url_key"].to_numpy(), t)
         return self._cache[b]
 
+    def bucket_span(self, lo: int, hi: int) -> range:
+        """Ids of the buckets holding url_keys in ``[lo, hi)``."""
+        if lo >= hi:
+            return range(0)
+        first, last = range_index([lo, hi - 1], self.num_buckets)
+        return range(int(first), int(last) + 1)
+
     def lookup(self, urls, keys: np.ndarray | None = None) -> tuple[np.ndarray, pa.Table]:
         """→ (found_mask, rows) where rows has one entry per found URL, in
         input order.  ``keys`` may be precomputed xxh64 of urls."""
         if keys is None:
             keys = xxh64_strings(urls)
         keys = keys.astype(np.uint64, copy=False)
-        n = len(keys)
-        found = np.zeros(n, dtype=bool)
-        take_bucket = np.zeros(n, dtype=np.int32)
-        take_row = np.zeros(n, dtype=np.int64)
-        buckets = (keys % np.uint64(self.num_buckets)).astype(np.int32)
+        found = np.zeros(len(keys), dtype=bool)
+        buckets = range_index(keys, self.num_buckets)
+        rows, parts = [], []
         for b in np.unique(buckets):
             sel = np.nonzero(buckets == b)[0]
-            bkeys, _ = self._bucket(int(b))
-            if not len(bkeys):  # empty bucket (sparse corpus)
-                continue
+            bkeys, bt = self._bucket(int(b))
             idx = np.searchsorted(bkeys, keys[sel])
-            ok = (idx < len(bkeys)) & (bkeys[np.minimum(idx, len(bkeys) - 1)] == keys[sel])
+            ok = idx < len(bkeys)
+            ok[ok] = bkeys[idx[ok]] == keys[sel[ok]]
             found[sel] = ok
-            take_bucket[sel] = b
-            take_row[sel] = idx
-        pieces = []
-        for b in np.unique(take_bucket[found]):
-            _, bt = self._bucket(int(b))
-            rows = take_row[found & (take_bucket == b)]
-            pieces.append((np.nonzero(found & (take_bucket == b))[0], bt.take(pa.array(rows))))
-        if not pieces:
-            empty = self._bucket(int(buckets[0]) if n else 0)[1].slice(0, 0)
-            return found, empty
+            rows.append(sel[ok])
+            parts.append(bt.take(pa.array(idx[ok])))
+        if not parts:  # no urls
+            return found, self._bucket(0)[1].slice(0, 0)
         # reassemble in input order
-        order = np.concatenate([p[0] for p in pieces])
-        tbl = pa.concat_tables([p[1] for p in pieces])
-        inv = np.argsort(order, kind="stable")
-        return found, tbl.take(pa.array(inv))
+        inv = np.argsort(np.concatenate(rows), kind="stable")
+        return found, pa.concat_tables(parts).take(pa.array(inv))

@@ -5,7 +5,8 @@ workers (crawler.rs:96-103, 1219-1243).  Here the first H crawl workers
 (``stages/worker.CrawlWorker`` is a :class:`FrontierShardState`) each
 hold one contiguous range of url_key (xxhash64 of the canonical URL):
 owner j of H the keys ``[ceil(j·2^64/H), ceil((j+1)·2^64/H))``
-(:func:`key_bounds`).  H is one owner per four cluster CPUs, at least
+(``functions/hashing.key_bounds``, the cut the corpus buckets and the
+fetch routing use too).  H is one owner per four cluster CPUs, at least
 one per node (:func:`shard_actor_count`), never more than the pool.
 The frontier and the fetch/extract phases of an epoch never run at the
 same time, so they share the worker processes (as UbiCrawler and
@@ -28,8 +29,9 @@ owner count reads them back.
 
 Owner 0 also routes every wave to the fetch workers, the one place
 that decides it (:meth:`FrontierShardState.assemble_wave`,
-:func:`route_wave`): each row's worker of the whole pool and, with a
-politeness rate, each host's split (:func:`host_split`).
+:func:`route_wave`): each row's worker of the whole pool — by url_key
+range, or by host — and, with a politeness rate, each host's split
+(:func:`host_split`).
 
 All calls are batch-level (numpy arrays / Arrow tables in and out),
 never per-URL.
@@ -44,44 +46,20 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.hashing import xxh64_strings
+from ..functions.hashing import KEY_SPACE, key_span, range_index, xxh64_strings
 from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
-KEY_SPACE = 1 << 64
 # keys a new owner's filter holds before its first rebuild
 FILTER_START = 1 << 10
 
 
-def key_bounds(num_owners: int) -> list[int]:
-    """Owner j holds url_keys ``[b[j], b[j + 1])``, ``b[j] =
-    ceil(j·2^64 / num_owners)``: contiguous, covering [0, 2^64), sizes
-    differing by at most one."""
-    return [-(-j * KEY_SPACE // num_owners) for j in range(num_owners + 1)]
-
-
-def key_span(sorted_keys: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    """Index span ``[a, b)`` of the keys in ``[lo, hi)`` within an
-    ascending uint64 array."""
-    if lo >= hi:
-        return 0, 0
-    return (int(np.searchsorted(sorted_keys, np.uint64(lo))),
-            int(np.searchsorted(sorted_keys, np.uint64(hi - 1), side="right")))
-
-
-def bucket_workers(keys: np.ndarray, num_buckets: int, num_workers: int) -> np.ndarray:
-    """Bucket routing: url_key k runs on worker ``(k % num_buckets) %
-    num_workers``, the one whose ``warmup()`` preloaded k's corpus
-    bucket, so no bucket is read twice."""
-    b = np.asarray(keys, dtype=np.uint64) % np.uint64(num_buckets)
-    return (b % np.uint64(num_workers)).astype(np.int64)
-
-
-def route_wave(wave: pa.Table, routing: str, num_buckets: int,
-               num_workers: int) -> np.ndarray:
+def route_wave(wave: pa.Table, routing: str, num_workers: int) -> np.ndarray:
     """Worker id of every row of a W-row wave over the whole pool of
     P = ``num_workers``.
 
-    routing="bucket": :func:`bucket_workers`.
+    routing="bucket": url_key k runs on worker ``range_index(k, P)``,
+    the one whose ``warmup()`` preloaded the corpus buckets overlapping
+    its key range ``key_bounds(P)[w:w + 2]``.
     routing="host": ``(xxh64(host) + url_key % S_h) % P``.  A host's
     rows land on one worker, the same in every wave, except a hot host
     holding more than 2 fair shares (W/P) of the wave, salted over
@@ -91,7 +69,7 @@ def route_wave(wave: pa.Table, routing: str, num_buckets: int,
     once."""
     keys = wave["url_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
     if routing != "host":
-        return bucket_workers(keys, num_buckets, num_workers)
+        return range_index(keys, num_workers)
     hosts, inv, cnt = np.unique(wave["host"].to_numpy(zero_copy_only=False),
                                 return_inverse=True, return_counts=True)
     fair = max(1, -(-len(keys) // num_workers))
@@ -209,7 +187,7 @@ class FrontierShardState:
         return t
 
     def assemble_wave(self, visited_count: int, epoch: int, routing: str,
-                      num_buckets: int, num_workers: int, polite: bool, *parts):
+                      num_workers: int, polite: bool, *parts):
         """Wave assembly and routing, the one place a wave is routed:
         concat every owner's drain output, priority-sort, annotate
         seq/wavepos/epoch and each row's ``worker`` (:func:`route_wave`
@@ -239,7 +217,7 @@ class FrontierShardState:
         wave = wave.append_column("seq", pa.array(visited_count + np.arange(W), type=pa.int64()))
         wave = wave.append_column("wavepos", pa.array(np.arange(W), type=pa.int64()))
         wave = wave.append_column("epoch", pa.array(np.full(W, epoch), type=pa.int32()))
-        worker = route_wave(wave, routing, num_buckets, num_workers)
+        worker = route_wave(wave, routing, num_workers)
         meta = {"W": W, "workers": np.unique(worker).tolist()}
         if polite:
             meta["split"] = host_split(wave["host"].to_numpy(zero_copy_only=False),

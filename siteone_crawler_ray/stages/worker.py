@@ -18,8 +18,11 @@ work for the workers' CPUs.
 
 Owner 0's ``assemble_wave`` routes every wave (stages/frontier.py::
 route_wave): each row carries the id of the worker that fetches it,
-and each host its split, the number of workers its rows run on.  Each
-``process_shared`` call handles one worker's rows end-to-end:
+and each host its split, the number of workers its rows run on.  Under
+bucket routing worker w of P fetches the url_keys in range w of
+``functions/hashing.key_bounds(P)`` — the cut of the frontier owners
+and the corpus buckets too — and preloads the buckets overlapping it.
+Each ``process_shared`` call handles one worker's rows end-to-end:
 
     take the rows whose ``worker`` is this one
     → fetch (corpus lookup, per-host buckets at   stages/fetch.py
@@ -102,14 +105,15 @@ class CrawlWorker(FrontierShardState):
         """Pre-dedup candidates of the most recent process() call."""
         return self._last_full
 
-    def preload_buckets(self, bucket_ids: list[int]) -> tuple[str, int] | None:
-        """Fault in this worker's assigned corpus buckets during warmup
-        (bucket-affine routing keeps them the only ones it ever needs);
-        → (url, url_key) of one page they hold, for a warm-up row that
-        loads no other bucket, or None."""
+    def preload_buckets(self, lo: int, hi: int) -> tuple[str, int] | None:
+        """Fault in the corpus buckets overlapping the url_keys
+        ``[lo, hi)`` this worker fetches during warmup (bucket routing
+        keeps them the only ones it ever needs); → (url, url_key) of
+        one page they hold, for a warm-up row that loads no other
+        bucket, or None."""
         sample = None
-        for b in bucket_ids:
-            keys, t = self.fetch.corpus._bucket(int(b))
+        for b in self.fetch.corpus.bucket_span(lo, hi):
+            keys, t = self.fetch.corpus._bucket(b)
             if sample is None and len(keys):
                 sample = (t["doc_id"][0].as_py(), int(keys[0]))
         return sample

@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from siteone_crawler_ray.functions.hashing import xxh64_strings
+from siteone_crawler_ray.functions.hashing import key_bounds, key_span, xxh64_strings
 from siteone_crawler_ray.sources import corpus as C
 
 
@@ -30,7 +30,15 @@ def test_parquet_roundtrip_records_format(tmp_path):
     C.write_corpus(docs, path, num_buckets=4)
     meta = json.load(open(os.path.join(path, "_meta.json")))
     assert meta["format"] == "parquet"
+    # bucket j holds the sorted url_keys of range j of key_bounds(4)
+    b = key_bounds(4)
+    for j in range(4):
+        keys = pq.read_table(os.path.join(path, f"bucket={j:02d}"))["url_key"].to_numpy()
+        assert np.all(keys[1:] >= keys[:-1]) and key_span(keys, b[j], b[j + 1]) == (0, len(keys))
     r = C.CorpusReader(path)
+    assert r.bucket_span(b[1], b[3]) == range(1, 3)
+    assert r.bucket_span(b[1] - 1, b[1] + 1) == range(0, 2)
+    assert r.bucket_span(0, 0) == range(0)
     urls = docs["doc_id"].to_pylist()[:7]
     found, rows = r.lookup(np.array(urls, dtype=object))
     assert found.all()
@@ -76,6 +84,21 @@ def test_legacy_meta_defaults_to_parquet(tmp_path):
     assert r.format.name == "parquet"
     found, _ = r.lookup(np.array(docs["doc_id"].to_pylist()[:3], dtype=object))
     assert found.all()
+
+
+def test_modulo_layout_corpus_is_refused(tmp_path):
+    """A corpus written before buckets became url_key ranges (no
+    ``"layout": "key_range"`` in _meta.json) put key k in bucket
+    k % B; reading it by range would miss nearly every page, so the
+    reader refuses it."""
+    path = str(tmp_path / "corpus")
+    C.write_corpus(_docs(20), path, num_buckets=2)
+    meta = json.load(open(os.path.join(path, "_meta.json")))
+    assert meta["layout"] == "key_range"
+    del meta["layout"]
+    json.dump(meta, open(os.path.join(path, "_meta.json"), "w"))
+    with pytest.raises(ValueError, match="key_range"):
+        C.CorpusReader(path)
 
 
 _HAS_LANCE = __import__("importlib.util", fromlist=["util"]).find_spec("lance") is not None

@@ -16,9 +16,9 @@ import pytest
 
 from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
 from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
+from siteone_crawler_ray.functions.hashing import key_bounds, range_index
 from siteone_crawler_ray.stages import frontier
-from siteone_crawler_ray.stages.frontier import (
-    FILTER_START, FrontierShardState, key_bounds, parse_ckpt_name)
+from siteone_crawler_ray.stages.frontier import FILTER_START, FrontierShardState, parse_ckpt_name
 
 VISITED_COLS = ["seq", "url", "uq_id", "source_uq_id", "source_attr", "epoch", "status_code", "depth"]
 # four owners' ranges; tests split and merge them
@@ -232,7 +232,7 @@ def test_assemble_wave_splits_each_host_rate_over_its_workers(tmp_path, routing)
     urls = [f"https://{h}/p{i}.html" for i, h in enumerate(hosts)]
     drained = _entries(xxh64_strings(np.array(urls, dtype=object)))
     drained = drained.set_column(0, "url", pa.array(urls)).set_column(2, "host", pa.array(hosts))
-    meta, wave = FrontierShardState().assemble_wave(0, 0, routing, 4, P, True, drained)
+    meta, wave = FrontierShardState().assemble_wave(0, 0, routing, P, True, drained)
     assert meta["W"] == n
     worker = wave["worker"].to_numpy()
     assert meta["workers"] == sorted(set(worker.tolist()))
@@ -299,8 +299,7 @@ def test_skipped_order_does_not_depend_on_actor_count(monkeypatch, tmp_workdir, 
         results.append(c.run())
     one, every = results
     assert one.skipped.num_rows > 0
-    cuts = np.array(key_bounds(pool)[1:-1], np.uint64)
-    owners = np.searchsorted(cuts, every.skipped["url_key"].to_numpy(), side="right")
+    owners = range_index(every.skipped["url_key"].to_numpy(), pool)
     assert len(set(owners.tolist())) > 1  # the order check spans owners
     for res in (one, every):
         got = res.skipped.to_pylist()

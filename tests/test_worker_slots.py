@@ -3,8 +3,8 @@ frontier owners, their url_key ranges and the crawl-worker actor's
 process tuning.
 
 The crawl runs one actor pool: one 1-CPU worker per whole cluster CPU,
-minus one slot kept back for the driver — under bucket routing no more
-than the corpus has buckets — SPREAD over the nodes; its first
+minus one slot kept back for the driver, whatever the corpus's bucket
+count, SPREAD over the nodes; its first
 H = min(shard_actor_count, pool) workers own the frontier's url_key
 ranges.  Every actor books a whole CPU, so the pool packs node by
 node (the per-node reasoning once needed for fractional-CPU shard
@@ -99,16 +99,30 @@ def _spread(pool: int, node_cpus: list[int]) -> list[int]:
 @pytest.mark.parametrize("node_cpus", [[1], [2], [4], [8], [16], [32], [8, 8, 8, 8]])
 @pytest.mark.parametrize("num_buckets", [1, 2, 4, 8, 16, 29])
 def test_pool_fits_beside_shards_on_every_node(monkeypatch, node_cpus, num_buckets):
-    """Every node holds its workers: the pool of 1-CPU workers — at
-    most one per corpus bucket under bucket routing — placed the SPREAD
-    way, fits every node's CPUs with one CPU left for the driver, and
-    the H owners among them sit on min(H, nodes) distinct nodes."""
+    """Every node holds its workers: the pool of 1-CPU workers, as
+    large whatever the corpus's bucket count, placed the SPREAD way,
+    fits every node's CPUs with one CPU left for the driver, and the H
+    owners among them sit on min(H, nodes) distinct nodes.  The pool's
+    warm-up loads every bucket, each worker at least one, in at most
+    B + P - 1 loads (a cut inside a bucket shares it)."""
+    from types import SimpleNamespace
+
+    from siteone_crawler_ray.functions.hashing import key_bounds
+    from siteone_crawler_ray.sources.corpus import CorpusReader
     from siteone_crawler_ray.stages.frontier import shard_actor_count
-    from siteone_crawler_ray.stages.worker import _worker_slots
+    from siteone_crawler_ray.stages.worker import _worker_slots, clamp_worker_count
 
     _fake_nodes(monkeypatch, node_cpus)
     assert _worker_slots() == sum(node_cpus) - 1
-    k = min(_worker_slots(), num_buckets)  # as EpochCrawler._make_shards
+    k = clamp_worker_count(64)  # as EpochCrawler._make_shards
+    P = max(1, k)
+    reader = SimpleNamespace(num_buckets=num_buckets)
+    b = key_bounds(P)
+    spans = [CorpusReader.bucket_span(reader, lo, hi) for lo, hi in zip(b, b[1:])]
+    loads = [j for span in spans for j in span]
+    assert all(len(span) for span in spans)
+    assert set(loads) == set(range(num_buckets))
+    assert len(loads) <= num_buckets + P - 1
     if k == 0:  # one zero-CPU worker
         return
     nodes = _spread(k, node_cpus)
@@ -148,10 +162,16 @@ def test_partition_ranges_are_contiguous_and_balanced(num_owners):
     """Owner j of H holds url_keys [ceil(j·2^64/H), ceil((j+1)·2^64/H)):
     the ranges cover [0, 2^64), their sizes differ by at most one, and
     every key at a range edge lies in exactly one range — by binary
-    search and by the driver's routing."""
-    import numpy as np
+    search, by ``range_index``, by the driver's owner routing and by
+    bucket routing of a wave over a pool of H workers."""
+    from types import SimpleNamespace
 
-    from siteone_crawler_ray.stages.frontier import key_bounds, key_span
+    import numpy as np
+    import pyarrow as pa
+
+    from siteone_crawler_ray.functions.hashing import key_bounds, key_span, range_index
+    from siteone_crawler_ray.pipelines.crawl import EpochCrawler
+    from siteone_crawler_ray.stages.frontier import route_wave
 
     b = key_bounds(num_owners)
     assert len(b) == num_owners + 1 and b[0] == 0 and b[-1] == 2**64
@@ -161,18 +181,23 @@ def test_partition_ranges_are_contiguous_and_balanced(num_owners):
                      dtype=np.uint64)
     masks = [np.array([lo <= int(k) < hi for k in edges]) for lo, hi in zip(b, b[1:])]
     assert (np.sum(masks, axis=0) == 1).all()
-    route = np.searchsorted(np.array(b[1:-1], np.uint64), edges, side="right")
+    index = range_index(edges, num_owners)
+    owners = EpochCrawler._rows_by_actor(SimpleNamespace(_shards=[None] * num_owners), edges)
+    wave = pa.table({"url_key": pa.array(edges, pa.uint64())})
+    assert np.array_equal(route_wave(wave, "bucket", num_owners), index)
     for j, ((lo, hi), m) in enumerate(zip(zip(b, b[1:]), masks)):
         a, z = key_span(edges, lo, hi)
         assert np.array_equal(np.arange(a, z), np.nonzero(m)[0])
-        assert np.array_equal(route == j, m)
+        assert np.array_equal(index == j, m)
+        assert np.array_equal(owners[j], np.nonzero(m)[0])
 
 
-def test_bucket_routing_starts_no_more_workers_than_buckets(tmp_workdir):
-    """Under bucket routing bucket b runs on worker b % pool size, so a
-    worker past the bucket count never receives a row: a 2-bucket
-    corpus on the 4-CPU session (3 worker slots) starts 2 workers, host
-    routing all 3; the capped crawl still matches the oracle."""
+def test_pool_does_not_depend_on_the_bucket_count(tmp_workdir):
+    """Workers and corpus buckets both cut url_key into contiguous
+    ranges, so a 2-bucket corpus on the 4-CPU session (3 worker slots)
+    starts 3 workers under either routing; under bucket routing every
+    worker fetches rows in some wave (its visited part files), and the
+    crawl matches the oracle."""
     from siteone_crawler_ray.pipelines.crawl import CrawlConfig, EpochCrawler
     from siteone_crawler_ray.pipelines.oracle import run_oracle
     from siteone_crawler_ray.sources.corpus import make_graph_corpus, write_corpus
@@ -195,8 +220,11 @@ def test_bucket_routing_starts_no_more_workers_than_buckets(tmp_workdir):
     c = EpochCrawler(cp, seeds, robots, os.path.join(tmp_workdir, "bucket"), CrawlConfig())
     c.seed()
     pool = len(c._workers)
-    got = c.run().visited_table(columns=["url"])["url"].to_pylist()  # run() frees the pool
-    assert pool == 2
+    res = c.run()  # run() frees the pool
+    got = res.visited_table(columns=["url"])["url"].to_pylist()
+    assert pool == 3
+    parts = {f for _, _, fs in os.walk(res.visited_dir) for f in fs if f.endswith(".parquet")}
+    assert parts == {f"part-{i:05d}.parquet" for i in range(3)}
     want = run_oracle(tabs["documents"], seeds, robots, CrawlConfig()).visited_table()
     assert got == want["url"].to_pylist() and len(got) > 20
 
