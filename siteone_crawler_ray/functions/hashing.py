@@ -298,6 +298,36 @@ def _xxh64_matrix(mat: np.ndarray, lens: np.ndarray, seed: int = 0) -> np.ndarra
     return h
 
 
+# -- splitmix64 ----------------------------------------------------------------
+# The avalanche mixer of the sketches (stages/sketch.py), the sampling
+# keys, the cuckoo filter and the bloom probes (state/filters.py).
+
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_MUL1 = 0xBF58476D1CE4E5B9
+_SM_MUL2 = 0x94D049BB133111EB
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 (Steele et al. 2014, the JDK
+    SplittableRandom finalizer after its gamma step), uint64 in/out:
+    every output bit depends on every input bit."""
+    x = x.view(np.uint64) if x.dtype == np.int64 else x.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(_SM_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MUL2)
+        return z ^ (z >> np.uint64(31))
+
+
+def in_sorted(sorted_keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Membership mask of ``x`` in the ascending array ``sorted_keys``
+    (one ``searchsorted``, no per-call sort of the big side)."""
+    if not len(sorted_keys):
+        return np.zeros(len(x), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, x), len(sorted_keys) - 1)
+    return sorted_keys[pos] == x
+
+
 def uq_id(url: str) -> str:
     """8-hex-char MD5 prefix, matching the reference's display key
     (/root/reference/src/engine/crawler.rs:1642-1649)."""

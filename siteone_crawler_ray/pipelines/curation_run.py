@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import xxh64_strings
+from ..functions.hashing import in_sorted, xxh64_strings
 
 
 def curation_run(docs_ds, bench_ds, out_dir: str, *,
@@ -175,7 +175,7 @@ def _cleaner(drop_ids: np.ndarray, bench_hashes: np.ndarray, n: int,
     kernel).  Both arrays are broadcast once through the object store."""
     import ray
 
-    from ..stages.sampling import bench_hits, in_sorted
+    from ..stages.sampling import bench_hits
 
     drop_ref, bh_ref = ray.put(drop_ids), ray.put(bench_hashes)
 

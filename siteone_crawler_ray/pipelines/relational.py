@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.hashing import in_sorted
 from ..functions.numeric import round_away
 
 
@@ -226,13 +227,8 @@ def customers_without_events(sf_dir: str) -> pa.Table:
     ref = ray.put(ev_sorted)
 
     def anti(batch: pa.Table) -> pa.Table:
-        keys = ray.get(ref)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, ck)
-        pos_c = np.minimum(pos, max(0, len(keys) - 1))
-        has = keys[pos_c] == ck if len(keys) else np.zeros(len(ck), bool)
-        out = np.unique(ck[~has])
-        return pa.table({"o_custkey": pa.array(out)})
+        return pa.table({"o_custkey": pa.array(np.unique(ck[~in_sorted(ray.get(ref), ck)]))})
 
     t = _collect(_read(sf_dir, "orders", ["o_custkey"]).map_batches(anti, batch_format="pyarrow"))
     if t is None:
@@ -274,6 +270,15 @@ def _anti_join_scatter(sf_dir: str, num_partitions: int | None = None) -> pa.Tab
     return pa.concat_tables(out).sort_by("o_custkey")
 
 
+def _sorted_lookup(keys_sorted: np.ndarray, probe: np.ndarray):
+    """(position, hit) of each probe key in the ascending key array of
+    a broadcast key→value lookup; the position is only valid where hit."""
+    pos = np.searchsorted(keys_sorted, probe)
+    pos_c = np.minimum(pos, max(0, len(keys_sorted) - 1))
+    hit = keys_sorted[pos_c] == probe if len(keys_sorted) else np.zeros(len(probe), bool)
+    return pos_c, hit
+
+
 def supplier_part_stats(sf_dir: str) -> pa.Table:
     """two-broadcast join shape: lineitem ⋈ supplier ⋈ part (both sides
     broadcast) → per-(nation of supplier, part brand) counts."""
@@ -294,19 +299,13 @@ def supplier_part_stats(sf_dir: str) -> pa.Table:
                      supp["s_nationkey"].to_numpy(zero_copy_only=False)[s_ord]))
     p_ref = ray.put((pk_arr[p_ord], part["p_brand"].take(pa.array(p_ord)).combine_chunks()))
 
-    def _lookup(keys_sorted: np.ndarray, probe: np.ndarray):
-        pos = np.searchsorted(keys_sorted, probe)
-        pos_c = np.minimum(pos, max(0, len(keys_sorted) - 1))
-        hit = keys_sorted[pos_c] == probe if len(keys_sorted) else np.zeros(len(probe), bool)
-        return pos_c, hit
-
     def attach(batch: pa.Table) -> pa.Table:
         (s_keys, s_nat), (p_keys, p_brand) = ray.get(s_ref), ray.get(p_ref)
         sk = batch["l_suppkey"].to_numpy(zero_copy_only=False)
         pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-        s_pos, s_hit = _lookup(s_keys, sk)
+        s_pos, s_hit = _sorted_lookup(s_keys, sk)
         nat = np.where(s_hit, s_nat[s_pos], -1).astype(np.int64)
-        p_pos, p_hit = _lookup(p_keys, pk)
+        p_pos, p_hit = _sorted_lookup(p_keys, pk)
         brand = pc.if_else(pa.array(p_hit), p_brand.take(pa.array(p_pos)), "")
         return pa.table({"s_nationkey": pa.array(nat), "p_brand": brand,
                          "l_quantity": batch["l_quantity"]})
@@ -435,15 +434,16 @@ def segment_join(sf_dir: str) -> pa.Table:
     if pq.read_metadata(cpath).num_rows > _BROADCAST_JOIN_ROWS:
         return _segment_join_shuffled(sf_dir)
     cust = pq.read_table(cpath, columns=["c_custkey", "c_mktsegment"])
-    if cust.num_rows > _BROADCAST_JOIN_ROWS:
-        return _segment_join_shuffled(sf_dir)
-    lut_ref = ray.put(dict(zip(cust["c_custkey"].to_pylist(), cust["c_mktsegment"].to_pylist())))
+    # broadcast the SORTED key→segment arrays (supplier_part_stats' lookup)
+    ck = cust["c_custkey"].to_numpy(zero_copy_only=False)
+    order = np.argsort(ck)
+    lut_ref = ray.put((ck[order], cust["c_mktsegment"].take(pa.array(order)).combine_chunks()))
 
     def attach(batch: pa.Table) -> pa.Table:
-        lut = ray.get(lut_ref)
-        keys = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        seg = np.array([lut.get(int(kk), "") for kk in keys], dtype=object)
-        return pa.table({"c_mktsegment": pa.array(seg, pa.string()), "o_totalprice": batch["o_totalprice"]})
+        keys, segs = ray.get(lut_ref)
+        pos, hit = _sorted_lookup(keys, batch["o_custkey"].to_numpy(zero_copy_only=False))
+        seg = pc.if_else(pa.array(hit), segs.take(pa.array(pos, mask=~hit)), "")
+        return pa.table({"c_mktsegment": seg, "o_totalprice": batch["o_totalprice"]})
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(attach, batch_format="pyarrow")
     t = grouped_agg(

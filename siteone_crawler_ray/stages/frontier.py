@@ -13,12 +13,15 @@ same time, so they share the worker processes (as UbiCrawler and
 BUbiNG keep each hash range's frontier inside the agent that crawls
 it).  Each owner keeps
 
-- membership: cuckoo filter prefilter (bloom for shards flagged cold)
-  + exact sorted-uint64 authority (state/filters.py) — filters are
+- membership: a cuckoo filter prefilter + the exact authority, one
+  sorted unique uint64 array (state/filters.py) — the filter is
   advisory because of false positives and non-idempotent inserts under
-  task retry; the exact set is what checkpoints, and the filter grows
-  from it: :data:`FILTER_START` keys at first, rebuilt at ≥ 2× the size
-  before an add takes it past 0.7 load,
+  task retry, so :meth:`FrontierShardState.contains` sends only its
+  "maybe" keys to the exact set; the exact set is what checkpoints,
+  and the filter grows from it: :data:`FILTER_START` keys at first,
+  rebuilt at ≥ 2× the size before an add takes it past 0.7 load.
+  There is no cold (bloom) mode: every owner keeps its seen set in RAM;
+- skip records: first-wins per key, with their own exact set;
 - pending queue: list of Arrow tables of frontier entries
   (priority-ordered at dispatch by the driver's wave sort).
 
@@ -33,6 +36,8 @@ that decides it (:meth:`FrontierShardState.assemble_wave`,
 range, or by host — and, with a politeness rate, each host's split
 (:func:`host_split`).
 
+Every "first occurrence per key in priority order" — admission,
+skip records, the workers' per-chunk dedup — is :func:`first_wins`.
 All calls are batch-level (numpy arrays / Arrow tables in and out),
 never per-URL.
 """
@@ -47,10 +52,23 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.hashing import KEY_SPACE, key_span, range_index, xxh64_strings
-from ..state.filters import BloomFilter, CuckooFilter, ExactSeenSet
+from ..state.filters import CuckooFilter, ExactSeenSet
 
 # keys a new owner's filter holds before its first rebuild
 FILTER_START = 1 << 10
+
+
+def first_wins(prio: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Ascending row indices of the winning row of each distinct key
+    tuple (``keys`` are parallel columns): the lowest ``prio``, the
+    earliest row among equal priorities.  One stable lexsort."""
+    order = np.lexsort((prio, *keys))
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for k in keys:
+        k = k[order]
+        head[1:] |= k[1:] != k[:-1]
+    return np.sort(order[head])
 
 
 def route_wave(wave: pa.Table, routing: str, num_workers: int) -> np.ndarray:
@@ -95,9 +113,8 @@ class FrontierShardState:
     holds nothing).  The crawl workers inherit it
     (stages/worker.py::CrawlWorker)."""
 
-    def __init__(self, lo: int = 0, hi: int = KEY_SPACE, cold: bool = False):
+    def __init__(self, lo: int = 0, hi: int = KEY_SPACE):
         self.lo, self.hi = lo, hi
-        self.cold = cold
         self.exact = ExactSeenSet()
         self._rebuild_filter()
         self.pending: list[pa.Table] = []
@@ -114,7 +131,7 @@ class FrontierShardState:
     def _rebuild_filter(self) -> None:
         """A filter sized for the exact set's keys, filled from it."""
         n = max(FILTER_START, len(self.exact))
-        self.filter = BloomFilter(n) if self.cold else CuckooFilter(n)
+        self.filter = CuckooFilter(n)
         if len(self.exact):
             self.filter.add_batch(self.exact.snapshot())
 
@@ -158,21 +175,13 @@ class FrontierShardState:
     def record_skips(self, sk: pa.Table) -> int:
         """First-wins (priority order) dedup of this actor's skip
         records; rows are retained shard-side until the next checkpoint
-        writes them as a delta."""
-        import pyarrow.compute as pc
-
+        writes them as a delta (in row order: the run's skipped table
+        orders each epoch by priority)."""
         if not sk.num_rows:
             return 0
-        sk = sk.take(pc.sort_indices(sk, sort_keys=[("priority", "ascending")]))
         keys = sk["url_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        first = np.ones(len(keys), dtype=bool)
-        order = np.argsort(keys, kind="stable")
-        ks = keys[order]
-        dup = np.zeros(len(ks), dtype=bool)
-        dup[1:] = ks[1:] == ks[:-1]
-        first[order[dup]] = False
-        first &= ~self._skip_seen.contains_batch(keys)
-        idx = np.nonzero(first)[0]
+        idx = first_wins(sk["priority"].to_numpy(zero_copy_only=False), keys)
+        idx = idx[~self._skip_seen.contains_batch(keys[idx])]
         if not len(idx):
             return 0
         self._skip_seen.add_batch(keys[idx])
@@ -232,18 +241,11 @@ class FrontierShardState:
         per key, drop already-seen; STASH the winners and return their
         count (the driver sums counts for the global cap check before
         committing — crawler.rs:1219-1306 cap semantics)."""
-        import pyarrow.compute as pc
-
         if not cands.num_rows:
             self._stash = None
             return 0
         keys = cands["url_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        prio = cands["priority"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((prio, keys))
-        ks = keys[order]
-        first = np.ones(len(ks), dtype=bool)
-        first[1:] = ks[1:] != ks[:-1]
-        first_idx = np.sort(order[first])
+        first_idx = first_wins(cands["priority"].to_numpy(zero_copy_only=False), keys)
         unseen = ~self.contains(keys[first_idx])
         win_idx = first_idx[unseen]
         if not len(win_idx):
@@ -353,7 +355,6 @@ class FrontierShardState:
             "delta": int(len(delta)),
             "pending": int(pend.num_rows) if pend is not None else 0,
             "skips": int(skips.num_rows) if skips is not None else 0,
-            "filter": "bloom" if self.cold else "cuckoo",
         }
 
     def _own_rows(self, directory: str, kind: str,
@@ -389,12 +390,10 @@ class FrontierShardState:
         self._delta = []
         self.pending = self._own_rows(directories[-1], "pending")
         # skip-dedup authority rebuilds from the skip-delta chain (keys only)
-        self._skip_seen = ExactSeenSet()
-        self._skip_parts = []
         skip_keys = [t["url_key"].to_numpy() for d in directories
                      for t in self._own_rows(d, "skips", columns=["url_key"])]
-        if skip_keys:
-            self._skip_seen.add_batch(np.concatenate(skip_keys).astype(np.uint64))
+        self._skip_seen = ExactSeenSet(np.concatenate(skip_keys) if skip_keys else None)
+        self._skip_parts = []
 
 
 _CKPT_NAME = re.compile(r"(seen-delta|pending|skips)-(\d+)-(\d+)\.parquet")

@@ -16,11 +16,10 @@ Used by ``pipelines/relational.segment_join`` above
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
+from ..state.filters import BloomFilter
 from .dedup import _auto_partitions, _key_mod, _scatter_exchange
-from .sketch import splitmix64
 
 # Runtime bloom filter (Spark's "runtime filter" / Bloom-join shape,
 # public: Mackert & Lohman 1986 "R* optimizer validation"): before the
@@ -29,78 +28,44 @@ from .sketch import splitmix64
 # only let a useless row through (the partition join drops it), so any
 # fill level is CORRECT — above _BLOOM_MAX_FILL the filter prunes too
 # little to pay for itself and is skipped.
-_BLOOM_BITS = 1 << 23          # 1 MiB bitmap: ~2% fp at 1M build keys
-_BLOOM_K = 6                   # ≈ 0.69 · bits/key at 10 bits/key
+# BloomFilter(2^20, 0.025): a 1 MiB (2^23-bit) bitmap, k = 6 — about
+# 2 % false positives at 1M build keys.
+_BLOOM_KEYS = 1 << 20
+_BLOOM_FP = 0.025
 _BLOOM_MAX_FILL = 0.5
-_BLOOM_STEP = 0x9E3779B97F4A7C15  # splitmix64 stream step (python int:
-#                                   seed products wrap mod 2^64 silently)
 
 
-def _bloom_seed(j: int) -> np.uint64:
-    return np.uint64((_BLOOM_STEP * (j + 1)) & 0xFFFFFFFFFFFFFFFF)
-
-
-def _bloom_build(keys: np.ndarray, bits: int, k: int = _BLOOM_K) -> np.ndarray:
-    """uint64-word bitmap over ``keys`` (k splitmix64 probe streams)."""
-    words = np.zeros(bits >> 6, dtype=np.uint64)
-    mask = np.uint64(bits - 1)
-    for j in range(k):
-        idx = splitmix64(keys + _bloom_seed(j)) & mask
-        np.bitwise_or.at(words, (idx >> np.uint64(6)).astype(np.int64),
-                         np.uint64(1) << (idx & np.uint64(63)))
-    return words
-
-
-def _bloom_contains(words: np.ndarray, keys: np.ndarray,
-                    k: int = _BLOOM_K) -> np.ndarray:
-    """Vectorized membership: True where all k probe bits are set."""
-    mask = np.uint64((len(words) << 6) - 1)
-    keep = np.ones(len(keys), dtype=bool)
-    for j in range(k):
-        idx = splitmix64(keys + _bloom_seed(j)) & mask
-        bit = (words[(idx >> np.uint64(6)).astype(np.int64)]
-               >> (idx & np.uint64(63))) & np.uint64(1)
-        keep &= bit.astype(bool)
-    return keep
-
-
-def _bloom_fill(words: np.ndarray) -> float:
-    return float(np.unpackbits(words.view(np.uint8)).sum()) / (len(words) << 6)
-
-
-def _build_bloom_ref(refs, key_col: str, bits: int):
-    """One vectorized pass over ``refs`` → merged-bitmap object ref, or
+def _build_bloom_ref(refs, key_col: str):
+    """One vectorized pass over ``refs`` → merged-filter object ref, or
     ``None`` when the filter saturated (fill > _BLOOM_MAX_FILL).  Partial
-    bitmaps OR together through a fan-in-8 task tree, so no step ever
+    filters OR together through a fan-in-8 task tree, so no step ever
     holds more than 8 bitmaps — block count can grow with the corpus."""
     import ray
 
     if not refs:  # a side with zero blocks: nothing to prune with
         return None
+    size = (_BLOOM_KEYS, _BLOOM_FP)  # read here: the tasks get the values
 
     @ray.remote
     def partial(block: pa.Table):
         if block is None or block.num_rows == 0:
             return None
-        return _bloom_build(_key_mod(block, key_col, None), bits)
+        bf = BloomFilter(*size)
+        bf.add_batch(_key_mod(block, key_col, None))
+        return bf
 
     @ray.remote
-    def merge(*ws):
-        ws = [w for w in ws if w is not None]
-        if not ws:
-            return None
-        out = ws[0].copy()
-        for w in ws[1:]:
-            np.bitwise_or(out, w, out=out)
-        return out
+    def merge(*fs):
+        fs = [f for f in fs if f is not None]
+        return fs[0].union(*fs[1:]) if fs else None
 
     level = [partial.remote(r) for r in refs]
     while len(level) > 1:
         level = [merge.remote(*level[i:i + 8]) for i in range(0, len(level), 8)]
-    words = ray.get(level[0])
-    if words is None or _bloom_fill(words) > _BLOOM_MAX_FILL:
+    bf = ray.get(level[0])
+    if bf is None or bf.fill > _BLOOM_MAX_FILL:
         return None
-    return ray.put(words)
+    return ray.put(bf)
 
 
 _JOIN_TYPES = {
@@ -115,8 +80,7 @@ _JOIN_TYPES = {
 def hash_join(left_ds, right_ds, key: str, how: str = "inner",
               num_partitions: int | None = None,
               right_suffix: str = "_r", post=None,
-              runtime_filter: bool = True,
-              bloom_bits: int = _BLOOM_BITS) -> list[pa.Table]:
+              runtime_filter: bool = True) -> list[pa.Table]:
     """Join two Datasets on an integer ``key`` column; returns the
     per-partition result tables (order within/among partitions is not
     deterministic — callers sort, as every slot does).
@@ -138,10 +102,10 @@ def hash_join(left_ds, right_ds, key: str, how: str = "inner",
     from a left-keys bloom cannot affect any join type here (inner
     drops them; left/semi/anti outputs are left-row-driven), and for
     inner/semi the left side is symmetrically pruned by a right-keys
-    bloom.  False positives merely travel and get dropped by the
-    partition join, so results are bit-identical either way
-    (``test_hash_join_bloom_filter_parity``); a saturated bitmap
-    (fill > 50%) disables that direction.
+    bloom (``state/filters.BloomFilter``).  False positives merely
+    travel and get dropped by the partition join, so results are
+    bit-identical either way (``test_hash_join_bloom_filter_parity``);
+    a saturated bitmap (fill > 50%) disables that direction.
     """
     from ..functions.agg import block_refs
 
@@ -153,14 +117,14 @@ def hash_join(left_ds, right_ds, key: str, how: str = "inner",
 
     lbloom = rbloom = None  # bloom pruning LEFT / RIGHT rows respectively
     if runtime_filter and how != "full":  # full outer outputs every row
-        rbloom = _build_bloom_ref(lrefs, key, bloom_bits)
+        rbloom = _build_bloom_ref(lrefs, key)
         if how in ("inner", "semi"):
-            lbloom = _build_bloom_ref(rrefs, key, bloom_bits)
+            lbloom = _build_bloom_ref(rrefs, key)
 
     def prune(block: pa.Table, bloom) -> pa.Table:
         if bloom is None:
             return block
-        keep = _bloom_contains(bloom, _key_mod(block, key, None))
+        keep = bloom.contains_batch(_key_mod(block, key, None))
         return block if keep.all() else block.filter(pa.array(keep))
 
     # zero-row stand-in for a side with no rows in a partition, so an

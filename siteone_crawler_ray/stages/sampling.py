@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import xxh64_strings
+from ..functions.hashing import in_sorted, splitmix64, xxh64_strings
 from .dedup import _combine, _refs_and_bytes, _scatter_exchange
 
 # Knuth's multiplicative hash constant (TAOCP vol. 3 §6.4) — chosen over
@@ -110,8 +110,6 @@ def weighted_sample(ds, n: int, weight_col: str, key_col: str = "doc_id",
     term for term (u from the top 53 hash bits, natural log); a rank
     flip would need two sort keys within ~1 ulp, which the continuous
     key distribution makes measure-zero."""
-    from .sketch import splitmix64
-
     def skeys(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         w = batch[weight_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -361,15 +359,6 @@ def _doc_shingle_pairs(batch: pa.Table, text_col: str, n: int,
     keep = np.ones(len(di), dtype=bool)
     keep[1:] = (di[1:] != di[:-1]) | (hi[1:] != hi[:-1])
     return ids[di[keep]], hi[keep]
-
-
-def in_sorted(sorted_keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Membership mask of ``x`` in the sorted array ``sorted_keys``
-    (one ``searchsorted``, no per-call sort of the big side)."""
-    if not len(sorted_keys):
-        return np.zeros(len(x), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, x), len(sorted_keys) - 1)
-    return sorted_keys[pos] == x
 
 
 def benchmark_shingles(ds, n: int = 3, text_col: str = "text") -> np.ndarray:

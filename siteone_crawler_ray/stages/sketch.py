@@ -29,19 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MUL1 = 0xBF58476D1CE4E5B9
-_SM_MUL2 = 0x94D049BB133111EB
-
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (uint64 in/out)."""
-    x = x.view(np.uint64) if x.dtype == np.int64 else x.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(_SM_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MUL2)
-        return z ^ (z >> np.uint64(31))
+from ..functions.hashing import _SM_GAMMA, _SM_MUL1, _SM_MUL2, splitmix64
 
 
 def _sql_wrapmul(z: str, c: int) -> str:

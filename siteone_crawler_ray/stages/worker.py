@@ -51,7 +51,7 @@ import pyarrow.parquet as pq
 
 from .extract import CandidateGauntlet, explode_spans
 from .fetch import FetchStage
-from .frontier import FrontierShardState, node_cpus
+from .frontier import FrontierShardState, first_wins, node_cpus
 
 EXTRACT_COLUMNS = ["doc_id", "spans", "wavepos", "depth", "uq_id"]
 
@@ -225,16 +225,10 @@ def _chunk_dedup(cands: pa.Table) -> pa.Table:
     cannot change which global occurrence wins.  Shrinks the candidate
     table the driver must concat/sort — the admit path is the serial
     Amdahl term of the epoch loop."""
-    prio = cands["priority"].to_numpy(zero_copy_only=False)
-    keys = cands["url_key"].to_numpy(zero_copy_only=False)
-    tag_bit = (cands["tag"].to_numpy(zero_copy_only=False) == "skip").astype(np.uint8)
-    m = len(keys)
-    order = np.lexsort((prio, keys, tag_bit))
-    ks, tb = keys[order], tag_bit[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = (ks[1:] != ks[:-1]) | (tb[1:] != tb[:-1])
-    keep = np.sort(order[first])
-    return cands.take(pa.array(keep)) if len(keep) != m else cands
+    keep = first_wins(cands["priority"].to_numpy(zero_copy_only=False),
+                      cands["tag"].to_numpy(zero_copy_only=False) == "skip",
+                      cands["url_key"].to_numpy(zero_copy_only=False))
+    return cands.take(pa.array(keep)) if len(keep) != cands.num_rows else cands
 
 
 def make_crawl_workers(num_workers: int, bounds: list[int], **kwargs):

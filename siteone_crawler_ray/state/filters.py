@@ -1,18 +1,22 @@
-"""Approximate + exact membership state for the URL-seen set.
+"""Approximate + exact membership state.
 
-The north rule mandates a cuckoo-filter URL-seen set with a bloom
-fallback for cold shards.  Each frontier owner (stages/frontier.py) holds:
+Each frontier owner (stages/frontier.py) holds two views of its
+URL-seen set:
 
-- a :class:`CuckooFilter` (hot shards — supports deletion-free batched
-  lookups; 16-bit fingerprints, 4-slot buckets),
-- or a :class:`BloomFilter` (cold shards — smaller, fully vectorized),
-- plus an :class:`ExactSeenSet` as the *authority*: the filters are
-  advisory prefilters only, because (a) they have false positives which
-  would wrongly drop never-seen URLs, and (b) cuckoo inserts are not
-  idempotent under Ray task re-execution (SURVEY.md §7.5).  The exact
-  set is what gets checkpointed (a sorted uint64 key array per shard in
-  parquet) and rebuilt on resume; filters are rebuilt from it, also at
-  twice the size when an add would take them past their ``capacity``.
+- a :class:`CuckooFilter`, the advisory prefilter (batched lookups,
+  16-bit fingerprints, 4-slot buckets), rebuilt from the exact set at
+  twice the size when an add would take it past its ``capacity``;
+- an :class:`ExactSeenSet`, the *authority*: one sorted, unique uint64
+  array.  The filter only decides which keys skip the exact probe,
+  because (a) it has false positives, which would wrongly drop
+  never-seen URLs, and (b) cuckoo inserts are not idempotent under Ray
+  task re-execution (SURVEY.md §7.5).  The exact set is what a
+  checkpoint's key deltas rebuild on resume.
+
+BASELINE names a bloom fallback for cold shards; no owner has one (no
+owner is ever cold: the whole seen set stays in RAM).  The
+:class:`BloomFilter` here is the hash join's runtime filter
+(stages/join.py).
 
 All batch operations take/return numpy uint64 arrays — no per-row
 Python on the lookup path.  Only cuckoo *insertion* walks items in
@@ -22,18 +26,13 @@ per epoch on the deduplicated winner set, so this is off the hot path.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from ..functions.hashing import _SM_GAMMA, in_sorted, splitmix64
+
 _FP_MULT = np.uint64(0x5BD1E995)
-
-
-def _remix(keys: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: every output bit depends on every key bit."""
-    z = keys.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
 
 
 def _next_pow2(n: int) -> int:
@@ -51,8 +50,8 @@ class CuckooFilter:
     bucket = ``i ^ H(fp)``.  ~98% load capacity in theory; sized at 0.7
     target load.  False-positive rate ≈ 2·4/2^16 ≈ 1.2e-4.
 
-    Key bits: fingerprint and primary bucket come from a splitmix64
-    remix of the key.  A frontier owner's keys share their high bits
+    Key bits: fingerprint and primary bucket come from
+    ``splitmix64(key)``.  A frontier owner's keys share their high bits
     (one contiguous url_key range); raw fingerprint bits 48-63 with the
     top 3 bits fixed gave 7× the false positives of uniform keys.
     ``capacity`` is the key count the table holds at 0.7 load.
@@ -76,8 +75,8 @@ class CuckooFilter:
 
     def _fp_i1(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fingerprint, primary bucket) per key: bits 48-63 and the low
-        bits of the remixed key."""
-        h = _remix(keys)
+        bits of the mixed key."""
+        h = splitmix64(keys)
         fp = (h >> np.uint64(48)).astype(np.uint16)
         fp[fp == 0] = 1
         return fp, (h & self._mask).astype(np.int64)
@@ -172,91 +171,73 @@ class CuckooFilter:
 
 
 class BloomFilter:
-    """Vectorized bloom filter over uint64 keys (double hashing, k probes).
-
-    The cold-shard fallback: no deletions, smaller memory, every op a
-    handful of numpy passes."""
+    """Vectorized bloom filter over uint64 keys: ``k`` probe bits per
+    key, probe j at ``splitmix64(key + (j + 1)·gamma)`` (the splitmix64
+    stream step).  No deletions; every op a handful of numpy passes.
+    Filters of the same size and ``k`` OR together (:meth:`union`), so
+    per-block partials merge into the filter of all their keys."""
 
     def __init__(self, capacity: int, fp_rate: float = 1e-4):
-        self.capacity = capacity
-        self.count = 0
-        nbits = _next_pow2(max(64, int(-capacity * np.log(fp_rate) / (np.log(2) ** 2))))
-        self.nbits = nbits
-        self._mask = np.uint64(nbits - 1)
-        self.k = max(1, int(round((nbits / max(1, capacity)) * np.log(2))))
-        self.bits = np.zeros(nbits // 64, dtype=np.uint64)
+        self.nbits = _next_pow2(max(64, int(-capacity * np.log(fp_rate) / (np.log(2) ** 2))))
+        self._mask = np.uint64(self.nbits - 1)
+        self.k = max(1, int(round((self.nbits / max(1, capacity)) * np.log(2))))
+        self.bits = np.zeros(self.nbits // 64, dtype=np.uint64)
 
-    def _probes(self, keys: np.ndarray, i: int) -> np.ndarray:
-        h = keys + np.uint64(i) * ((keys >> np.uint64(17)) | np.uint64(1))
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        return h & self._mask
+    def _probes(self, keys: np.ndarray):
+        keys = keys.view(np.uint64) if keys.dtype == np.int64 else keys.astype(np.uint64, copy=False)
+        for j in range(self.k):
+            seed = np.uint64((_SM_GAMMA * (j + 1)) & 0xFFFFFFFFFFFFFFFF)
+            pos = splitmix64(keys + seed) & self._mask
+            yield (pos >> np.uint64(6)).astype(np.int64), np.uint64(1) << (pos & np.uint64(63))
 
     def add_batch(self, keys: np.ndarray) -> None:
-        self.count += len(keys)
-        with np.errstate(over="ignore"):
-            for i in range(self.k):
-                pos = self._probes(keys, i)
-                np.bitwise_or.at(self.bits, (pos >> np.uint64(6)).astype(np.int64),
-                                 np.uint64(1) << (pos & np.uint64(63)))
+        for word, bit in self._probes(keys):
+            np.bitwise_or.at(self.bits, word, bit)
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        with np.errstate(over="ignore"):
-            hit = np.ones(len(keys), dtype=bool)
-            for i in range(self.k):
-                pos = self._probes(keys, i)
-                word = self.bits[(pos >> np.uint64(6)).astype(np.int64)]
-                hit &= (word >> (pos & np.uint64(63))) & np.uint64(1) != 0
-            return hit
+        hit = np.ones(len(keys), dtype=bool)
+        for word, bit in self._probes(keys):
+            hit &= (self.bits[word] & bit) != 0
+        return hit
+
+    def union(self, *others: BloomFilter) -> BloomFilter:
+        """A new filter holding every operand's keys (all of one size
+        and ``k``).  New, not in place: a filter fetched from the object
+        store is read-only."""
+        out = copy.copy(self)
+        out.bits = self.bits.copy()
+        for o in others:
+            np.bitwise_or(out.bits, o.bits, out=out.bits)
+        return out
+
+    @property
+    def fill(self) -> float:
+        """Share of the bits set."""
+        return float(np.unpackbits(self.bits.view(np.uint8)).sum()) / self.nbits
 
 
 class ExactSeenSet:
-    """Exact uint64 key set: sorted base array + small pending buffer.
+    """Exact uint64 key set: one sorted, unique array.
 
-    ``contains_batch`` = vectorized searchsorted on the compacted base +
-    a set lookup only for the (few) keys not decided by it.  The base
-    array is what a shard checkpoints to parquet."""
-
-    COMPACT_THRESHOLD = 200_000
+    ``contains_batch`` is one ``searchsorted``; ``add_batch`` dedups the
+    new keys, drops those already held and merges the rest in.  The
+    array itself is the snapshot."""
 
     def __init__(self, initial: np.ndarray | None = None):
-        self.base = np.sort(initial.astype(np.uint64)) if initial is not None and len(initial) else np.empty(0, np.uint64)
-        self.pending: set[int] = set()
+        self.keys = (np.unique(np.asarray(initial, dtype=np.uint64)) if initial is not None
+                     else np.empty(0, np.uint64))
 
     def __len__(self) -> int:
-        return len(self.base) + len(self.pending)
+        return len(self.keys)
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        keys = keys.astype(np.uint64, copy=False)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        hit = np.zeros(len(keys), dtype=bool)
-        if len(self.base):
-            idx = np.searchsorted(self.base, keys)
-            inb = idx < len(self.base)
-            hit[inb] = self.base[idx[inb]] == keys[inb]
-        if self.pending:
-            miss = np.nonzero(~hit)[0]
-            pend = self.pending
-            for j in miss:
-                if int(keys[j]) in pend:
-                    hit[j] = True
-        return hit
+        return in_sorted(self.keys, np.asarray(keys, dtype=np.uint64))
 
     def add_batch(self, keys: np.ndarray) -> None:
-        self.pending.update(int(k) for k in keys)
-        if len(self.pending) > self.COMPACT_THRESHOLD:
-            self.compact()
-
-    def compact(self) -> None:
-        if self.pending:
-            extra = np.fromiter(self.pending, dtype=np.uint64, count=len(self.pending))
-            self.base = np.unique(np.concatenate([self.base, extra]))
-            self.pending.clear()
+        new = np.unique(np.asarray(keys, dtype=np.uint64))
+        new = new[~in_sorted(self.keys, new)]
+        if len(new):
+            self.keys = np.insert(self.keys, np.searchsorted(self.keys, new), new)
 
     def snapshot(self) -> np.ndarray:
-        self.compact()
-        return self.base
+        return self.keys

@@ -1,7 +1,11 @@
-"""Cuckoo / bloom / exact-set membership behavior."""
+"""Cuckoo / bloom / exact-set membership behavior, and the frontier's
+first-wins kernel."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from siteone_crawler_ray.stages.frontier import first_wins
 from siteone_crawler_ray.state.filters import BloomFilter, CuckooFilter, ExactSeenSet
 
 
@@ -47,7 +51,6 @@ def test_exact_seen_set():
     s.add_batch(a)
     assert s.contains_batch(a).all()
     assert not s.contains_batch(b).any()
-    s.compact()
     s.add_batch(b[:10])
     got = s.contains_batch(b)
     assert got[:10].all() and not got[10:].any()
@@ -55,6 +58,72 @@ def test_exact_seen_set():
     snap = s.snapshot()
     s2 = ExactSeenSet(snap)
     assert s2.contains_batch(a).all() and len(s2) == len(s)
+
+
+# a small key domain, so batches repeat keys within and across themselves
+_batches = st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=8)
+
+
+@given(initial=st.lists(st.integers(0, 40), max_size=30), batches=_batches,
+       probe=st.lists(st.integers(0, 40), max_size=30), as_int64=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_exact_seen_set_matches_a_python_set(initial, batches, probe, as_int64):
+    """Duplicates within and across batches, empty batches, int64 or
+    uint64 input: the set holds exactly the distinct keys, as one
+    sorted array that round-trips through ``ExactSeenSet(snapshot)``."""
+    dtype = np.int64 if as_int64 else np.uint64
+    s = ExactSeenSet(np.array(initial, dtype=dtype) if initial else None)
+    ref = set(initial)
+    for b in batches:
+        s.add_batch(np.array(b, dtype=dtype))
+        ref.update(b)
+        assert len(s) == len(ref)
+    want = np.array(sorted(ref), dtype=np.uint64)
+    assert np.array_equal(s.snapshot(), want)
+    q = np.array(probe, dtype=dtype)
+    assert s.contains_batch(q).tolist() == [k in ref for k in probe]
+    again = ExactSeenSet(s.snapshot())
+    assert np.array_equal(again.snapshot(), want)
+    assert again.contains_batch(q).tolist() == [k in ref for k in probe]
+
+
+def _first_wins_ref(prio, *keys):
+    """Scalar first-wins: per key tuple, the row of the lowest priority,
+    the earliest among equal ones."""
+    best = {}
+    for i, p in enumerate(prio):
+        k = tuple(col[i] for col in keys)
+        if k not in best or p < prio[best[k]]:
+            best[k] = i
+    return sorted(best.values())
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 5), st.booleans(), st.integers(0, 8)),
+                     max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_first_wins_matches_a_scalar_reference(rows):
+    """Single key and the (tag, key) composite of the workers' chunk
+    dedup, with repeated priorities so ties go to the earliest row."""
+    prio = np.array([r[0] for r in rows], dtype=np.int64)
+    tag = np.array([r[1] for r in rows], dtype=bool)
+    key = np.array([r[2] for r in rows], dtype=np.uint64)
+    assert first_wins(prio, key).tolist() == _first_wins_ref(prio.tolist(), key.tolist())
+    assert (first_wins(prio, tag, key).tolist()
+            == _first_wins_ref(prio.tolist(), tag.tolist(), key.tolist()))
+
+
+def test_bloom_union():
+    """Per-block partials OR into a new filter of all their keys."""
+    ks = _keys(30000, seed=9)
+    parts = []
+    for chunk in np.array_split(ks, 3):
+        bf = BloomFilter(1 << 15, 0.025)
+        bf.add_batch(chunk)
+        parts.append(bf)
+    merged = parts[0].union(*parts[1:])
+    assert merged.contains_batch(ks).all()
+    assert merged.contains_batch(_keys(20000, seed=10)).mean() < 0.05
+    assert not parts[0].contains_batch(ks[-10000:]).all()  # union made a new filter
 
 
 def test_cuckoo_fp_rate_ignores_partition_bits():

@@ -110,27 +110,33 @@ def test_hash_join_matches_broadcast_path(ray_session, monkeypatch):
 
 
 def test_bloom_runtime_filter_kernel():
-    """No false negatives ever; false positives rare at the default
-    sizing; a saturated bitmap is detected by the fill guard."""
+    """No false negatives ever; false positives rare at the join's
+    sizing (a 2^23-bit bitmap, k = 6); a saturated bitmap is detected
+    by the fill guard."""
     import numpy as np
 
-    from siteone_crawler_ray.stages.join import (
-        _bloom_build, _bloom_contains, _bloom_fill)
+    from siteone_crawler_ray.stages import join
+    from siteone_crawler_ray.state.filters import BloomFilter
 
     rng = np.random.default_rng(7)
     present = rng.choice(1 << 40, size=50_000, replace=False).astype(np.uint64)
     absent = (rng.choice(1 << 40, size=50_000, replace=False).astype(np.uint64)
               + np.uint64(1 << 41))
-    words = _bloom_build(present, 1 << 20)
-    assert _bloom_contains(words, present).all()          # zero false negatives
-    fp = _bloom_contains(words, absent).mean()
+    bf = BloomFilter(join._BLOOM_KEYS, join._BLOOM_FP)
+    assert (bf.nbits, bf.k) == (1 << 23, 6)
+    bf.add_batch(present)
+    assert bf.contains_batch(present).all()               # zero false negatives
+    fp = bf.contains_batch(absent).mean()
     assert fp < 0.05, fp                                  # ~2% expected
-    assert _bloom_fill(words) < 0.5
-    # 1024-bit bitmap over 50k keys saturates -> guard must fire
-    assert _bloom_fill(_bloom_build(present, 1 << 10)) > 0.5
+    assert bf.fill < join._BLOOM_MAX_FILL
+    # a 1024-bit bitmap over 50k keys saturates -> guard must fire
+    tiny = BloomFilter(128, join._BLOOM_FP)
+    assert tiny.nbits == 1 << 10
+    tiny.add_batch(present)
+    assert tiny.fill > join._BLOOM_MAX_FILL
 
 
-def test_hash_join_bloom_filter_parity(ray_session):
+def test_hash_join_bloom_filter_parity(ray_session, monkeypatch):
     """runtime_filter on/off is bit-identical for every join type, on
     key sets engineered so the bloom actually prunes (mostly-disjoint)
     AND on a saturated bitmap (guard path: filter disabled, still
@@ -165,8 +171,10 @@ def test_hash_join_bloom_filter_parity(ray_session):
         from siteone_crawler_ray.stages import join as j
         tiny = hash_join_table(ds(left, 5), ds(right, 4), "k", how=how,
                                num_partitions=6, runtime_filter=True)
-        got = j.hash_join(ds(left, 5), ds(right, 4), "k", how=how,
-                          num_partitions=6, runtime_filter=True, bloom_bits=64)
+        with monkeypatch.context() as m:
+            m.setattr(j, "_BLOOM_KEYS", 8)
+            got = j.hash_join(ds(left, 5), ds(right, 4), "k", how=how,
+                              num_partitions=6, runtime_filter=True)
         got = pa.concat_tables([t for t in got], promote_options="permissive")
         assert canon(got).equals(canon(plain)), f"saturated {how}"
         assert canon(tiny).equals(canon(plain))

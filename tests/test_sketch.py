@@ -90,11 +90,8 @@ def test_cms_never_undercounts_and_is_tight_on_heavy_hitters():
 
 
 def test_cms_merge_by_add_and_scalar_rule():
-    from siteone_crawler_ray.stages.sketch import (
-        cms_counts,
-        cms_estimate,
-        splitmix64,
-    )
+    from siteone_crawler_ray.functions.hashing import splitmix64
+    from siteone_crawler_ray.stages.sketch import cms_counts, cms_estimate
 
     keys = np.arange(4_000, dtype=np.int64) % 97
     whole = cms_counts(keys)
