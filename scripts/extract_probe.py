@@ -18,7 +18,9 @@ the curve is flat (or where it bends).
 
 Usage:  python scripts/extract_probe.py [K ...]   (default 1 8 29)
 Prints one JSON line: {"rows": N, "levels": {K: {"max_ms_per_row": …,
-"median_ms_per_row": …}}}.
+"median_ms_per_row": …, "gauntlet_fallback": …}}}; ``gauntlet_fallback``
+sums the rows the K workers' gauntlets sent to the scalar per-pair
+fallback (0 when the column kernels model every href shape).
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ def main() -> int:
         out["levels"][k] = {
             "max_ms_per_row": round(per_row[-1], 4),
             "median_ms_per_row": round(per_row[len(per_row) // 2], 4),
+            "gauntlet_fallback": int(sum(t[2]["gauntlet_fallback"] for t in timings)),
         }
     print(json.dumps(out))
     ray.shutdown()

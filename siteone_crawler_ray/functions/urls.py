@@ -19,8 +19,8 @@ Behavioral parity targets (all in /root/reference/):
 
 These are per-row Python functions applied inside ``map_batches``; the
 regexes are module-level compiled once per worker process.
-:func:`canonicalize_pairs` is the column form of the fast path, for
-whole batches.  Hashing the resulting canonical URLs (the actual
+:func:`canonicalize_pairs` is the column form of :func:`canonicalize`,
+for whole batches.  Hashing the resulting canonical URLs (the actual
 partition keys) is fully vectorized in :mod:`.hashing`.
 """
 
@@ -143,144 +143,12 @@ def canonicalize(
     return render_canonical(absolute)
 
 
-# fast-path guards: any char/sequence that normalize/join/render could
-# alter disqualifies the href from the concatenation shortcut.
-# ``/\.`` rejects dot segments in every position incl. trailing "/."
-# and "/.."; the trailing-char check below rejects normalize_href's
-# rstrip set (notably a bare trailing "&").
-_FAST_ABS_BAD_RE = re.compile(r"""[\s"'<>{}\[\]\\#%]|&\#|&amp|\./|/\.""")
-_FAST_TRAILING_STRIP = ("&", '"', "'", "\t", " ")
-# already-canonical absolute URL: lowercase scheme+host, explicit path
-_CANON_FULL_RE = re.compile(r"^(https?)://([a-z0-9.\-]+)(?::(\d+))?(/[^?#]*)(\?[^#]*)?$")
-# mixed-case absolute: scheme + authority to lowercase, rest preserved
-_ABS_ANYCASE_RE = re.compile(r"^(https?)://([^/?#]*)", re.I)
-_CANON_ORIGIN_RE = re.compile(r"^(https?)://[a-z0-9.\-]+(?::(\d+))?$")
-
-
-def _port_ok(scheme: str, port: str) -> bool:
-    """Fast paths admit an explicit port only when the renderer would
-    keep it verbatim: no zero padding (':0080' renders ':80'), in the
-    valid range (urlsplit raises above 65535 → full path DROPS the
-    URL), and not the scheme default (elided by the renderer)."""
-    if port[0] == "0" or len(port) > 5 or int(port) > 65535:
-        return False
-    return not ((scheme == "http" and port == "80")
-                or (scheme == "https" and port == "443"))
-
-
-def _fast_absolute(url: str) -> str | None:
-    """Accept an absolute URL only if it is ALREADY in canonical form
-    (lowercase scheme+host, no default port spelled out, explicit path,
-    no fragment/encodings/entities/dot segments, nothing normalize_href
-    would strip) — then it passes through the full pipeline unchanged."""
-    m = _CANON_FULL_RE.match(url)
-    if m is None or _FAST_ABS_BAD_RE.search(url):
-        return None
-    if url.endswith("?") or url.endswith(_FAST_TRAILING_STRIP):
-        return None
-    port = m.group(3)
-    if port and not _port_ok(m.group(1), port):
-        return None
-    if m.group(5) == "?":  # bare query
-        return None
-    if m.group(4).endswith(";"):
-        # urlparse splits empty params off the LAST segment and the
-        # renderer drops the bare ";" ("/x;" → "/x"); non-empty params
-        # (";x") and mid-path ";" survive, so only this shape falls back
-        return None
-    return url
-
-
-def canonicalize_fast(href: str, base_url: str) -> str | None:
-    """O(1) shortcut for the dominant candidate shapes: safe
-    path-absolute / protocol-relative / already-canonical absolute
-    (optionally fragment-suffixed) / safe bare-relative hrefs.
-
-    Returns None when not applicable (caller falls back to the full
-    :func:`canonicalize`); when it does return, the result is IDENTICAL
-    to the full path (property-tested in tests/test_properties.py).
-    Every branch is conservative: rejecting costs only the fallback,
-    so any char/sequence that normalize/join/render could alter
-    disqualifies the href."""
-    if href[:2] == "//":
-        # protocol-relative: the base's scheme joins on (urljoin
-        # semantics); delegate to the canonical-absolute check
-        i = base_url.find("://")
-        if i not in (4, 5):  # "http"/"https" only
-            return None
-        return _fast_absolute(base_url[: i + 1] + href)
-    if href[:1] == "/":
-        if _FAST_ABS_BAD_RE.search(href):
-            return None
-        if href.endswith("?"):  # empty query: the renderer drops the bare "?"
-            return None
-        if href.endswith(_FAST_TRAILING_STRIP):  # normalize_href would rstrip
-            return None
-        if href.split("?", 1)[0].endswith(";"):
-            # trailing empty params: urlparse drops the bare ";" from
-            # the last path segment ("/x;" → "/x") — fall back
-            return None
-        p = base_url.find("/", 8)
-        origin = base_url if p < 0 else base_url[:p]
-        m = _CANON_ORIGIN_RE.match(origin)
-        if not m:
-            return None
-        port = m.group(2)
-        if port and not _port_ok(m.group(1), port):
-            return None
-        return origin + href
-    if href[:7] == "http://" or href[:8] == "https://":
-        # the full path strips the fragment after the join, so a safe
-        # canonical prefix short-circuits fragment-suffixed absolutes
-        pos = href.find("#")
-        return _fast_absolute(href if pos < 0 else href[:pos])
-    if href[:7].lower() == "http://" or href[:8].lower() == "https://":
-        # mixed-case scheme/host absolute (HTTPS://HOST/…): lowercase
-        # the scheme+authority exactly as render_canonical would, then
-        # take the canonical-absolute check.  Userinfo/IDN authorities
-        # fail _fast_absolute's [a-z0-9.-] host class after lowering
-        # and fall back to the full path, so lowering them here is safe.
-        pos = href.find("#")
-        h2 = href if pos < 0 else href[:pos]
-        m = _ABS_ANYCASE_RE.match(h2)
-        if m is None:
-            return None
-        return _fast_absolute(m.group(1).lower() + "://" + m.group(2).lower() + h2[m.end():])
-    # bare-relative ("a/b", "./a"): joins onto the base DIRECTORY when
-    # the base is canonical with no query and the relative is plain
-    # (no scheme-colon, dot segments, encodings, or strip chars)
-    if href[:2] == "./":
-        href = href[2:]
-    # ";" rejected: urljoin treats it as a params separator in relative
-    # references (urlparse RFC 1808 legacy), altering the join result.
-    # "//" rejected: urljoin collapses empty segments when merging a
-    # RELATIVE reference ("0//" + base "/" → "/0/"), unlike in absolute
-    # paths where they survive.
-    if not href or href[0] in "/.?#" or ":" in href or ";" in href or "//" in href:
-        return None
-    if _FAST_ABS_BAD_RE.search(href):
-        return None
-    if href.endswith("?") or href.endswith(_FAST_TRAILING_STRIP):
-        return None
-    m = _CANON_FULL_RE.match(base_url)
-    if m is None or m.group(5) or _FAST_ABS_BAD_RE.search(base_url):
-        return None
-    port = m.group(3)
-    if port and not _port_ok(m.group(1), port):
-        return None
-    path = m.group(4)
-    if "//" in path or ";" in path:
-        # urljoin's RFC 3986 merge treats empty segments / params in the
-        # BASE path specially — fall back rather than replicate it
-        return None
-    return base_url[: m.start(4)] + path[: path.rfind("/") + 1] + href
-
-
-# Column form of canonicalize_fast (one Arrow pass per step over a whole
-# batch).  Each accepted href shape is a prefix joined to a body; the
-# joined URL is accepted only if it passes _fast_absolute's conditions,
-# spelled as ONE canonical-shape regex plus ONE disqualifier regex.
-# RE2's ``\s`` is ASCII-only, so Python's (str.isspace) is spelled out.
+# Column canonicalizer (one Arrow pass per step over a whole batch).
+# Each accepted href shape is a prefix joined to a body; the joined URL
+# is accepted only if it is already canonical, i.e. the full gauntlet
+# would return it unchanged: ONE canonical-shape regex plus ONE
+# disqualifier regex.  RE2's ``\s`` is ASCII-only, so Python's
+# (str.isspace) is spelled out.
 _PY_SPACE_RE2 = (r"\t\n\x0b\x0c\r\x1c-\x1f \x{85}\x{a0}\x{1680}\x{2000}-\x{200a}"
                  r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}")
 # explicit port: 1-65535 without zero padding (the renderer would
@@ -288,7 +156,10 @@ _PY_SPACE_RE2 = (r"\t\n\x0b\x0c\r\x1c-\x1f \x{85}\x{a0}\x{1680}\x{2000}-\x{200a}
 _PORT_RE2 = (r"(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
              r"|655[0-2][0-9]|6553[0-5]))?")
 _PAIR_CANON_RE2 = r"^https?://[a-z0-9.\-]+" + _PORT_RE2 + r"/[^?#]*(?:\?[^#]*)?$"
-# _FAST_ABS_BAD_RE plus a spelled-out default port
+# anything normalize/join/render would alter: whitespace, quotes,
+# brackets, backslash, a fragment, a percent-encoding, an entity, a dot
+# segment in any position ("./", "/." incl. trailing "/." and "/..")
+# or a spelled-out default port
 _BAD_RE2 = ("[" + _PY_SPACE_RE2 + r"""\"'<>{}\[\]\\#%]|&#|&amp|\./|/\."""
             r"|^http://[^/]*:80/|^https://[^/]*:443/")
 # joined URL: also a trailing "&"/"?" (normalize_href's rstrip, bare
@@ -306,20 +177,20 @@ _ABS_PARTS_RE2 = r"(?s)^(?P<a>[^:]*://[^/?#]*)(?P<r>[^#]*)"
 
 
 def canonicalize_pairs(hrefs, bases):
-    """Vectorized :func:`canonicalize_fast` over aligned href/base string
+    """Vectorized :func:`canonicalize` over aligned href/base string
     columns → ``pa.StringArray``: the canonical URL where one of the
     modeled shapes applies, null where the caller must fall back to the
-    scalar gauntlet.
+    scalar :func:`canonicalize`.
 
     Shapes: path-absolute (base origin + href), protocol-relative (base
     scheme + ``:`` + href), absolute (scheme and authority lowercased,
     fragment stripped) and bare or ``./`` relative (base directory +
-    href; unlike canonicalize_fast, also against a base with a query,
-    which urljoin drops).  Base prefixes are computed once per distinct base.  A
-    prefix only has to be right when the joined URL passes the two
-    checks, so the origin and scheme are plain extractions; every
-    non-null output equals ``canonicalize(href, base)``
-    (property-tested)."""
+    href; the base may carry a query, which urljoin drops, but no
+    params or empty segments in its path).  Base prefixes are computed
+    once per distinct base.  A prefix only has to be right when the
+    joined URL passes the two checks, so the origin and scheme are plain
+    extractions; every non-null output equals ``canonicalize(href,
+    base)`` (property-tested)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -385,9 +256,13 @@ def canonicalize_urls(arr, max_len: int = DEFAULT_MAX_URL_LENGTH) -> np.ndarray:
     The dominant shapes in a ``--url-list`` file (crawler.rs:226-230)
     are absolute URLs; :func:`canonicalize_pairs` renders those with
     zero per-row Python.  Everything else falls back to the scalar
-    fast/full gauntlet for exact parity (property-tested)."""
+    :func:`canonicalize` (property-tested)."""
     import pyarrow as pa
     import pyarrow.compute as pc
+
+    def scalar(u):
+        c = canonicalize(u, u) if u else None
+        return c if c is not None and len(c) <= max_len else None
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -397,11 +272,7 @@ def canonicalize_urls(arr, max_len: int = DEFAULT_MAX_URL_LENGTH) -> np.ndarray:
         except (pa.ArrowInvalid, pa.ArrowTypeError):
             seq = list(arr)
             out = np.empty(len(seq), dtype=object)
-            for i, u in enumerate(seq):
-                c = canonicalize_fast(u, u) if u else None
-                if c is None:
-                    c = canonicalize(u, u) if u else None
-                out[i] = c if c is not None and len(c) <= max_len else None
+            out[:] = [scalar(u) for u in seq]
             return out
     n = len(arr)
     out = np.empty(n, dtype=object)
@@ -415,13 +286,7 @@ def canonicalize_urls(arr, max_len: int = DEFAULT_MAX_URL_LENGTH) -> np.ndarray:
     miss = np.nonzero(~hit)[0]
     if len(miss):
         for i, u in zip(miss, arr.take(pa.array(miss)).to_pylist()):
-            if not u:
-                out[i] = None
-                continue
-            c = canonicalize_fast(u, u)
-            if c is None:
-                c = canonicalize(u, u)
-            out[i] = c if c is not None and len(c) <= max_len else None
+            out[i] = scalar(u)
     return out
 
 

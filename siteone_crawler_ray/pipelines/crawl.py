@@ -29,12 +29,15 @@ pop order for workers=1 with deterministic intra-page link order.
 Limit parity (crawler.rs:1219-1306): the reference checks
 ``queue+visited >= max_visited`` and ``queue >= max_queue_length`` at
 enqueue.  In wave order those conditions reduce to closed forms
-(stated where ``EpochCrawler._ingest`` tests them); when a cap can bind
-we run an exact sequential simulation over the epoch's candidates,
-otherwise a vectorized fast path.  The non-200 basename guard is
-epoch-consistent: counts aggregated per wave, blocklist broadcast to
-the next wave's gauntlet (deterministic refinement of the reference's
-racy counter — SURVEY.md §7.5).
+(stated where ``EpochCrawler._ingest`` tests them), checked in three
+tiers: when even admitting every deduped ok-candidate cannot bind a
+cap, each owner records and admits in one fused call; otherwise the
+owners stash their winners (two-phase) and the driver checks the
+summed count, committing when it fits; only when that count binds does
+the exact sequential simulation run over the epoch's candidates.  The
+non-200 basename guard is epoch-consistent: counts aggregated per wave,
+blocklist broadcast to the next wave's gauntlet (deterministic
+refinement of the reference's racy counter — SURVEY.md §7.5).
 
 Frontier: the first H = min(``stages/frontier.shard_actor_count``,
 pool size) crawl workers (the OWNERS, ``_shards``) each hold one
@@ -503,18 +506,7 @@ class EpochCrawler:
         if len(accepted_idx) == 0:
             return
         win = ok.take(pa.array(accepted_idx))
-        entries = pa.table(
-            {
-                "url": win["url"],
-                "url_key": win["url_key"],
-                "host": win["host"],
-                "depth": win["depth"],
-                "priority": win["priority"],
-                "source_uq_id": win["source_uq_id"],
-                "source_attr": win["source_attr"],
-            }
-        )
-        self._offer(entries)
+        self._offer(win.select(frontier.FrontierShardState.DISPATCH_COLS))
 
     def _full_ok_candidates(self) -> pa.Table:
         """Gather this epoch's pre-dedup ok-tagged candidates, priority

@@ -29,10 +29,10 @@ from ..stages.fetch import FetchStage
 def prep_url_batch(batch: pa.Table) -> pa.Table:
     """url strings → the fetch-stage input schema (canonical URL, key,
     host; seq derives from the key so it is stable under any
-    partitioning).  Canonicalization is the vectorized fast-path split
-    (one Arrow regex pass admits already-canonical rows; scalar
-    gauntlet only for the residue) — no per-row Python on the dominant
-    shape of a 10^10-row URL list."""
+    partitioning).  Canonicalization is ``U.canonicalize_urls``: the
+    column kernel renders the rows it models, the scalar
+    ``U.canonicalize`` only the residue — no per-row Python on the
+    dominant shape of a 10^10-row URL list."""
     canon_all = U.canonicalize_urls(batch["url"])
     canon = canon_all[canon_all != None]  # noqa: E711 — object-array None mask
     n = len(canon)

@@ -150,54 +150,38 @@ def slowest_topk(sf_dir: str, k: int = 20) -> pa.Table:
     return partial_topk(ds, k, ["value", "event_id"], [True, False]).select(["event_id", "value"])
 
 
+def _top_k_per_group(t: pa.Table, k: int) -> pa.Table:
+    """``t`` sorted by (segment, price descending, orderkey), keeping
+    each segment's first k rows: rank in group = row − group start."""
+    t = t.take(pc.sort_indices(t, sort_keys=[("c_mktsegment", "ascending"),
+                                             ("o_totalprice", "descending"),
+                                             ("o_orderkey", "ascending")]))
+    segs = t["c_mktsegment"].to_numpy(zero_copy_only=False)
+    row = np.arange(len(segs))
+    new = np.ones(len(segs), dtype=bool)
+    new[1:] = segs[1:] != segs[:-1]
+    start = np.maximum.accumulate(np.where(new, row, 0))
+    return t.filter(pa.array(row - start < k))
+
+
 def top_order_per_segment(sf_dir: str, k: int = 3) -> pa.Table:
     """top-N-per-group (window row_number) shape: per-batch partial
-    per-group top-k (pyarrow group-aware sort) → driver final per-group
-    top-k.  Broadcast c_custkey→segment like segment_join."""
+    per-group top-k → driver final per-group top-k.  Segments attach
+    through the broadcast sorted arrays of :func:`_sorted_segments`, as
+    in segment_join."""
     import ray
     import pyarrow.parquet as pq
 
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_mktsegment"])
-    lut_ref = ray.put(dict(zip(cust["c_custkey"].to_pylist(), cust["c_mktsegment"].to_pylist())))
+    lut_ref = ray.put(_sorted_segments(cust))
 
     def attach_and_topk(batch: pa.Table) -> pa.Table:
-        lut = ray.get(lut_ref)
-        seg = np.array([lut.get(int(x), "") for x in batch["o_custkey"].to_numpy(zero_copy_only=False)],
-                       dtype=object)
-        t = pa.table({"c_mktsegment": pa.array(seg, pa.string()),
-                      "o_orderkey": batch["o_orderkey"], "o_totalprice": batch["o_totalprice"]})
-        # per-group partial top-k within the block
-        idx = pc.sort_indices(t, sort_keys=[("c_mktsegment", "ascending"),
-                                            ("o_totalprice", "descending"),
-                                            ("o_orderkey", "ascending")])
-        t = t.take(idx)
-        segs = t["c_mktsegment"].to_numpy(zero_copy_only=False)
-        keep = []
-        count = 0
-        prev = None
-        for i, s in enumerate(segs):
-            if s != prev:
-                prev, count = s, 0
-            if count < k:
-                keep.append(i)
-                count += 1
-        return t.take(pa.array(keep))
+        seg = _segments_of(ray.get(lut_ref), batch["o_custkey"])
+        return _top_k_per_group(pa.table({"c_mktsegment": seg, "o_orderkey": batch["o_orderkey"],
+                                          "o_totalprice": batch["o_totalprice"]}), k)
 
-    parts = _collect(_read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"]).map_batches(
-        attach_and_topk, batch_format="pyarrow"))
-    idx = pc.sort_indices(parts, sort_keys=[("c_mktsegment", "ascending"),
-                                            ("o_totalprice", "descending"),
-                                            ("o_orderkey", "ascending")])
-    parts = parts.take(idx)
-    segs = parts["c_mktsegment"].to_numpy(zero_copy_only=False)
-    keep, count, prev = [], 0, None
-    for i, s in enumerate(segs):
-        if s != prev:
-            prev, count = s, 0
-        if count < k:
-            keep.append(i)
-            count += 1
-    out = parts.take(pa.array(keep))
+    out = _top_k_per_group(_collect(_read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
+                                    .map_batches(attach_and_topk, batch_format="pyarrow")), k)
     return pa.table({"c_mktsegment": out["c_mktsegment"], "o_orderkey": out["o_orderkey"],
                      "total": pa.array(round_away(out["o_totalprice"].to_numpy(), 2))})
 
@@ -277,6 +261,22 @@ def _sorted_lookup(keys_sorted: np.ndarray, probe: np.ndarray):
     pos_c = np.minimum(pos, max(0, len(keys_sorted) - 1))
     hit = keys_sorted[pos_c] == probe if len(keys_sorted) else np.zeros(len(probe), bool)
     return pos_c, hit
+
+
+def _sorted_segments(cust: pa.Table) -> tuple:
+    """customer (c_custkey, c_mktsegment) as the broadcast side of a
+    segment lookup: the ascending key array and its aligned segments."""
+    ck = cust["c_custkey"].to_numpy(zero_copy_only=False)
+    order = np.argsort(ck)
+    return ck[order], cust["c_mktsegment"].take(pa.array(order)).combine_chunks()
+
+
+def _segments_of(lut: tuple, custkeys) -> pa.Array:
+    """Each order's customer segment through :func:`_sorted_segments`'
+    arrays, "" for a customer it does not hold."""
+    keys, segs = lut
+    pos, hit = _sorted_lookup(keys, custkeys.to_numpy(zero_copy_only=False))
+    return pc.if_else(pa.array(hit), segs.take(pa.array(pos, mask=~hit)), "")
 
 
 def supplier_part_stats(sf_dir: str) -> pa.Table:
@@ -434,16 +434,11 @@ def segment_join(sf_dir: str) -> pa.Table:
     if pq.read_metadata(cpath).num_rows > _BROADCAST_JOIN_ROWS:
         return _segment_join_shuffled(sf_dir)
     cust = pq.read_table(cpath, columns=["c_custkey", "c_mktsegment"])
-    # broadcast the SORTED key→segment arrays (supplier_part_stats' lookup)
-    ck = cust["c_custkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(ck)
-    lut_ref = ray.put((ck[order], cust["c_mktsegment"].take(pa.array(order)).combine_chunks()))
+    lut_ref = ray.put(_sorted_segments(cust))
 
     def attach(batch: pa.Table) -> pa.Table:
-        keys, segs = ray.get(lut_ref)
-        pos, hit = _sorted_lookup(keys, batch["o_custkey"].to_numpy(zero_copy_only=False))
-        seg = pc.if_else(pa.array(hit), segs.take(pa.array(pos, mask=~hit)), "")
-        return pa.table({"c_mktsegment": seg, "o_totalprice": batch["o_totalprice"]})
+        return pa.table({"c_mktsegment": _segments_of(ray.get(lut_ref), batch["o_custkey"]),
+                         "o_totalprice": batch["o_totalprice"]})
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(attach, batch_format="pyarrow")
     t = grouped_agg(

@@ -310,10 +310,7 @@ class CandidateGauntlet:
         same-host, allowed-domain matches, basename, robots verdict, and
         the final (query-filtered, length/include/ignore/transform
         checked) URL or None."""
-        canon = U.canonicalize_fast(h, b)
-        fast = canon is not None
-        if not fast:
-            canon = U.canonicalize(h, b)
+        canon = U.canonicalize(h, b)
         if canon is None:
             return (None,) * 8
         host = U.host_of(canon)
@@ -327,19 +324,20 @@ class CandidateGauntlet:
         # robots on the RAW normalized href (crawler.rs:1113-1124);
         # static files bypass robots (robots_txt.rs:8-10,107)
         robots_ok = self.ignore_robots or static or self._robots_allowed(host, h)
-        if fast or not (self.remove_query or self.keep_query):
-            final = self._fast_query(canon)
-        else:
+        if self.remove_query or self.keep_query:
             final = U.canonicalize(
                 h, b, remove_query_params=self.remove_query, keep_query_params=self.keep_query
             )
+        else:
+            final = canon
         return (canon, host, same, allowed_s, allowed_c, basename, robots_ok,
                 self._finish(final, static))
 
     def _fast_query(self, canon: str) -> str:
-        """Query filtering of an already-rendered fast-path canonical URL:
-        a pure string op (identical to the full path's filter-before-
-        render for the strings the fast path accepts)."""
+        """Query filtering of a URL :func:`U.canonicalize_pairs` rendered
+        (used by :meth:`_kernel_facts`): a pure string op, identical to
+        :func:`U.canonicalize`'s filter-before-render because rendering
+        leaves the kernel's already-canonical URLs unchanged."""
         if self.remove_query:
             q = canon.find("?")
             return canon[:q] if q >= 0 else canon

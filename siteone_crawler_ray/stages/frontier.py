@@ -22,8 +22,9 @@ it).  Each owner keeps
   rebuilt at ≥ 2× the size before an add takes it past 0.7 load.
   There is no cold (bloom) mode: every owner keeps its seen set in RAM;
 - skip records: first-wins per key, with their own exact set;
-- pending queue: list of Arrow tables of frontier entries
-  (priority-ordered at dispatch by the driver's wave sort).
+- pending queue: list of Arrow tables of frontier entries in offer
+  order; owner 0's :meth:`FrontierShardState.assemble_wave` sorts the
+  drained queues by priority when it builds the next wave.
 
 The range matters only for routing candidates (workers sort them by
 url_key, each owner slices its range by binary search) and for the

@@ -7,6 +7,7 @@ idempotence and stability are what make the seen-set keys well-defined.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,12 @@ from siteone_crawler_ray.functions import urls as U
 from siteone_crawler_ray.functions.hashing import xxh64, xxh64_strings
 
 import numpy as np
+import pyarrow as pa
+
+
+def _kernel(hrefs: list, bases: list) -> list:
+    """The column canonicalizer's answers (None = left to the scalar path)."""
+    return U.canonicalize_pairs(pa.array(hrefs, pa.string()), pa.array(bases, pa.string())).to_pylist()
 
 _hosts = st.sampled_from(["a.test", "www.b.test", "site-001.example.org", "x.y.z.test"])
 _paths = st.lists(
@@ -84,122 +91,6 @@ def test_relative_resolution_produces_absolute(base, rel):
         assert U.canonicalize(c, c) == c
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=30),
-    absolute_urls(),
-)
-def test_canonicalize_fast_matches_full(href, base):
-    """Whenever the fast path claims applicability its answer must equal
-    the full canonicalizer's — on arbitrary printable hrefs."""
-    fast = U.canonicalize_fast(href, base)
-    if fast is not None:
-        assert fast == U.canonicalize(href, base)
-
-
-def test_canonicalize_fast_fuzz_regressions():
-    """Shapes hypothesis once caught diverging: relative "//" collapse
-    and trailing empty-params ";" stripping (both must fall back or
-    match the full path)."""
-    for href, base in [
-        ("0//", "http://a.test/"),
-        ("a//b", "http://a.test/"),
-        ("/;", "http://a.test/"),
-        ("/x;", "http://a.test/"),
-        ("/x;?q=1", "http://a.test/"),
-        ("//a.test/;", "http://x.test/"),
-        ("http://a.test/x;", "http://x.test/"),
-        ("/;x", "http://a.test/"),           # non-empty params survive
-        ("http://a.test/a;b", "http://x.test/"),
-    ]:
-        fast = U.canonicalize_fast(href, base)
-        if fast is not None:
-            assert fast == U.canonicalize(href, base), (href, base)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_paths, _queries, absolute_urls())
-def test_canonicalize_fast_applies_to_clean_paths(path, query, base):
-    href = path + query
-    fast = U.canonicalize_fast(href, base)
-    full = U.canonicalize(href, base)
-    if fast is not None:
-        assert fast == full
-
-
-def test_canonicalize_fast_trailing_strip_chars_and_dot_segments():
-    # ADVICE r1: trailing '&' is rstripped by normalize_href; trailing
-    # '/.' and '/..' are resolved by urljoin — the fast path must
-    # decline all of them and agree with the full path everywhere.
-    base = "https://x.test/p"
-    for href in ("/a?b=1&", "/a/..", "/a/.", "/a/../b", "/a/./b", "/."):
-        assert U.canonicalize_fast(href, base) is None, href
-    assert U.canonicalize("/a?b=1&", base) == "https://x.test/a?b=1"
-    assert U.canonicalize("/a/..", base) == "https://x.test/"
-    assert U.canonicalize("/a/.", base) == "https://x.test/a/"
-
-
-def test_canonicalize_fast_trailing_question_mark():
-    # the renderer drops a bare trailing "?" — fast path must decline
-    base = "https://x.test/p"
-    assert U.canonicalize_fast("/a?", base) is None
-    assert U.canonicalize("/a?", base) == "https://x.test/a"
-    assert U.canonicalize_fast("/a?b=1", base) == "https://x.test/a?b=1"
-
-
-@settings(max_examples=300, deadline=None)
-@given(absolute_urls())
-def test_canonicalize_fast_absolute_branch(url):
-    """Already-canonical absolute URLs pass through the fast path and
-    always agree with the full canonicalizer."""
-    fast = U.canonicalize_fast(url, "https://other.test/base")
-    if fast is not None:
-        assert fast == U.canonicalize(url, "https://other.test/base")
-
-
-def test_canonicalize_fast_absolute_rejections():
-    base = "https://b.test/x"
-    # uppercase scheme/host now takes the any-case fast branch (r4) and
-    # must agree with the full canonicalizer
-    for href in ("HTTPS://a.test/p", "HtTpS://A.TEST/p?q=Mixed",
-                 "HTTP://a.test/p#Frag", "HTTPS://USER@a.test/p"):
-        fast = U.canonicalize_fast(href, base)
-        full = U.canonicalize(href, base)
-        if fast is not None:
-            assert fast == full, href
-    assert U.canonicalize_fast("HTTPS://a.test/p", base) == "https://a.test/p"
-    # must decline: default port, no path, dot segments, bare query, entities
-    for href in ("https://a.test:443/p",
-                 "https://a.test", "https://a.test/a/../b", "https://a.test/p?",
-                 "https://a.test/p?a=1&amp;b=2", "https://a.test#f"):
-        assert U.canonicalize_fast(href, base) is None, href
-    # accepts and passes through canonical forms
-    assert U.canonicalize_fast("https://a.test/p?a=1", base) == "https://a.test/p?a=1"
-    assert U.canonicalize_fast("http://a.test:8080/p", base) == "http://a.test:8080/p"
-
-
-def test_canonicalize_fast_new_branches():
-    """r3 additions: fragment-suffixed absolutes, protocol-relative,
-    and safe bare-relative hrefs take the fast path and agree with the
-    full canonicalizer."""
-    base = "https://b.test/p/11560"
-    cases = ("https://a.test/p/1#frag", "//c.test/p/2", "./26317", "26317",
-             "a/b?q=1", "sub/page")
-    for href in cases:
-        fast = U.canonicalize_fast(href, base)
-        assert fast is not None, href
-        assert fast == U.canonicalize(href, base), href
-    assert U.canonicalize_fast("https://a.test/p/1#frag", base) == "https://a.test/p/1"
-    assert U.canonicalize_fast("//c.test/p/2", base) == "https://c.test/p/2"
-    assert U.canonicalize_fast("26317", base) == "https://b.test/p/26317"
-    # conservative rejections still fall back
-    for href in ("//c.test/p#f&", "../up", "a:b", "a b", "x?", "a%20b",
-                 "./", "a/./b"):
-        assert U.canonicalize_fast(href, base) is None, href
-    # base with a query cannot take the bare-relative shortcut
-    assert U.canonicalize_fast("a", "https://b.test/p?x=1") is None
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(
     st.one_of(
@@ -221,56 +112,23 @@ def test_canonicalize_urls_matches_scalar(urls):
         assert got == want, (u, got, want)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    absolute_urls().map(lambda u: u.upper()),
-    st.sampled_from(["", "#Frag", "?", "&"]),
-    absolute_urls(),
-)
-def test_canonicalize_fast_anycase_absolute_matches_full(url, suffix, base):
-    """The r4 any-case absolute branch must agree with the full
-    canonicalizer on uppercase scheme/host inputs."""
-    href = url + suffix
-    fast = U.canonicalize_fast(href, base)
-    if fast is not None:
-        assert fast == U.canonicalize(href, base), href
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(["HTTP", "HtTpS", "https", "HTTPS"]),
-    st.sampled_from(["A.TEST", "a.test", "USER@a.test", "a.test:8080",
-                     "a.test:443", "a.test:80", "É.test", "WWW.B.Test"]),
-    st.sampled_from(["/p", "/p/Q?x=1", "", "/p#F", "/p?"]),
-    absolute_urls(),
-)
-def test_canonicalize_fast_anycase_edge_shapes(scheme, authority, rest, base):
-    """Ports, userinfo, IDN and bare-origin shapes through the any-case
-    branch must agree with the full canonicalizer whenever the fast
-    path claims applicability."""
-    href = f"{scheme}://{authority}{rest}"
-    fast = U.canonicalize_fast(href, base)
-    if fast is not None:
-        assert fast == U.canonicalize(href, base), href
-
-
 def test_malformed_and_zero_padded_ports():
-    """Review findings r4: malformed ports must DROP (not crash) through
-    every path, and zero-padded default ports must not diverge between
-    the fast/vector paths and the full canonicalizer."""
+    """Malformed ports must DROP (not crash) through every path, and
+    zero-padded default ports must not diverge between the column
+    kernels and the full canonicalizer."""
     assert U.canonicalize("https://a.test:9x/p", "https://a.test/") is None
     assert U.canonicalize_urls(["https://a.test:9x/p"])[0] is None
     assert U.render_canonical("https://a.test:9x/p") is None
     for u in ("http://a.test:0080/p", "https://a.test:0443/p",
               "http://a.test:08080/p", "https://a.test:000/p"):
         full = U.canonicalize(u, u)
-        fast = U.canonicalize_fast(u, u)
-        assert fast is None or fast == full, (u, fast, full)
+        kern = _kernel([u], [u])[0]
+        assert kern is None or kern == full, (u, kern, full)
         assert U.canonicalize_urls([u])[0] == full, u
-    # path-absolute against a zero-padded-port base must fall back
-    assert U.canonicalize_fast("/x", "https://a.test:0443/p") is None
-    # normal explicit ports still take the fast path
-    assert U.canonicalize_fast("http://a.test:8080/p", "x") == "http://a.test:8080/p"
+    # path-absolute against a zero-padded-port base is left to the scalar path
+    assert _kernel(["/x"], ["https://a.test:0443/p"]) == [None]
+    # normal explicit ports render
+    assert _kernel(["http://a.test:8080/p"], ["x"]) == ["http://a.test:8080/p"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,9 +141,9 @@ def test_malformed_and_zero_padded_ports():
 def test_arbitrary_port_strings_never_crash_and_agree(scheme, host, port, rest):
     href = f"{scheme}://{host}:{port}{rest}"
     full = U.canonicalize(href, href)  # must not raise
-    fast = U.canonicalize_fast(href, "https://x.test/b")
-    if fast is not None:
-        assert fast == U.canonicalize(href, "https://x.test/b"), href
+    kern = _kernel([href], ["https://x.test/b"])[0]
+    if kern is not None:
+        assert kern == U.canonicalize(href, "https://x.test/b"), href
     vec = U.canonicalize_urls([href])[0]
     want = full if full is not None and len(full) <= U.DEFAULT_MAX_URL_LENGTH else None
     assert vec == want, (href, vec, want)
@@ -302,6 +160,17 @@ _hrefs = st.one_of(
               _pieces).map("".join),
     absolute_urls(),
     st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=30),
+    # clean path-absolute hrefs with queries
+    st.tuples(_paths, _queries).map("".join),
+    # upper-case absolutes, bare or with a fragment / bare query / trailing "&"
+    st.tuples(absolute_urls().map(str.upper),
+              st.sampled_from(["", "#Frag", "?", "&"])).map("".join),
+    # any-case scheme with port, userinfo, IDN and bare-origin authorities
+    st.tuples(st.sampled_from(["HTTP", "HtTpS", "https", "HTTPS"]),
+              st.sampled_from(["A.TEST", "a.test", "USER@a.test", "a.test:8080",
+                               "a.test:443", "a.test:80", "É.test", "WWW.B.Test"]),
+              st.sampled_from(["/p", "/p/Q?x=1", "", "/p#F", "/p?"])).map(
+        lambda t: f"{t[0]}://{t[1]}{t[2]}"),
 )
 _bases = st.one_of(
     absolute_urls(),
@@ -317,13 +186,74 @@ _bases = st.one_of(
 def test_canonicalize_pairs_matches_full(pairs):
     """Wherever the column canonicalizer renders a URL, it is the full
     canonicalizer's answer."""
-    import pyarrow as pa
-
     hrefs, bases = (list(c) for c in zip(*pairs))
-    got = U.canonicalize_pairs(pa.array(hrefs), pa.array(bases)).to_pylist()
-    for h, b, c in zip(hrefs, bases, got):
+    for h, b, c in zip(hrefs, bases, _kernel(hrefs, bases)):
         if c is not None:
             assert c == U.canonicalize(h, b), (h, b, c)
+
+
+@pytest.mark.parametrize("href, base, want", [
+    ("/a?b=1", "https://x.test/p", "https://x.test/a?b=1"),
+    ("HTTPS://a.test/p", "https://b.test/x", "https://a.test/p"),
+    ("https://a.test/p?a=1", "https://b.test/x", "https://a.test/p?a=1"),
+    ("http://a.test:8080/p", "https://b.test/x", "http://a.test:8080/p"),
+    ("https://a.test/p/1#frag", "https://b.test/p/11560", "https://a.test/p/1"),
+    ("//c.test/p/2", "https://b.test/p/11560", "https://c.test/p/2"),
+    ("./26317", "https://b.test/p/11560", "https://b.test/p/26317"),
+    ("26317", "https://b.test/p/11560", "https://b.test/p/26317"),
+    ("a/b?q=1", "https://b.test/p/11560", "https://b.test/p/a/b?q=1"),
+    ("sub/page", "https://b.test/p/11560", "https://b.test/p/sub/page"),
+])
+def test_canonicalize_pairs_renders_common_shapes(href, base, want):
+    """The dominant crawl href shapes (path-absolute with a query,
+    any-case and fragment-suffixed absolutes, explicit ports,
+    protocol-relative, bare and ``./`` relatives) are rendered by the
+    column kernel, as the full canonicalizer renders them."""
+    assert _kernel([href], [base]) == [want]
+    assert U.canonicalize(href, base) == want
+
+
+# the full canonicalizer's answers on shapes normalize/join/render alter
+_SCALAR_ANSWERS = {
+    ("/a?b=1&", "https://x.test/p"): "https://x.test/a?b=1",
+    ("/a/..", "https://x.test/p"): "https://x.test/",
+    ("/a/.", "https://x.test/p"): "https://x.test/a/",
+    ("/a?", "https://x.test/p"): "https://x.test/a",
+}
+
+
+@pytest.mark.parametrize("href, base", [
+    *_SCALAR_ANSWERS,
+    # dot segments (urljoin resolves them)
+    ("/a/../b", "https://x.test/p"), ("/a/./b", "https://x.test/p"), ("/.", "https://x.test/p"),
+    # any-case absolutes; default port, no path, dot segments, bare
+    # query and entities
+    ("HtTpS://A.TEST/p?q=Mixed", "https://b.test/x"), ("HTTP://a.test/p#Frag", "https://b.test/x"),
+    ("HTTPS://USER@a.test/p", "https://b.test/x"), ("https://a.test:443/p", "https://b.test/x"),
+    ("https://a.test", "https://b.test/x"), ("https://a.test/a/../b", "https://b.test/x"),
+    ("https://a.test/p?", "https://b.test/x"), ("https://a.test/p?a=1&amp;b=2", "https://b.test/x"),
+    ("https://a.test#f", "https://b.test/x"),
+    # relatives with strip chars, parent segments, colons, spaces, encodings
+    ("//c.test/p#f&", "https://b.test/p/11560"), ("../up", "https://b.test/p/11560"),
+    ("a:b", "https://b.test/p/11560"), ("a b", "https://b.test/p/11560"),
+    ("x?", "https://b.test/p/11560"), ("a%20b", "https://b.test/p/11560"),
+    ("./", "https://b.test/p/11560"), ("a/./b", "https://b.test/p/11560"),
+    ("a", "https://b.test/p?x=1"),
+    # relative "//" collapse and trailing empty params ";"; non-empty
+    # params survive
+    ("0//", "http://a.test/"), ("a//b", "http://a.test/"), ("/;", "http://a.test/"),
+    ("/x;", "http://a.test/"), ("/x;?q=1", "http://a.test/"), ("//a.test/;", "http://x.test/"),
+    ("http://a.test/x;", "http://x.test/"), ("/;x", "http://a.test/"),
+    ("http://a.test/a;b", "http://x.test/"),
+])
+def test_canonicalize_pairs_declines_or_agrees(href, base):
+    """On shapes the scalar path alters (or the kernel does not model),
+    the column kernel either leaves the row to ``canonicalize`` or
+    gives its answer."""
+    got = _kernel([href], [base])[0]
+    assert got is None or got == U.canonicalize(href, base), (href, base, got)
+    if (href, base) in _SCALAR_ANSWERS:
+        assert U.canonicalize(href, base) == _SCALAR_ANSWERS[href, base]
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,8 +264,6 @@ def test_canonicalize_pairs_matches_full(pairs):
 def test_gauntlet_call_matches_scalar_rows(rows, cfg):
     """Random href/base batches: the gauntlet's column path returns the
     same table as the one built from the scalar `_decide_rows`."""
-    import pyarrow as pa
-
     from siteone_crawler_ray.functions.robots import RobotsIndex
     from siteone_crawler_ray.stages.extract import CandidateGauntlet
 
@@ -362,6 +290,43 @@ def test_gauntlet_call_matches_scalar_rows(rows, cfg):
         assert got[name].to_pylist() == want[name].to_pylist(), (name, rows)
 
 
+def test_graph_corpus_spans_never_reach_the_scalar_fallback():
+    """Every link shape the corpus generator draws (the eight
+    ``_href_form`` forms, cross-host, duplicate and invalid links,
+    assets, an over-length path) goes through ``explode_spans`` into the
+    gauntlet's column kernels: no row takes the scalar fallback, and the
+    table equals the scalar reference's (`_call_rows`)."""
+    from siteone_crawler_ray.functions.robots import RobotsIndex
+    from siteone_crawler_ray.sources.corpus import host_name, make_graph_corpus
+    from siteone_crawler_ray.stages.extract import CandidateGauntlet, explode_spans
+
+    tabs = make_graph_corpus(seed=5, hosts=4, total_pages=300)
+    docs = tabs["documents"]
+    n = docs.num_rows
+    pages = docs.append_column("uq_id", docs["doc_id"]).append_column(
+        "wavepos", pa.array(np.arange(n, dtype=np.int64))).append_column(
+        "depth", pa.array(np.zeros(n, np.int32)))
+    spans = explode_spans(pages)
+    hrefs = spans["href"].to_pylist()
+    # the eight forms: absolute and path-absolute (plain), protocol-
+    # relative, dot-relative, entity-encoded query, upper-case
+    # scheme/host, quoted, fragment-suffixed
+    for shape in (lambda h: h.startswith("https://"), lambda h: h.startswith("/p/"),
+                  lambda h: h.startswith("//"), lambda h: h.startswith("./"),
+                  lambda h: "&amp;" in h, lambda h: h.startswith("HTTPS://"),
+                  lambda h: h.startswith('"'), lambda h: h.endswith("#frag")):
+        assert any(shape(h) for h in hrefs)
+    robots = RobotsIndex.from_bodies(dict(zip(tabs["robots"]["host"].to_pylist(),
+                                              tabs["robots"]["body"].to_pylist())))
+    g = CandidateGauntlet(robots, host_name(0))
+    got = g(spans)
+    assert g.last_fallback_rows == 0
+    want = g._call_rows(spans)
+    assert got.num_rows > 0
+    for name in want.column_names:
+        assert got[name].to_pylist() == want[name].to_pylist(), name
+
+
 _rule_chars = st.sampled_from(list("/ab.*?K") + ["é", "İ", "K"])
 
 
@@ -377,8 +342,6 @@ _rule_chars = st.sampled_from(list("/ab.*?K") + ["é", "İ", "K"])
 def test_robots_allowed_mask_matches_is_allowed(rules, urls):
     """Rules compiled to RE2 (and the scalar `$`+`*` matcher) decide every
     URL exactly as `RobotsRules.is_allowed`."""
-    import pyarrow as pa
-
     from siteone_crawler_ray.functions.robots import parse_robots
 
     r = parse_robots("User-agent: *\n" + "".join(f"{k}: {p}{e}\n" for k, p, e in rules))
