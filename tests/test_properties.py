@@ -91,6 +91,66 @@ def test_relative_resolution_produces_absolute(base, rel):
         assert U.canonicalize(c, c) == c
 
 
+# The fast path is the column kernel: wherever it renders a row (rather
+# than leaving it to the scalar path) its answer is canonicalize's.
+def _fast_agrees(href: str, base: str) -> None:
+    fast = _kernel([href], [base])[0]
+    if fast is not None:
+        assert fast == U.canonicalize(href, base), (href, base, fast)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=30),
+    absolute_urls(),
+)
+def test_canonicalize_fast_matches_full(href, base):
+    """Arbitrary printable hrefs: the kernel's rendered answers equal
+    the full canonicalizer's."""
+    _fast_agrees(href, base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_paths, _queries, absolute_urls())
+def test_canonicalize_fast_applies_to_clean_paths(path, query, base):
+    _fast_agrees(path + query, base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(absolute_urls())
+def test_canonicalize_fast_absolute_branch(url):
+    """Already-canonical absolute URLs agree with the full
+    canonicalizer whenever the kernel renders them."""
+    _fast_agrees(url, "https://other.test/base")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    absolute_urls().map(lambda u: u.upper()),
+    st.sampled_from(["", "#Frag", "?", "&"]),
+    absolute_urls(),
+)
+def test_canonicalize_fast_anycase_absolute_matches_full(url, suffix, base):
+    """Upper-case scheme/host absolutes, bare or with a fragment, a
+    bare query or a trailing "&", agree with the full canonicalizer."""
+    _fast_agrees(url + suffix, base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["HTTP", "HtTpS", "https", "HTTPS"]),
+    st.sampled_from(["A.TEST", "a.test", "USER@a.test", "a.test:8080",
+                     "a.test:443", "a.test:80", "É.test", "WWW.B.Test"]),
+    st.sampled_from(["/p", "/p/Q?x=1", "", "/p#F", "/p?"]),
+    absolute_urls(),
+)
+def test_canonicalize_fast_anycase_edge_shapes(scheme, authority, rest, base):
+    """Ports, userinfo, IDN and bare-origin shapes with any-case
+    schemes agree with the full canonicalizer whenever the kernel
+    renders them."""
+    _fast_agrees(f"{scheme}://{authority}{rest}", base)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(
     st.one_of(
